@@ -288,9 +288,11 @@ func topKView(v *delta.View, u int32, k int, dst []Neighbor) []Neighbor {
 // collaborative filtering over the frozen graph: items in neighbors'
 // training profiles (but not u's own), scored by the sum of the
 // recommending neighbors' similarities, ties broken by ascending item
-// id. Out-of-range users get nil. Safe for concurrent use; scoring
-// scratch is pooled per calling goroutine, so steady-state cost is the
-// returned slice only.
+// id. Out-of-range users and n ≤ 0 get nil. A query costs one pass
+// over the neighbors' profiles plus O(T·log n) to keep the best n of
+// the T items it touches. Safe for concurrent use; scoring scratch is
+// pooled per calling goroutine, so steady-state cost is the returned
+// slice only.
 func (ix *Index) Recommend(u int32, n int) []int32 {
 	if ov := ix.overlay.Load(); ov != nil {
 		v := ov.View()
@@ -361,8 +363,9 @@ func (ix *Index) TopKBatch(users []int32, k int) [][]Neighbor {
 // RecommendBatch answers Recommend for every user of users with one
 // pooled Scorer checked out for the whole batch — the serving batch
 // path: dense scoring scratch is reused across the batch rather than
-// fetched per query. Out-of-range ids yield nil entries. The per-user
-// results are identical to calling Recommend user by user.
+// fetched per query. Out-of-range ids, and every id when n ≤ 0, yield
+// nil entries. The per-user results are identical to calling Recommend
+// user by user.
 func (ix *Index) RecommendBatch(users []int32, n int) [][]int32 {
 	sc := ix.scorers.Get().(*recommend.Scorer)
 	if ov := ix.overlay.Load(); ov != nil {

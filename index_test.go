@@ -201,6 +201,42 @@ func TestIndexOutOfRangeUsers(t *testing.T) {
 	}
 }
 
+// TestIndexNonPositiveN: Recommend and RecommendBatch with n ≤ 0 return
+// empty results, as TopK does for k ≤ 0, on a frozen index and on an
+// upsert-enabled one (the merged-view path).
+func TestIndexNonPositiveN(t *testing.T) {
+	frozen := buildTestIndex(t)
+	writable := buildTestIndex(t)
+	if err := writable.EnableUpserts(c2knn.UpsertConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writable.Upsert(-1, []int32{1, 2, 3, 5, 8}); err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*c2knn.Index{"frozen": frozen, "upserts": writable} {
+		users := []int32{0, 3, int32(ix.NumUsers()) - 1}
+		for _, n := range []int{0, -1, -100} {
+			for _, u := range users {
+				if rec := ix.Recommend(u, n); len(rec) != 0 {
+					t.Errorf("%s: Recommend(%d, %d) = %v, want empty", name, u, n, rec)
+				}
+				if top := ix.TopK(u, n); len(top) != 0 {
+					t.Errorf("%s: TopK(%d, %d) = %v, want empty", name, u, n, top)
+				}
+			}
+			recs := ix.RecommendBatch(users, n)
+			if len(recs) != len(users) {
+				t.Fatalf("%s: RecommendBatch(n=%d) returned %d results for %d users", name, n, len(recs), len(users))
+			}
+			for i, rec := range recs {
+				if len(rec) != 0 {
+					t.Errorf("%s: RecommendBatch(n=%d)[%d] = %v, want empty", name, n, i, rec)
+				}
+			}
+		}
+	}
+}
+
 func TestNewIndexValidates(t *testing.T) {
 	d, err := c2knn.Generate("ml1M", 0.05)
 	if err != nil {

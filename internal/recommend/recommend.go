@@ -73,19 +73,24 @@ type scored struct {
 	score float64
 }
 
-// rankScored orders ranked by decreasing score, ties by ascending item
-// id (deterministic), truncates to n, and extracts the item ids into
-// dst. Shared by the map-based reference path and the frozen scorer.
-func rankScored(ranked []scored, n int, dst []int32) []int32 {
-	slices.SortFunc(ranked, func(a, b scored) int {
-		if a.score != b.score {
-			if a.score > b.score {
-				return -1
-			}
-			return 1
+// compareScored is the recommendation order: decreasing score, ties by
+// ascending item id. Items are distinct, so the order is total and
+// every top-n is unique.
+func compareScored(a, b scored) int {
+	if a.score != b.score {
+		if a.score > b.score {
+			return -1
 		}
-		return cmp.Compare(a.item, b.item)
-	})
+		return 1
+	}
+	return cmp.Compare(a.item, b.item)
+}
+
+// rankScored fully sorts ranked by compareScored, truncates to n, and
+// appends the item ids to dst. It is the map-based reference path's
+// ranking and the oracle of the Scorer's bounded drain.
+func rankScored(ranked []scored, n int, dst []int32) []int32 {
+	slices.SortFunc(ranked, compareScored)
 	if len(ranked) > n {
 		ranked = ranked[:n]
 	}
@@ -101,8 +106,11 @@ func rankScored(ranked []scored, n int, dst []int32) []int32 {
 // This is the build-structure reference path — it walks the mutable
 // graph and allocates a scoring map per call. Serving paths should
 // freeze the graph and recommend through a Scorer (or c2knn.Index),
-// which touches no maps and reuses all scratch.
+// which touches no maps and reuses all scratch. n ≤ 0 yields nil.
 func Recommend(train *dataset.Dataset, g *knng.Graph, u int32, n int) []int32 {
+	if n <= 0 {
+		return nil
+	}
 	scores := make(map[int32]float64)
 	own := train.Profiles[u]
 	for _, nb := range g.Lists[u].H {
@@ -124,15 +132,24 @@ func Recommend(train *dataset.Dataset, g *knng.Graph, u int32, n int) []int32 {
 }
 
 // Scorer is the reusable per-worker scratch of the frozen serving path:
-// a dense per-item score accumulator plus the touched-item and ranking
-// buffers. After the first few queries a Scorer stops allocating
-// (beyond the caller's result slice). A Scorer is not safe for
-// concurrent use; give each goroutine its own (c2knn.Index pools them).
+// a dense per-item score accumulator, the touched-item list, and an
+// n-slot selection heap. A query costs O(R) for the R row entries it
+// scores plus O(T·log n) to select the top n of the T items it
+// touches — no sort of all T. After the first few queries a Scorer
+// stops allocating (beyond the caller's result slice). A Scorer is not
+// safe for concurrent use; give each goroutine its own (c2knn.Index
+// pools them).
 type Scorer struct {
-	scores  []float64 // dense accumulator, indexed by item id
+	scores  []float64 // dense accumulator, indexed by item id; ownMark on u's own items mid-query
 	touched []int32   // items with non-zero score this query
-	ranked  []scored
+	ranked  []scored  // bounded top-n heap, then the sorted result
 }
+
+// ownMark is the score u's own items carry while a query accumulates:
+// rows skip any item scored below zero. Accumulated sums of positive
+// similarities are strictly positive, so the mark never collides with
+// a real score.
+const ownMark = -1
 
 // NewScorer returns a Scorer for datasets with up to numItems items;
 // it grows transparently if a query meets a larger universe.
@@ -145,33 +162,16 @@ func NewScorer(numItems int32) *Scorer {
 // similarities, u's own items excluded, ties by ascending item id) but
 // reading the CSR adjacency and accumulating into the dense scratch —
 // no per-query map, no per-query allocation when dst is recycled. The
-// item ids are appended to dst; the extended slice is returned.
+// item ids are appended to dst; the extended slice is returned. n ≤ 0
+// appends nothing.
 //
-// Neighbor profiles are scored as whole rows: each row is merged
-// against u's own (both sorted, duplicate-free) in one linear pass, the
-// row-batched counterpart of the per-item binary search the reference
-// path runs. Items are visited in the same order either way, so the
-// accumulated scores — and the final ranking — are bit-identical.
+// u's own items are excluded by marking them in the dense scratch for
+// the duration of the query, so each row item costs one load. Items are
+// visited — and scores summed — in the same order as the reference
+// path, and the top n are selected under the same total order, so the
+// result is bit-identical to it.
 func (s *Scorer) Recommend(train *dataset.Dataset, g *knng.Frozen, u int32, n int, dst []int32) []int32 {
-	if int(train.NumItems) > len(s.scores) {
-		s.scores = make([]float64, train.NumItems)
-	}
-	own := train.Profiles[u]
-	ids, sims := g.Neighbors(u)
-	for i, v := range ids {
-		sim := float64(sims[i])
-		if sim <= 0 {
-			continue
-		}
-		s.accumulateRow(own, train.Profiles[v], sim)
-	}
-	s.ranked = s.ranked[:0]
-	for _, it := range s.touched {
-		s.ranked = append(s.ranked, scored{it, s.scores[it]})
-		s.scores[it] = 0 // reset as we drain: scratch is clean for the next query
-	}
-	s.touched = s.touched[:0]
-	return rankScored(s.ranked, n, dst)
+	return recommendFrom(s, frozenPair{train, g}, u, n, dst)
 }
 
 // Source is the read surface RecommendSource scores over: a graph-and-
@@ -186,54 +186,131 @@ type Source interface {
 	Neighbors(u int32) ([]int32, []float32)
 }
 
+// frozenPair is the Source of Scorer.Recommend: a dataset and the
+// frozen graph built over it.
+type frozenPair struct {
+	train *dataset.Dataset
+	g     *knng.Frozen
+}
+
+func (p frozenPair) NumItems() int32                        { return p.train.NumItems }
+func (p frozenPair) Profile(u int32) []int32                { return p.train.Profiles[u] }
+func (p frozenPair) Neighbors(u int32) ([]int32, []float32) { return p.g.Neighbors(u) }
+
 // RecommendSource is Recommend over a Source instead of a concrete
 // dataset + frozen pair — semantics (scores, exclusion, tie order) are
 // identical; only the storage the rows and profiles come from differs.
 // The serving path for upsert-enabled indexes: neighbor rows and
 // profiles resolve through the merged view, so recommendations reflect
 // absorbed upserts immediately. Appends to dst and returns the extended
-// slice; allocation-free when dst is recycled.
+// slice; allocation-free when dst is recycled. n ≤ 0 appends nothing.
 func (s *Scorer) RecommendSource(src Source, u int32, n int, dst []int32) []int32 {
+	return recommendFrom(s, src, u, n, dst)
+}
+
+// recommendFrom is the scoring loop of Recommend and RecommendSource.
+// It is generic rather than taking a Source so that Recommend's
+// frozenPair is passed by value instead of escaping to the heap.
+func recommendFrom[S Source](s *Scorer, src S, u int32, n int, dst []int32) []int32 {
+	if n <= 0 {
+		return dst
+	}
 	if int(src.NumItems()) > len(s.scores) {
 		s.scores = make([]float64, src.NumItems())
 	}
 	own := src.Profile(u)
+	s.mark(own, ownMark)
 	ids, sims := src.Neighbors(u)
 	for i, v := range ids {
-		sim := float64(sims[i])
-		if sim <= 0 {
-			continue
+		if sim := float64(sims[i]); sim > 0 {
+			s.accumulateRow(src.Profile(v), sim)
 		}
-		s.accumulateRow(own, src.Profile(v), sim)
 	}
-	s.ranked = s.ranked[:0]
-	for _, it := range s.touched {
-		s.ranked = append(s.ranked, scored{it, s.scores[it]})
-		s.scores[it] = 0
-	}
-	s.touched = s.touched[:0]
-	return rankScored(s.ranked, n, dst)
+	s.mark(own, 0)
+	return s.drain(n, dst)
 }
 
-// accumulateRow adds sim to the dense score of every item of row not
-// present in own. Both slices are sorted and duplicate-free, so the
-// exclusion runs as a single merge — own's cursor only ever advances —
-// instead of one binary search per item.
-func (s *Scorer) accumulateRow(own, row []int32, sim float64) {
-	oi := 0
+// mark sets the score of every item of own to v: ownMark before a
+// query accumulates, 0 after, leaving the scratch all-zero.
+func (s *Scorer) mark(own []int32, v float64) {
+	for _, it := range own {
+		s.scores[it] = v
+	}
+}
+
+// accumulateRow adds sim to the dense score of every item of row that
+// does not carry ownMark.
+func (s *Scorer) accumulateRow(row []int32, sim float64) {
 	for _, it := range row {
-		for oi < len(own) && own[oi] < it {
-			oi++
-		}
-		if oi < len(own) && own[oi] == it {
+		sc := s.scores[it]
+		if sc < 0 {
 			continue
 		}
 		// Accumulated similarities are strictly positive, so a zero
 		// score means "first touch" — no separate seen-set needed.
-		if s.scores[it] == 0 {
+		if sc == 0 {
 			s.touched = append(s.touched, it)
 		}
-		s.scores[it] += sim
+		s.scores[it] = sc + sim
+	}
+}
+
+// drain moves every touched item's score out of the dense scratch,
+// zeroing it for the next query, and keeps the n best under
+// compareScored in s.ranked: a heap whose root is the worst item kept,
+// so a candidate is one comparison against the root and, if it wins,
+// one sift. Only the kept items are then sorted and their ids appended
+// to dst. Same result as rankScored over all touched items.
+func (s *Scorer) drain(n int, dst []int32) []int32 {
+	h := s.ranked[:0]
+	for _, it := range s.touched {
+		c := scored{it, s.scores[it]}
+		s.scores[it] = 0
+		if len(h) < n {
+			h = append(h, c)
+			siftUp(h, len(h)-1)
+		} else if compareScored(c, h[0]) < 0 {
+			h[0] = c
+			siftDown(h, 0)
+		}
+	}
+	s.touched = s.touched[:0]
+	s.ranked = h
+	slices.SortFunc(h, compareScored)
+	dst = slices.Grow(dst, len(h))
+	for _, r := range h {
+		dst = append(dst, r.item)
+	}
+	return dst
+}
+
+// siftUp and siftDown maintain the worst-at-root heap of drain: every
+// parent ranks behind (compares greater than) its children.
+func siftUp(h []scored, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if compareScored(h[i], h[p]) <= 0 {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(h []scored, i int) {
+	for {
+		w := 2*i + 1
+		if w >= len(h) {
+			return
+		}
+		if r := w + 1; r < len(h) && compareScored(h[r], h[w]) > 0 {
+			w = r
+		}
+		if compareScored(h[w], h[i]) <= 0 {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
 	}
 }
 

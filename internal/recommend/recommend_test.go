@@ -2,10 +2,14 @@ package recommend
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"c2knn/internal/bruteforce"
+	"c2knn/internal/core"
 	"c2knn/internal/dataset"
+	"c2knn/internal/delta"
+	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
 	"c2knn/internal/sets"
 	"c2knn/internal/similarity"
@@ -158,27 +162,83 @@ func frozenTestGraph(n, k int, seed int64) *knng.Graph {
 	return g
 }
 
-func TestScorerMatchesMapRecommend(t *testing.T) {
-	d := synth.Generate(synth.ML1M().Scale(0.03))
-	g := frozenTestGraph(d.NumUsers(), 8, 11)
-	f := g.Freeze()
-	sc := NewScorer(d.NumItems)
+// materialize copies a Source into the dataset + mutable graph the
+// map-based reference path reads.
+func materialize(src Source, users int) (*dataset.Dataset, *knng.Graph) {
+	profiles := make([][]int32, users)
+	k := 1
+	for u := range profiles {
+		profiles[u] = slices.Clone(src.Profile(int32(u)))
+		ids, _ := src.Neighbors(int32(u))
+		k = max(k, len(ids))
+	}
+	g := knng.New(users, k)
+	for u := range profiles {
+		ids, sims := src.Neighbors(int32(u))
+		for i, v := range ids {
+			g.Lists[u].Insert(v, float64(sims[i]))
+		}
+	}
+	return dataset.New("materialized", profiles, src.NumItems()), g
+}
+
+// checkAgainstMap requires the Scorer's RecommendSource over src (and,
+// when f is set, its Recommend over d and f) to return for every user
+// exactly what the map-based reference path returns over d and g.
+func checkAgainstMap(t *testing.T, d *dataset.Dataset, g *knng.Graph, src Source, f *knng.Frozen) {
+	t.Helper()
+	sc := NewScorer(src.NumItems())
 	var rec []int32
-	for _, n := range []int{1, 5, 30} {
-		for u := 0; u < d.NumUsers(); u++ {
-			want := Recommend(d, g, int32(u), n)
-			rec = sc.Recommend(d, f, int32(u), n, rec[:0])
-			if len(rec) != len(want) {
-				t.Fatalf("n=%d user %d: frozen returned %d items, map path %d", n, u, len(rec), len(want))
+	for _, n := range []int{1, 5, 10, 30} {
+		for u := int32(0); int(u) < d.NumUsers(); u++ {
+			want := Recommend(d, g, u, n)
+			rec = sc.RecommendSource(src, u, n, rec[:0])
+			if !slices.Equal(rec, want) {
+				t.Fatalf("n=%d user %d: RecommendSource %v, map path %v", n, u, rec, want)
 			}
-			for i := range want {
-				if rec[i] != want[i] {
-					t.Fatalf("n=%d user %d item %d: frozen %d, map path %d (frozen %v, map %v)",
-						n, u, i, rec[i], want[i], rec, want)
+			if f != nil {
+				rec = sc.Recommend(d, f, u, n, rec[:0])
+				if !slices.Equal(rec, want) {
+					t.Fatalf("n=%d user %d: Recommend %v, map path %v", n, u, rec, want)
 				}
 			}
 		}
 	}
+}
+
+func TestScorerMatchesMapRecommend(t *testing.T) {
+	d := synth.Generate(synth.ML1M().Scale(0.03))
+	g := frozenTestGraph(d.NumUsers(), 8, 11)
+	f := g.Freeze()
+	checkAgainstMap(t, d, g, frozenPair{d, f}, f)
+
+	// The delta overlay's merged view, after upserts that add users,
+	// rewrite base profiles and introduce an item beyond the base
+	// universe.
+	const gfSeed = 0x60fd
+	gf := goldfinger.MustNew(d, goldfinger.DefaultBits, gfSeed)
+	c2, _ := core.Build(d, similarity.NewCounting(gf), core.Options{K: 10, Workers: 2, Seed: 42})
+	ov, err := delta.Attach(c2.Freeze(), d, gf, delta.Config{GFSeed: gfSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upserts := []struct {
+		user  int32
+		items []int32
+	}{
+		{-1, slices.Clone(d.Profiles[7])},
+		{3, append(slices.Clone(d.Profiles[3]), d.NumItems+5)},
+		{-1, append(slices.Clone(d.Profiles[11]), d.Profiles[12]...)},
+		{20, slices.Clone(d.Profiles[21])},
+	}
+	for _, up := range upserts {
+		if _, err := ov.Upsert(up.user, up.items); err != nil {
+			t.Fatalf("Upsert(%d): %v", up.user, err)
+		}
+	}
+	v := ov.View()
+	vd, vg := materialize(v, v.NumUsers())
+	checkAgainstMap(t, vd, vg, v, nil)
 }
 
 func TestScorerScratchCleanBetweenQueries(t *testing.T) {
@@ -191,14 +251,136 @@ func TestScorerScratchCleanBetweenQueries(t *testing.T) {
 	for u := 0; u < 50; u++ {
 		first := append([]int32(nil), sc.Recommend(d, f, int32(u), 20, nil)...)
 		second := sc.Recommend(d, f, int32(u), 20, nil)
-		if len(first) != len(second) {
-			t.Fatalf("user %d: repeat query returned %d items, first %d", u, len(second), len(first))
+		if !slices.Equal(first, second) {
+			t.Fatalf("user %d: repeat query diverged: %v vs %v", u, first, second)
 		}
-		for i := range first {
-			if first[i] != second[i] {
-				t.Fatalf("user %d: repeat query diverged at %d: %v vs %v", u, i, first, second)
+		assertScratchClean(t, sc)
+	}
+
+	// User A's own items are marked excluded only while A is scored.
+	// B's neighbors hold A's items, so B must be recommended them right
+	// after A's query.
+	profiles := [][]int32{
+		0: {1, 2, 3}, // A
+		1: {7},       // B
+		2: {1, 2, 3, 4},
+		3: {2, 3, 5},
+	}
+	d = dataset.New("mask", profiles, 8)
+	g = knng.New(len(profiles), 2)
+	for _, u := range []int{0, 1} {
+		g.Lists[u].Insert(2, 0.5)
+		g.Lists[u].Insert(3, 0.25)
+	}
+	f = g.Freeze()
+	for _, q := range []struct {
+		u    int32
+		want []int32
+	}{
+		{0, []int32{4, 5}},
+		{1, []int32{2, 3, 1, 4, 5}},
+		{0, []int32{4, 5}},
+		{1, []int32{2, 3, 1, 4, 5}},
+	} {
+		got := sc.Recommend(d, f, q.u, 10, nil)
+		if !slices.Equal(got, q.want) {
+			t.Fatalf("user %d: %v, want %v", q.u, got, q.want)
+		}
+		if ref := Recommend(d, g, q.u, 10); !slices.Equal(got, ref) {
+			t.Fatalf("user %d: %v, map path %v", q.u, got, ref)
+		}
+		assertScratchClean(t, sc)
+	}
+}
+
+func assertScratchClean(t *testing.T, sc *Scorer) {
+	t.Helper()
+	for it, v := range sc.scores {
+		if v != 0 {
+			t.Fatalf("scores[%d] = %v after a query, want 0", it, v)
+		}
+	}
+	if len(sc.touched) != 0 {
+		t.Fatalf("%d touched items left after a query", len(sc.touched))
+	}
+}
+
+// TestDrainMatchesFullSort: the bounded drain must return exactly the
+// first n items of rankScored's full sort. Scores are quantized to a
+// handful of levels so equal-score runs straddle the n-th slot and the
+// item-id tie-break decides membership.
+func TestDrainMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		universe := 1 + rng.Intn(300)
+		levels := 1 + rng.Intn(6)
+		sc := NewScorer(int32(universe))
+		var all []scored
+		for _, it := range rng.Perm(universe)[:1+rng.Intn(universe)] {
+			score := float64(1+rng.Intn(levels)) / 4
+			sc.scores[it] = score
+			sc.touched = append(sc.touched, int32(it))
+			all = append(all, scored{int32(it), score})
+		}
+		tn := len(all)
+		for _, n := range []int{1, 5, 10, 30, tn, tn + 7} {
+			// drain consumes the scratch; replay it per n.
+			for _, c := range all {
+				sc.scores[c.item] = c.score
+				sc.touched = append(sc.touched, c.item)
 			}
+			got := sc.drain(n, nil)
+			want := rankScored(slices.Clone(all), n, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d n=%d T=%d levels=%d: drain %v, full sort %v", trial, n, tn, levels, got, want)
+			}
+			assertScratchClean(t, sc)
 		}
+	}
+}
+
+// TestScorerNonPositiveN: n ≤ 0 asks for nothing and gets nothing,
+// leaving dst and the scratch untouched.
+func TestScorerNonPositiveN(t *testing.T) {
+	d := synth.Generate(synth.ML1M().Scale(0.03))
+	g := frozenTestGraph(d.NumUsers(), 8, 15)
+	f := g.Freeze()
+	sc := NewScorer(d.NumItems)
+	dst := []int32{42}
+	for _, n := range []int{0, -1, -30} {
+		if got := sc.Recommend(d, f, 3, n, dst); !slices.Equal(got, dst) {
+			t.Fatalf("Recommend n=%d appended: %v", n, got)
+		}
+		if got := sc.RecommendSource(frozenPair{d, f}, 3, n, dst); !slices.Equal(got, dst) {
+			t.Fatalf("RecommendSource n=%d appended: %v", n, got)
+		}
+		if got := Recommend(d, g, 3, n); got != nil {
+			t.Fatalf("map Recommend n=%d = %v, want nil", n, got)
+		}
+		assertScratchClean(t, sc)
+	}
+}
+
+// TestScorerRecommendZeroAllocs: a warmed Scorer with a recycled dst
+// allocates nothing — the selection heap lives in Scorer.ranked.
+func TestScorerRecommendZeroAllocs(t *testing.T) {
+	d := synth.Generate(synth.ML1M().Scale(0.03))
+	g := frozenTestGraph(d.NumUsers(), 8, 16)
+	f := g.Freeze()
+	sc := NewScorer(d.NumItems)
+	src := Source(frozenPair{d, f})
+	rec := make([]int32, 0, 30)
+	for u := 0; u < d.NumUsers(); u++ { // warm touched/ranked to their peak
+		rec = sc.Recommend(d, f, int32(u), 30, rec[:0])
+	}
+	u := int32(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		rec = sc.Recommend(d, f, u, 10, rec[:0])
+		rec = sc.RecommendSource(src, u, 30, rec[:0])
+		u = (u + 1) % int32(d.NumUsers())
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed Scorer allocates %v times per query pair, want 0", allocs)
 	}
 }
 
@@ -270,11 +452,11 @@ func TestEvalRecallDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestScorerRowMergeExclusion stresses the merge-based own-item
-// exclusion of the row-batched scoring loop on adversarial overlap
-// shapes: own empty, own a superset of the row, overlap only at the
-// row's ends, and interleaved runs — each compared against the
-// reference map path item by item.
+// TestScorerRowMergeExclusion stresses the mask-based own-item
+// exclusion of the row scoring loop on adversarial overlap shapes: own
+// empty, own a superset of the row, overlap only at the row's ends, and
+// interleaved runs — each compared against the reference map path item
+// by item.
 func TestScorerRowMergeExclusion(t *testing.T) {
 	profiles := [][]int32{
 		0: {},                 // empty own profile: nothing excluded
