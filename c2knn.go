@@ -118,10 +118,10 @@ func NewGoldFinger(d *Dataset, bits int) (Similarity, error) {
 // hash concurrently and stream finalized clusters into a
 // size-prioritized queue drained by the solver pool, so the first
 // clusters are solved and merged while later configurations are still
-// hashing. For a fixed Seed the produced cluster set — and each
-// cluster's local solution — is identical to the barrier path's
-// (opts.DisablePipeline); only the merge interleaving, and therefore
-// tie-breaking among equal-similarity neighbors, may differ.
+// hashing. For a fixed Seed the produced cluster set, and every user's
+// sorted neighbor similarities, are identical to the barrier path's
+// (opts.DisablePipeline); only tie-breaking among equal-similarity
+// neighbors may differ.
 func BuildC2(d *Dataset, sim Similarity, opts BuildOptions) (*Graph, C2Stats) {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)

@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,8 +54,8 @@ func main() {
 		buckets = flag.Int("shard-buckets", frh.DefaultShardBuckets, "shard-key bucket count recorded in the manifest")
 	)
 	flag.Parse()
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "c2build: -in is required")
+	if err := checkFlags(*in, *snap, *k, *shards); err != nil {
+		fmt.Fprintln(os.Stderr, "c2build:", err)
 		os.Exit(2)
 	}
 	d, err := dataset.ReadFile(*in)
@@ -137,6 +138,20 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", *out)
+}
+
+// checkFlags rejects flag combinations c2build cannot honour, before
+// any work starts.
+func checkFlags(in, snap string, k, shards int) error {
+	switch {
+	case in == "":
+		return errors.New("-in is required")
+	case k < 1:
+		return fmt.Errorf("-k must be at least 1, got %d", k)
+	case shards != 0 && snap == "":
+		return errors.New("-shards requires -snap")
+	}
+	return nil
 }
 
 // writeShards partitions the frozen build into per-shard snapshots

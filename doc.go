@@ -56,6 +56,12 @@
 // the measured wins and an honest account of where the remaining time
 // goes.
 //
+// Inside BuildC2 the brute-force sweep's gates do not start empty: each
+// member's gate starts at the member's current global k-th similarity,
+// which step 3's merge would reject anyway. Every user's final
+// similarities are unchanged by this; only ids among equal
+// similarities may differ.
+//
 // # Vectorized count kernels
 //
 // The AND-popcount at the bottom of every bit-signature row is served

@@ -136,7 +136,15 @@ func growInt32(s []int32, n int) []int32 {
 // ascending j — and a gated-out candidate is precisely one Insert would
 // reject without changing the list, so tie-breaking is identical and
 // both paths produce bit-identical lists.
-func LocalInto(loc *similarity.Local, k int, s *Scratch) []knng.List {
+//
+// floors, when non-nil, is parallel to loc.IDs() and seeds each list's
+// gate: floors[v] replaces the -1 of an empty list, so member v's list
+// only ever admits candidates with sim > floors[v]. C² passes each
+// member's current global k-th similarity (-1 while its global list
+// has room): the merge rejects anything at or below it, so those
+// candidates are dead weight in the local heap. A nil floors keeps
+// every list open from -1.
+func LocalInto(loc *similarity.Local, k int, s *Scratch, floors []float64) []knng.List {
 	m := loc.Len()
 	// One contiguous slab backs every list's heap; for the large
 	// clusters of the brute-force regime this also spares thousands of
@@ -149,8 +157,12 @@ func LocalInto(loc *similarity.Local, k int, s *Scratch) []knng.List {
 	s.row = similarity.GrowRow(s.row, min(m-1, colBlock))
 	s.mins = similarity.GrowRow(s.mins, m)
 	mins := s.mins
-	for v := range mins {
-		mins[v] = -1 // empty lists accept anything well-formed
+	if floors != nil {
+		copy(mins, floors[:m])
+	} else {
+		for v := range mins {
+			mins[v] = -1 // empty lists accept anything well-formed
+		}
 	}
 	// The sweep walks vertical panels of colBlock columns, row-major
 	// inside each panel: for clusters whose gathered kernel outgrows the
@@ -332,15 +344,24 @@ const colBlock = 512
 // BenchmarkLocalSolve* regression family, so later knng.List
 // improvements do not silently inflate the baseline; production callers
 // use LocalInto.
-func LocalIntoScalar(loc *similarity.Local, k int, s *Scratch) []knng.List {
+//
+// floors gates exactly as in LocalInto: with floors non-nil, a pair
+// reaches list v's insert only when sim > floors[v].
+func LocalIntoScalar(loc *similarity.Local, k int, s *Scratch, floors []float64) []knng.List {
 	m := loc.Len()
 	s.lists = knng.ReuseLists(s.lists, m, k)
 	lists := s.lists
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
 			sim := loc.Sim(i, j)
-			scalarInsert(&lists[i], int32(j), sim)
-			scalarInsert(&lists[j], int32(i), sim)
+			// The nil case stays ungated so the reference keeps its
+			// frozen cost profile.
+			if floors == nil || sim > floors[i] {
+				scalarInsert(&lists[i], int32(j), sim)
+			}
+			if floors == nil || sim > floors[j] {
+				scalarInsert(&lists[j], int32(i), sim)
+			}
 		}
 	}
 	remapIDs(loc, lists)
@@ -411,7 +432,7 @@ func Local(ids []int32, k int, p similarity.Provider) []knng.List {
 	var loc similarity.Local
 	similarity.GatherInto(p, ids, &loc)
 	var s Scratch
-	return LocalInto(&loc, k, &s)
+	return LocalInto(&loc, k, &s, nil)
 }
 
 // PairCount returns the number of similarity computations Build/Local

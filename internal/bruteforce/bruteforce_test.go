@@ -155,7 +155,7 @@ func TestLocalIntoScratchReuse(t *testing.T) {
 			ids[i] = int32(trial*100 + i*3)
 		}
 		similarity.GatherInto(p, ids, &loc)
-		got := LocalInto(&loc, 5, &s)
+		got := LocalInto(&loc, 5, &s, nil)
 		want := Local(ids, 5, p)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d lists, want %d", trial, len(got), len(want))
@@ -211,9 +211,9 @@ func TestLocalIntoBlockedMatchesScalar(t *testing.T) {
 			}
 			k := 1 + rng.Intn(31)
 			similarity.GatherInto(p, ids, &loc)
-			want := LocalIntoScalar(&loc, k, &sScalar)
+			want := LocalIntoScalar(&loc, k, &sScalar, nil)
 			similarity.GatherInto(p, ids, &loc)
-			got := LocalInto(&loc, k, &sBlocked)
+			got := LocalInto(&loc, k, &sBlocked, nil)
 			if len(got) != len(want) {
 				t.Fatalf("provider %d trial %d: %d lists vs %d", pi, trial, len(got), len(want))
 			}
@@ -263,6 +263,98 @@ func TestBuildRowProviderMatchesFallback(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("user %d rank %d: %+v vs %+v", u, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// TestLocalIntoFloorsMatchesScalar: with per-member floors seeding the
+// gates, the blocked sweep must stay bit-identical to the scalar
+// reference gated the same way, and no list may hold a sim at or below
+// its member's floor. Floors cover -1 (open), 0, values equal to an
+// existing similarity (ties at the gate), and values above every
+// similarity (lists stay empty), mixed per member and uniform.
+func TestLocalIntoFloorsMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	profiles := make([][]int32, 700)
+	for i := range profiles {
+		p := make([]int32, rng.Intn(50))
+		for j := range p {
+			p[j] = int32(rng.Intn(2500))
+		}
+		profiles[i] = sets.Normalize(p)
+	}
+	d := dataset.New("floors", profiles, 2500)
+	gf := goldfinger.MustNew(d, 1024, 7)
+	gfOdd := goldfinger.MustNew(d, 320, 7)
+
+	providers := []similarity.Provider{gf, gfOdd, similarity.NewJaccard(d), similarity.Func(pairSim)}
+	// floorKinds picks member v's floor; "tie" copies the similarity of
+	// a random other member, so the gate sees sim == floor.
+	floorKinds := []string{"open", "zero", "tie", "above", "mixed"}
+	pick := func(kind string, loc *similarity.Local, v int) float64 {
+		if kind == "mixed" {
+			kind = floorKinds[rng.Intn(4)]
+		}
+		switch kind {
+		case "zero":
+			return 0
+		case "tie":
+			w := rng.Intn(loc.Len() - 1)
+			if w >= v {
+				w++
+			}
+			return loc.Sim(v, w)
+		case "above":
+			return 2
+		}
+		return -1
+	}
+	var loc similarity.Local
+	var sBlocked, sScalar Scratch
+	for pi, p := range providers {
+		for trial := 0; trial < 10; trial++ {
+			m := 2 + rng.Intn(120)
+			if trial >= 7 {
+				m = 600 // past colBlock: panel boundaries under floors
+			}
+			kind := floorKinds[trial%len(floorKinds)]
+			perm := rng.Perm(len(profiles))
+			ids := make([]int32, m)
+			for i := range ids {
+				ids[i] = int32(perm[i])
+			}
+			k := 1 + rng.Intn(31)
+			similarity.GatherInto(p, ids, &loc)
+			floors := make([]float64, m)
+			for v := range floors {
+				floors[v] = pick(kind, &loc, v)
+			}
+			want := LocalIntoScalar(&loc, k, &sScalar, floors)
+			similarity.GatherInto(p, ids, &loc)
+			got := LocalInto(&loc, k, &sBlocked, floors)
+			if len(got) != len(want) {
+				t.Fatalf("provider %d trial %d (%s): %d lists vs %d", pi, trial, kind, len(got), len(want))
+			}
+			for i := range got {
+				if len(got[i].H) != len(want[i].H) {
+					t.Fatalf("provider %d trial %d (%s) list %d: %d neighbors vs %d",
+						pi, trial, kind, i, len(got[i].H), len(want[i].H))
+				}
+				for j, nb := range got[i].H {
+					if nb != want[i].H[j] {
+						t.Fatalf("provider %d trial %d (%s) list %d slot %d: %+v vs %+v",
+							pi, trial, kind, i, j, nb, want[i].H[j])
+					}
+					if nb.Sim <= floors[i] {
+						t.Fatalf("provider %d trial %d (%s) list %d holds sim %v at or below floor %v",
+							pi, trial, kind, i, nb.Sim, floors[i])
+					}
+				}
+				if floors[i] > 1 && len(got[i].H) != 0 {
+					t.Fatalf("provider %d trial %d: list %d above every sim still holds %d neighbors",
+						pi, trial, i, len(got[i].H))
+				}
 			}
 		}
 	}

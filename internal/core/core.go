@@ -13,6 +13,13 @@
 //  3. Merging — partial graphs are folded user-by-user into bounded
 //     k-heaps, reusing the similarities already computed (Algorithm 3).
 //
+// Steps 2 and 3 share state: a brute-forced cluster starts each
+// member's local list at the member's current global k-th similarity
+// (its floor), because the merge rejects anything at or below it. This
+// skips most of the local heap work once the global lists have warmed
+// up and leaves every user's final similarities unchanged (the argument
+// is in Build).
+//
 // The three steps are pipelined: the t clustering configurations run
 // concurrently and stream finalized clusters into a size-prioritized
 // queue (schedule.Queue) consumed by the solver pool, so the first
@@ -20,7 +27,10 @@
 // still hashing — the overlap the paper's cost model (§II-F) assumes.
 // Options.DisablePipeline restores the historical barrier behaviour
 // (cluster everything serially, then solve), kept as the baseline of
-// the pipeline equivalence tests and overlap benchmarks.
+// the pipeline equivalence tests and overlap benchmarks. The contract
+// between the two paths, and between runs with different worker
+// counts or scheduling, is the same cluster set and identical per-user
+// sorted similarities; ids among equal similarities may differ.
 //
 // The package also exposes the ablations evaluated by the paper and by
 // this repository's benchmarks: MinHash clustering in place of
@@ -96,7 +106,7 @@ func (s Scheduling) String() string {
 // solver, largest-first scheduling, recursive splitting on, pipelined
 // clustering.
 type Options struct {
-	// K is the neighborhood size (default 30).
+	// K is the neighborhood size (default 30; K < 0 is treated as 0).
 	K int
 	// B is the number of clusters per hash function (default 4096).
 	B int
@@ -119,10 +129,11 @@ type Options struct {
 	DisableSplitting bool
 	// DisablePipeline restores the pre-pipeline barrier: every cluster
 	// is materialized, serially, before the first worker starts
-	// solving. For a fixed Seed the cluster set and each cluster's
-	// local solution are identical with and without the pipeline; only
-	// the merge interleaving (and therefore tie-breaking among
-	// equal-similarity neighbors) can differ.
+	// solving. For a fixed Seed the cluster set and every user's sorted
+	// neighbor similarities are identical with and without the
+	// pipeline; a cluster's local solution depends on the global
+	// floors at the time it is solved, so which ids stand among
+	// equal-similarity neighbors can differ.
 	DisablePipeline bool
 	// Scheduling selects the cluster processing order.
 	Scheduling Scheduling
@@ -135,7 +146,7 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.K == 0 {
+	if o.K <= 0 {
 		o.K = 30
 	}
 	if o.B == 0 {
@@ -203,8 +214,11 @@ type Stats struct {
 // seed of its local solve. The seed derives from the cluster's
 // configuration and per-configuration emission rank — both stable for a
 // fixed Options.Seed regardless of worker count or pipeline
-// interleaving — so the cluster set and every per-cluster solution are
-// identical between the pipelined and barrier paths.
+// interleaving — so the cluster set and every Hyrec-solved cluster's
+// solution are identical between the pipelined and barrier paths.
+// Brute-forced clusters start from the global floors of the moment they
+// are popped, so their local lists can differ between runs; the per-row
+// similarities they leave after the merge cannot (see Build).
 type clusterJob struct {
 	users []int32
 	seed  int64
@@ -290,7 +304,34 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 				}, &ws.hy)
 			} else {
 				ws.bruteForced++
-				lists = bruteforce.LocalInto(&ws.loc, o.K, &ws.bf)
+				// Global floors: seed each member's local gate with
+				// its current global threshold, so the solve keeps
+				// only candidates the merge could still accept. Let T
+				// be a row's final k-th similarity without floors, and
+				// t_c a cluster's own k-th candidate value.
+				//  - A floor f_c is a past global minimum (or -1), and
+				//    the minimum only rises: the merge's strict
+				//    sim > min would reject whatever f_c cuts.
+				//  - t_c ≤ T (k distinct candidates above T would all
+				//    reach the row), and f_c ≤ T (floored candidates
+				//    are a subset, so the floored row's minimum cannot
+				//    pass T). So every candidate above T survives its
+				//    cluster's floored solve: the row holds the same
+				//    values above T.
+				//  - The rest of the row is T-valued. If some f_c = T,
+				//    the row was already full at T when it was read.
+				//    Otherwise every T-valued candidate clears the
+				//    floor; a cluster with t_c = T keeps at least
+				//    k − #(row values above T) of them, and a cluster
+				//    with t_c < T keeps them all.
+				// Hence each row's similarity multiset is unchanged;
+				// only which ids stand among equal similarities can
+				// differ, as merge order already lets them.
+				ws.floors = similarity.GrowRow(ws.floors, len(job.users))
+				for i, u := range job.users {
+					ws.floors[i] = shared.Floor(u)
+				}
+				lists = bruteforce.LocalInto(&ws.loc, o.K, &ws.bf, ws.floors)
 			}
 			for i := range lists {
 				shared.MergeUser(job.users[i], lists[i].H)
@@ -346,6 +387,9 @@ type workerState struct {
 	loc similarity.Local
 	bf  bruteforce.Scratch
 	hy  hyrec.Scratch
+	// floors holds the popped cluster's members' global thresholds
+	// (knng.Shared.Floor), parallel to the cluster's users.
+	floors []float64
 
 	bruteForced int
 	hyreced     int

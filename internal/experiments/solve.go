@@ -121,8 +121,8 @@ func (e *Env) Solve() (*SolveSummary, error) {
 
 	similarity.GatherInto(p.GF, cluster(small), &loc)
 	sum.SmallBlockedMS, sum.SmallScalarMS = solvePair(
-		func() { bruteforce.LocalInto(&loc, e.K, &bf) },
-		func() { bruteforce.LocalIntoScalar(&loc, e.K, &bf) })
+		func() { bruteforce.LocalInto(&loc, e.K, &bf, nil) },
+		func() { bruteforce.LocalIntoScalar(&loc, e.K, &bf, nil) })
 	if sum.SmallBlockedMS > 0 {
 		sum.SmallSpeedup = sum.SmallScalarMS / sum.SmallBlockedMS
 	}
@@ -131,8 +131,8 @@ func (e *Env) Solve() (*SolveSummary, error) {
 	sum.ClusterLarge = len(largeIDs)
 	similarity.GatherInto(p.GF, largeIDs, &loc)
 	sum.LargeBlockedMS, sum.LargeScalarMS = solvePair(
-		func() { bruteforce.LocalInto(&loc, e.K, &bf) },
-		func() { bruteforce.LocalIntoScalar(&loc, e.K, &bf) })
+		func() { bruteforce.LocalInto(&loc, e.K, &bf, nil) },
+		func() { bruteforce.LocalIntoScalar(&loc, e.K, &bf, nil) })
 	if sum.LargeBlockedMS > 0 {
 		sum.SolveSpeedup = sum.LargeScalarMS / sum.LargeBlockedMS
 	}
@@ -147,8 +147,8 @@ func (e *Env) Solve() (*SolveSummary, error) {
 	sum.KernelSpeedup = 1
 	if active := sum.Kernel; active != "scalar" {
 		vecMS, scalMS := solvePair(
-			func() { similarity.SelectKernel(active); bruteforce.LocalInto(&loc, e.K, &bf) },
-			func() { similarity.SelectKernel("scalar"); bruteforce.LocalInto(&loc, e.K, &bf) })
+			func() { similarity.SelectKernel(active); bruteforce.LocalInto(&loc, e.K, &bf, nil) },
+			func() { similarity.SelectKernel("scalar"); bruteforce.LocalInto(&loc, e.K, &bf, nil) })
 		if _, err := similarity.SelectKernel(active); err != nil {
 			return nil, err
 		}
@@ -171,7 +171,7 @@ func (e *Env) Solve() (*SolveSummary, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := 0; i < allocSolves; i++ {
-			bruteforce.LocalInto(&loc, e.K, &bf)
+			bruteforce.LocalInto(&loc, e.K, &bf, nil)
 		}
 		runtime.ReadMemStats(&after)
 		sum.AllocsPerSolve = float64((after.Mallocs - before.Mallocs) / allocSolves)

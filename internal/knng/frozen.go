@@ -3,7 +3,9 @@ package knng
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // Frozen is the immutable serving representation of a KNN graph: the
@@ -80,29 +82,57 @@ func SortCanonical(s []Neighbor) { sortNeighborsNarrowed(s) }
 // Freeze flattens the graph into its immutable CSR serving form. The
 // graph itself is not modified and may keep evolving afterwards; the
 // returned Frozen shares no storage with it.
+//
+// Offsets come first, from the list lengths alone; every user's slot in
+// the edge arrays is then fixed, so disjoint user ranges are sorted and
+// filled on up to GOMAXPROCS goroutines. Each row is written exactly as
+// a serial pass would write it, so the output does not depend on the
+// goroutine count.
 func (g *Graph) Freeze() *Frozen {
 	n := g.NumUsers()
-	total := 0
+	offsets := make([]int64, n+1)
 	for u := range g.Lists {
-		total += g.Lists[u].Len()
+		offsets[u+1] = offsets[u] + int64(g.Lists[u].Len())
 	}
 	f := &Frozen{
 		K:       g.K,
-		Offsets: make([]int64, n+1),
-		IDs:     make([]int32, 0, total),
-		Sims:    make([]float32, 0, total),
+		Offsets: offsets,
+		IDs:     make([]int32, offsets[n]),
+		Sims:    make([]float32, offsets[n]),
 	}
+	parts := min(runtime.GOMAXPROCS(0), (n+freezeChunk-1)/freezeChunk)
+	if parts <= 1 {
+		g.freezeRange(f, 0, n)
+		return f
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			g.freezeRange(f, lo, hi)
+		}(p*n/parts, (p+1)*n/parts)
+	}
+	wg.Wait()
+	return f
+}
+
+// freezeChunk is the fewest users Freeze hands a goroutine, so that a
+// goroutine's sorting outweighs its start-up cost.
+const freezeChunk = 512
+
+// freezeRange sorts users [lo, hi) into canonical order and writes them
+// into f's preallocated edge arrays at their offsets.
+func (g *Graph) freezeRange(f *Frozen, lo, hi int) {
 	scratch := make([]Neighbor, 0, g.K)
-	for u := range g.Lists {
+	for u := lo; u < hi; u++ {
 		scratch = append(scratch[:0], g.Lists[u].H...)
 		sortNeighborsNarrowed(scratch)
-		for _, nb := range scratch {
-			f.IDs = append(f.IDs, nb.ID)
-			f.Sims = append(f.Sims, float32(nb.Sim))
+		ids, sims := f.IDs[f.Offsets[u]:f.Offsets[u+1]], f.Sims[f.Offsets[u]:f.Offsets[u+1]]
+		for i, nb := range scratch {
+			ids[i], sims[i] = nb.ID, float32(nb.Sim)
 		}
-		f.Offsets[u+1] = int64(len(f.IDs))
 	}
-	return f
 }
 
 // NewFrozen assembles a Frozen from raw CSR slices, validating every

@@ -3,6 +3,8 @@ package knng
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -175,5 +177,58 @@ func TestGraphNeighborsDeterministicTies(t *testing.T) {
 				t.Fatalf("trial %d: tied neighbors ordered %v, want ids ascending %v", trial, nbs, want)
 			}
 		}
+	}
+}
+
+// freezeSerial is the single-pass Freeze the parallel one must match
+// byte for byte: append every user's canonically sorted row in order.
+func freezeSerial(g *Graph) *Frozen {
+	f := &Frozen{K: g.K, Offsets: make([]int64, g.NumUsers()+1)}
+	var scratch []Neighbor
+	for u := range g.Lists {
+		scratch = append(scratch[:0], g.Lists[u].H...)
+		sortNeighborsNarrowed(scratch)
+		for _, nb := range scratch {
+			f.IDs = append(f.IDs, nb.ID)
+			f.Sims = append(f.Sims, float32(nb.Sim))
+		}
+		f.Offsets[u+1] = int64(len(f.IDs))
+	}
+	return f
+}
+
+// TestFreezeParallelMatchesSerial: splitting Freeze across goroutines
+// must not change a byte of the CSR, including rows of every degree
+// from empty to full and ties at float32 precision.
+func TestFreezeParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := randomGraph(2000, 30, 5)
+	rng := rand.New(rand.NewSource(6))
+	for u := range g.Lists {
+		l := &g.Lists[u]
+		switch u % 5 {
+		case 0:
+			l.H = l.H[:rng.Intn(len(l.H)+1)] // any degree, empty included
+		case 1:
+			// Distinct float64 sims that narrow to one float32.
+			for i := range l.H {
+				l.H[i].Sim = 0.5 + float64(rng.Intn(3))*1e-12
+			}
+		}
+	}
+	want, got := freezeSerial(g), g.Freeze()
+	if got.K != want.K || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.IDs, want.IDs) {
+		t.Fatal("parallel Freeze layout differs from the serial reference")
+	}
+	if len(got.Sims) != len(want.Sims) {
+		t.Fatalf("%d sims, serial reference %d", len(got.Sims), len(want.Sims))
+	}
+	for i := range want.Sims {
+		if math.Float32bits(got.Sims[i]) != math.Float32bits(want.Sims[i]) {
+			t.Fatalf("sim %d: %v, serial reference %v", i, got.Sims[i], want.Sims[i])
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -199,6 +199,19 @@ func (s *Shared) InsertRun(u, v0 int32, sims []float64) {
 	m.Unlock()
 }
 
+// Floor returns u's List.Min() read under u's stripe lock: the
+// similarity a candidate must strictly beat to enter u's list now. A
+// full list's minimum never falls, so a candidate at or below the floor
+// is rejected by every later MergeUser or Insert as well — the property
+// C² uses to seed its cluster solves (see core.Build).
+func (s *Shared) Floor(u int32) float64 {
+	m := &s.mu[int(u)&(len(s.mu)-1)]
+	m.Lock()
+	f := s.g.Lists[u].Min()
+	m.Unlock()
+	return f
+}
+
 // MergeUser folds a batch of candidate neighbors into u's list under one
 // lock acquisition, reusing the similarities already computed by the
 // partial graphs (the paper is "careful to reuse similarity values").

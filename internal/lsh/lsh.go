@@ -112,7 +112,7 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 		ids := buckets[job]
 		ws := &scratches[worker]
 		similarity.GatherInto(p, ids, &ws.loc)
-		lists := bruteforce.LocalInto(&ws.loc, o.K, &ws.bf)
+		lists := bruteforce.LocalInto(&ws.loc, o.K, &ws.bf, nil)
 		for i := range lists {
 			shared.MergeUser(ids[i], lists[i].H)
 		}

@@ -272,12 +272,12 @@ func BenchmarkKernelLocalBruteForceGathered(b *testing.B) {
 	var loc similarity.Local
 	var s bruteforce.Scratch
 	similarity.GatherInto(gf, ids, &loc)
-	bruteforce.LocalInto(&loc, 30, &s) // warm the scratch
+	bruteforce.LocalInto(&loc, 30, &s, nil) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		similarity.GatherInto(gf, ids, &loc)
-		bruteforce.LocalInto(&loc, 30, &s)
+		bruteforce.LocalInto(&loc, 30, &s, nil)
 	}
 }
 

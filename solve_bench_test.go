@@ -49,11 +49,11 @@ func BenchmarkLocalSolveBruteForceScalar(b *testing.B) {
 			var loc similarity.Local
 			var s bruteforce.Scratch
 			solveCluster(b, m, &loc)
-			bruteforce.LocalIntoScalar(&loc, 30, &s) // warm the scratch
+			bruteforce.LocalIntoScalar(&loc, 30, &s, nil) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bruteforce.LocalIntoScalar(&loc, 30, &s)
+				bruteforce.LocalIntoScalar(&loc, 30, &s, nil)
 			}
 		})
 	}
@@ -65,11 +65,11 @@ func BenchmarkLocalSolveBruteForceBlocked(b *testing.B) {
 			var loc similarity.Local
 			var s bruteforce.Scratch
 			solveCluster(b, m, &loc)
-			bruteforce.LocalInto(&loc, 30, &s) // warm the scratch
+			bruteforce.LocalInto(&loc, 30, &s, nil) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bruteforce.LocalInto(&loc, 30, &s)
+				bruteforce.LocalInto(&loc, 30, &s, nil)
 			}
 		})
 	}
