@@ -66,25 +66,31 @@
 //
 // The AND-popcount at the bottom of every bit-signature row is served
 // by a per-architecture count-kernel layer (internal/similarity
-// kernel*.go/.s): hand-written AVX2 assembly on amd64 (VPAND plus the
-// VPSHUFB nibble-popcount, with the paper-default 1024-bit width
-// specialized and rows processed two at a time) and NEON on arm64
-// (VCNT byte counts with an in-register add tree), with pure-Go
-// specializations everywhere else. The kernels return exact integer
-// intersection counts; the float64 Jaccard division stays in shared Go
-// code, so every kernel produces byte-identical similarities —
+// kernel*.go/.s): hand-written assembly on amd64 in two arms — avx2
+// (VPAND plus the VPSHUFB nibble-popcount, with the paper-default
+// 1024-bit width specialized and rows processed two at a time) and
+// avx512 (VPOPCNTQ on 512-bit vectors, eight 1024-bit rows reduced
+// together, with the Jaccard divide done in-register) — and NEON on
+// arm64 (VCNT byte counts with an in-register add tree), with pure-Go
+// specializations everywhere else. Every arm computes exact integer
+// intersection counts and divides exact integers in IEEE-754 float64
+// (in Go, or with VDIVPD under avx512: both correctly rounded, so the
+// bits agree), so every kernel produces byte-identical similarities —
 // equivalence and fuzz tests compare raw float bits across kernels.
 //
 // Selection is automatic at startup (a dependency-free CPUID/XGETBV
-// probe on amd64; AdvSIMD is baseline on arm64) and overridable with
-// C2_KERNEL=scalar, which forces the pure-Go path on any machine —
-// useful for bisecting, benchmarking the scalar floor, or sidestepping
-// a suspect microarchitecture. The active kernel's name is reported by
+// probe on amd64 picks avx512 when the CPU has AVX512F, AVX512VL and
+// AVX512_VPOPCNTDQ, avx2 otherwise; AdvSIMD is baseline on arm64) and
+// overridable with C2_KERNEL: "scalar" forces the pure-Go path on any
+// machine — useful for bisecting, benchmarking the scalar floor, or
+// sidestepping a suspect microarchitecture — and "avx2", "avx512" or
+// "neon" selects that arm when the CPU supports it, so an AVX-512 host
+// can still test the avx2 arm. The active kernel's name is reported by
 // similarity.KernelName, surfaced in the daemon's /statsz (sim_kernel)
 // and recorded in benchmarks/BENCH_solve.json. New assembly widths
-// follow the same pattern: integer counts only, one contiguous run per
-// call, scalar tail in Go, and a byte-identity test against the scalar
-// reference before dispatch is wired up.
+// follow the same pattern: exact integer counts, one contiguous run per
+// call, the remainder in Go, and a byte-identity test of every arm
+// against the scalar reference before dispatch is wired up.
 //
 // # Pipelined clustering
 //

@@ -12,12 +12,13 @@ import "c2knn/internal/similarity"
 func gateScanAVX(row *float64, mins *float64, minI float64, fwd, rev *uint64, n int)
 
 // gateMasks computes the row's gate bitmasks (see gateMasksGo for the
-// contract), through the AVX scan when the vector similarity kernel is
-// active — the probe that admitted AVX2 covers everything the scan
-// uses — and through the portable loop otherwise, including under
-// C2_KERNEL=scalar so that mode exercises pure-Go gating end to end.
+// contract), through the AVX scan when a vector similarity kernel is
+// active — every amd64 vector arm's probe admits AVX2, which covers
+// everything the scan uses — and through the portable loop otherwise,
+// including under C2_KERNEL=scalar so that mode exercises pure-Go
+// gating end to end.
 func gateMasks(row, mins []float64, minI float64, fwd, rev *[maskWords]uint64) {
-	if similarity.KernelName() != "avx2" {
+	if !similarity.Vectorized() {
 		gateMasksGo(row, mins, minI, fwd, rev)
 		return
 	}

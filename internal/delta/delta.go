@@ -330,8 +330,10 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 	o.cand = cand[:0:cap(cand)]
 
 	// Localized re-solve: score u against the candidates through the
-	// blocked AND-popcount kernel, keeping the best K in a bounded heap —
-	// the same acceptance rules the builder's solvers apply.
+	// active count kernel's single-row form (the candidates are
+	// scattered, so there is no contiguous run to block), keeping the
+	// best K in a bounded heap — the same acceptance rules the
+	// builder's solvers apply.
 	list := knng.List{K: o.cfg.K, H: o.heap[:0]}
 	scored := 0
 	for _, v := range cand {
@@ -339,7 +341,7 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 			continue
 		}
 		sigV, onesV := cur.signature(v)
-		inter := similarity.AndCount(sig, sigV)
+		inter := similarity.KernelAndCount(sig, sigV)
 		union := int(ones) + int(onesV) - inter
 		scored++
 		if union > 0 {

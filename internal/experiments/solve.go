@@ -37,10 +37,11 @@ type SolveSummary struct {
 	AllocsPerSolve float64 `json:"allocs_per_solve"`
 
 	// Kernel is the similarity count kernel the blocked numbers above
-	// were measured with ("scalar", "avx2", "neon"); KernelSpeedup is
-	// the large blocked solve under that kernel versus the same solve
-	// with the kernel forced to scalar — the vectorization's isolated
-	// contribution (1.0 when the active kernel already is scalar).
+	// were measured with ("scalar", "avx2", "avx512", "neon");
+	// KernelSpeedup is the large blocked solve under that kernel versus
+	// the same solve with the kernel forced to scalar — the
+	// vectorization's isolated contribution (1.0 when the active kernel
+	// already is scalar).
 	Kernel         string  `json:"kernel"`
 	KernelSpeedup  float64 `json:"kernel_speedup"`
 	HyrecBlockedMS float64 `json:"hyrec_blocked_ms"`

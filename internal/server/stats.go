@@ -360,8 +360,9 @@ type Snapshot struct {
 	K     int    `json:"k"`
 
 	// SimKernel names the similarity count kernel this process selected
-	// at startup ("avx2", "neon", "scalar") — operators reading /statsz
-	// can tell at a glance whether a replica is running vectorized.
+	// at startup ("avx512", "avx2", "neon", "scalar") — operators
+	// reading /statsz can tell at a glance whether a replica is running
+	// vectorized.
 	SimKernel string `json:"sim_kernel,omitempty"`
 
 	// Hardening counters.

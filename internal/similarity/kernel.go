@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"slices"
+	"strings"
 )
 
 // This file is the count-kernel layer: every bit-signature similarity in
@@ -12,26 +14,46 @@ import (
 // slab rows (countRun). The run shape is where the time goes — the
 // blocked cluster solvers and goldfinger's RowProvider score whole rows —
 // and it is the shape the vectorized kernels accelerate: AVX2 on amd64
-// (VPAND + VPSHUFB nibble popcount) and NEON on arm64 (VAND + VCNT +
+// (VPAND + VPSHUFB nibble popcount), AVX-512 on amd64 (VPANDQ +
+// VPOPCNTQ on 512-bit vectors) and NEON on arm64 (VAND + VCNT +
 // VUADDLV) process 4+ signature words per vector op instead of one
 // scalar POPCNT each.
 //
 // The contract that keeps this layer safe to swap under the solvers:
-// kernels return exact integer intersection counts, and the float64
-// Jaccard division stays in Go (BitSimRow), so vector and scalar paths
-// are trivially bit-identical — there is no floating-point reassociation
-// to reason about, and the frozen scalar reference plus the fuzz and
-// equivalence tests remain the correctness oracle for both arms.
+// every kernel computes exact integer intersection counts, and every
+// Jaccard is the IEEE-754 quotient float64(inter)/float64(union) of
+// exact integers. Where that division happens depends on the arm:
+//
+//   - scalar, avx2, neon: the kernels return counts, and BitSimRow
+//     divides in Go (CVTSI2SD + DIVSD on amd64).
+//   - avx512: for 16-word signatures BitSimRow hands each run's 8-row
+//     blocks to simRun16, which divides in-register (VCVTDQ2PD +
+//     VDIVPD) and writes the float64s itself. Rows after the last
+//     block, other widths and the single-row form use the avx2 count
+//     kernels and the Go divide.
+//
+// Both divides give the same bits. The conversions are exact: inter
+// and union are integers of at most 64·words (1024 at the paper
+// width), far inside int32 and float64's 53-bit mantissa, and both
+// CVTSI2SD and VCVTDQ2PD are exact on such integers.
+// IEEE-754 division is correctly rounded, so VDIVPD and DIVSD return
+// the one nearest float64 to the true quotient under the same rounding
+// mode. Go runs with the default MXCSR (round to nearest even, no
+// flush-to-zero or denormals-are-zero) and never changes it, and the
+// quotients lie in [0, 1] with a nonzero union, so no lane sees a
+// denormal, an infinity or a NaN. The frozen scalar reference plus
+// the fuzz and cross-arm equivalence tests, which compare raw float
+// bits, remain the correctness oracle for every arm.
 //
 // Kernel selection happens once at init: a dependency-free CPU feature
 // probe (CPUID/XGETBV on amd64; NEON is ARMv8 baseline on arm64) picks
-// the vector kernel, and the C2_KERNEL environment variable overrides it
-// ("scalar" forces the pure-Go path; a kernel name such as "avx2" or
-// "neon" demands that kernel and falls back to scalar with a warning
-// when the hardware lacks it). The active kernel name is surfaced by
-// KernelName — c2serve reports it in /statsz, c2bench records it in
-// BENCH_solve.json — so a benchmark record always says which arm it
-// measured.
+// the best vector kernel, and the C2_KERNEL environment variable
+// overrides it ("scalar" forces the pure-Go path; a kernel name such
+// as "avx2", "avx512" or "neon" demands that kernel and falls back to
+// scalar with a warning when the hardware lacks it). The active kernel
+// name is surfaced by KernelName — c2serve reports it in /statsz,
+// c2bench records it in BENCH_solve.json — so a benchmark record
+// always says which arm it measured.
 
 // kernelChunk is the number of rows BitSimRow scores per count-kernel
 // call: a [kernelChunk]int32 scratch lives on the caller's stack (512 B
@@ -40,7 +62,8 @@ import (
 const kernelChunk = 128
 
 var (
-	// kernelName is the active kernel ("scalar", "avx2", "neon").
+	// kernelName is the active kernel ("scalar", "avx2", "avx512",
+	// "neon").
 	kernelName = "scalar"
 
 	// useVector routes countRun/countOne into the per-arch assembly
@@ -49,6 +72,10 @@ var (
 	// stays visible to escape analysis and BitSimRow's stack counts
 	// scratch never escapes.
 	useVector bool
+
+	// useFused routes BitSimRow's 16-word runs through simRun16, the
+	// fused count+divide kernel. Only the amd64 avx512 arm has one.
+	useFused bool
 )
 
 func init() {
@@ -61,16 +88,27 @@ func init() {
 }
 
 // KernelName returns the name of the active similarity count kernel:
-// "scalar", or a vector kernel such as "avx2" (amd64) or "neon"
-// (arm64). Serving and benchmark surfaces report it so every recorded
-// number is attributable to the kernel that produced it.
+// "scalar", or a vector kernel such as "avx2" or "avx512" (amd64) or
+// "neon" (arm64). Serving and benchmark surfaces report it so every
+// recorded number is attributable to the kernel that produced it.
 func KernelName() string { return kernelName }
+
+// Vectorized reports whether a vector count kernel is active, i.e. any
+// arm but "scalar". On amd64 every vector arm implies AVX2, so code
+// with its own AVX assembly may key on this instead of on a kernel
+// name.
+func Vectorized() bool { return useVector }
+
+// Kernels lists the kernels SelectKernel accepts on this build and CPU:
+// "scalar" first, then the vector arms best first.
+func Kernels() []string { return append([]string{"scalar"}, vectorNames()...) }
 
 // SelectKernel activates the named count kernel and returns the name of
 // the kernel actually in effect. "" and "auto" pick the best kernel the
 // CPU supports; "scalar" forces the pure-Go reference path; an explicit
-// vector name ("avx2", "neon") demands that kernel and returns an error
-// — leaving scalar active — when this build or CPU cannot provide it.
+// vector name ("avx2", "avx512", "neon") selects that kernel when this
+// build and CPU provide it, and otherwise returns an error listing the
+// available kernels, leaving scalar active.
 //
 // Selection is process-global and not synchronized: call it at startup
 // or between benchmark phases, never concurrently with scoring. All
@@ -78,31 +116,22 @@ func KernelName() string { return kernelName }
 // correctness no-op anyway; the restriction exists for the race
 // detector, not for readers.
 func SelectKernel(pref string) (string, error) {
-	name := vectorName() // "" when this build/CPU has no vector kernel
-	switch pref {
-	case "", "auto":
-		// Best available.
-	case "scalar":
-		name = ""
-	default:
-		if pref != name {
-			kernelName, useVector = "scalar", false
-			return kernelName, fmt.Errorf("kernel %q not available on this CPU (have %q)", pref, availableName(name))
+	vec := vectorNames()
+	name := "scalar"
+	switch {
+	case pref == "" || pref == "auto":
+		if len(vec) > 0 {
+			name = vec[0]
 		}
+	case pref == "scalar" || slices.Contains(vec, pref):
+		name = pref
+	default:
+		kernelName, useVector, useFused = "scalar", false, false
+		return kernelName, fmt.Errorf("kernel %q not available on this CPU (have %s)",
+			pref, strings.Join(Kernels(), ", "))
 	}
-	if name == "" {
-		kernelName, useVector = "scalar", false
-	} else {
-		kernelName, useVector = name, true
-	}
+	kernelName, useVector, useFused = name, name != "scalar", name == "avx512"
 	return kernelName, nil
-}
-
-func availableName(vec string) string {
-	if vec == "" {
-		return "scalar"
-	}
-	return "scalar, " + vec
 }
 
 // countRun writes counts[x] = popcount(a AND slab[x·words:(x+1)·words])
@@ -175,6 +204,13 @@ func countOne(a, row []uint64, words int) int {
 	}
 	return AndCount(a, row)
 }
+
+// KernelAndCount is AndCount through the active count kernel's
+// single-row form — the vector kernel at the paper-default width. For
+// scattered per-pair callers outside this package, such as the delta
+// layer's re-solve; counts are exact integers, so the result equals
+// AndCount's under every kernel.
+func KernelAndCount(a, b []uint64) int { return countOne(a, b[:len(a)], len(a)) }
 
 // AndCount returns popcount(a AND b), the intersection cardinality of
 // two equal-width bit signatures, through the scalar specializations

@@ -270,6 +270,123 @@ storeN:
 	VZEROUPPER
 	RET
 
+// func simRun16AVX512(dst *float64, a *uint64, aOnes int, slab *uint64, ones *int32, n int)
+//
+// The fused 1024-bit kernel of the avx512 arm: count and Jaccard divide
+// in one pass, for n rows with n a positive multiple of 8. The query
+// signature rides in Z0–Z1; each row is two VPANDQs against the
+// marching slab pointer, two VPOPCNTQs (AVX512_VPOPCNTDQ) and one
+// VPADDQ into that row's qword accumulator (Z8–Z15). A block of eight
+// rows then reduces all eight accumulators together in a 3-level
+// unpack/shuffle tree to one zmm of eight qword intersections, narrows
+// them to int32 (exact: inter ≤ 1024), forms the unions
+// aOnes + ones[j] − inter, converts both to float64 (VCVTDQ2PD is
+// exact for int32) and divides (VDIVPD, correctly rounded under Go's
+// default MXCSR — the same quotient the scalar DIVSD returns). Only
+// Z0–Z15 are touched, so the closing VZEROUPPER leaves no dirty upper
+// state behind. The caller guarantees aOnes > 0, so no union is 0.
+TEXT ·simRun16AVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ slab+24(FP), DX
+	MOVQ ones+32(FP), BX
+	MOVQ n+40(FP), CX
+	SHRQ $3, CX // blocks of 8 rows
+
+	VMOVDQU64    (SI), Z0
+	VMOVDQU64    64(SI), Z1
+	VPBROADCASTD aOnes+16(FP), Y7 // aOnes fits int32: at most 1024
+
+block16:
+	VPANDQ   (DX), Z0, Z2
+	VPANDQ   64(DX), Z1, Z3
+	VPOPCNTQ Z2, Z2
+	VPOPCNTQ Z3, Z3
+	VPADDQ   Z3, Z2, Z8
+	VPANDQ   128(DX), Z0, Z4
+	VPANDQ   192(DX), Z1, Z5
+	VPOPCNTQ Z4, Z4
+	VPOPCNTQ Z5, Z5
+	VPADDQ   Z5, Z4, Z9
+	VPANDQ   256(DX), Z0, Z2
+	VPANDQ   320(DX), Z1, Z3
+	VPOPCNTQ Z2, Z2
+	VPOPCNTQ Z3, Z3
+	VPADDQ   Z3, Z2, Z10
+	VPANDQ   384(DX), Z0, Z4
+	VPANDQ   448(DX), Z1, Z5
+	VPOPCNTQ Z4, Z4
+	VPOPCNTQ Z5, Z5
+	VPADDQ   Z5, Z4, Z11
+	VPANDQ   512(DX), Z0, Z2
+	VPANDQ   576(DX), Z1, Z3
+	VPOPCNTQ Z2, Z2
+	VPOPCNTQ Z3, Z3
+	VPADDQ   Z3, Z2, Z12
+	VPANDQ   640(DX), Z0, Z4
+	VPANDQ   704(DX), Z1, Z5
+	VPOPCNTQ Z4, Z4
+	VPOPCNTQ Z5, Z5
+	VPADDQ   Z5, Z4, Z13
+	VPANDQ   768(DX), Z0, Z2
+	VPANDQ   832(DX), Z1, Z3
+	VPOPCNTQ Z2, Z2
+	VPOPCNTQ Z3, Z3
+	VPADDQ   Z3, Z2, Z14
+	VPANDQ   896(DX), Z0, Z4
+	VPANDQ   960(DX), Z1, Z5
+	VPOPCNTQ Z4, Z4
+	VPOPCNTQ Z5, Z5
+	VPADDQ   Z5, Z4, Z15
+
+	// Level 1: interleave row pairs (r, r+1) and add, leaving each
+	// 128-bit lane holding one partial of each row of the pair.
+	VPUNPCKLQDQ Z9, Z8, Z2
+	VPUNPCKHQDQ Z9, Z8, Z3
+	VPADDQ      Z3, Z2, Z8 // lanes: [r0 r1] x4
+	VPUNPCKLQDQ Z11, Z10, Z4
+	VPUNPCKHQDQ Z11, Z10, Z5
+	VPADDQ      Z5, Z4, Z10 // [r2 r3] x4
+	VPUNPCKLQDQ Z13, Z12, Z2
+	VPUNPCKHQDQ Z13, Z12, Z3
+	VPADDQ      Z3, Z2, Z12 // [r4 r5] x4
+	VPUNPCKLQDQ Z15, Z14, Z4
+	VPUNPCKHQDQ Z15, Z14, Z5
+	VPADDQ      Z5, Z4, Z14 // [r6 r7] x4
+
+	// Level 2: gather the even and the odd 128-bit lanes of two pair
+	// vectors and add, halving the partials per row again.
+	VSHUFI64X2 $0x88, Z10, Z8, Z2
+	VSHUFI64X2 $0xDD, Z10, Z8, Z3
+	VPADDQ     Z3, Z2, Z8 // [r0 r1] [r0 r1] [r2 r3] [r2 r3]
+	VSHUFI64X2 $0x88, Z14, Z12, Z4
+	VSHUFI64X2 $0xDD, Z14, Z12, Z5
+	VPADDQ     Z5, Z4, Z12 // [r4 r5] [r4 r5] [r6 r7] [r6 r7]
+
+	// Level 3: the same lane split once more yields one total per row,
+	// in row order.
+	VSHUFI64X2 $0x88, Z12, Z8, Z2
+	VSHUFI64X2 $0xDD, Z12, Z8, Z3
+	VPADDQ     Z3, Z2, Z8 // [r0 r1 r2 r3 r4 r5 r6 r7]
+
+	VPMOVQD   Z8, Y4       // intersections as int32
+	VMOVDQU   (BX), Y5     // ones[j..j+8]
+	VPADDD    Y7, Y5, Y5
+	VPSUBD    Y4, Y5, Y5   // unions
+	VCVTDQ2PD Y4, Z4
+	VCVTDQ2PD Y5, Z5
+	VDIVPD    Z5, Z4, Z4   // inter / union
+	VMOVUPD   Z4, (DI)
+
+	ADDQ $64, DI
+	ADDQ $1024, DX
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  block16
+
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

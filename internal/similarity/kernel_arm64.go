@@ -20,10 +20,16 @@ func countRun16NEON(counts *int32, a *uint64, slab *uint64, n int)
 //go:noescape
 func countRunNNEON(counts *int32, a *uint64, slab *uint64, n, words int)
 
-// vectorName reports "neon" unconditionally: AdvSIMD is baseline in
+// vectorNames reports "neon" unconditionally: AdvSIMD is baseline in
 // ARMv8-A, which is the floor for Go's arm64 port — there is nothing
 // to probe.
-func vectorName() string { return "neon" }
+func vectorNames() []string { return []string{"neon"} }
+
+// simRun16 is unreachable on arm64 (only the amd64 avx512 arm fuses
+// the divide); it exists so kernel.go compiles unconditionally.
+func simRun16(dst []float64, a []uint64, aOnes int, slab []uint64, ones []int32) {
+	panic("similarity: no fused count+divide kernel on arm64")
+}
 
 // countRunVector dispatches one contiguous run to the NEON kernels.
 // Only called with useVector set.

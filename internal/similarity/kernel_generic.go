@@ -3,10 +3,14 @@
 package similarity
 
 // Ports without assembly kernels: the probe reports no vector kernel,
-// so useVector is never set and the hooks below are unreachable — they
-// exist so kernel.go compiles unconditionally.
+// so useVector and useFused are never set and the hooks below are
+// unreachable — they exist so kernel.go compiles unconditionally.
 
-func vectorName() string { return "" }
+func vectorNames() []string { return nil }
+
+func simRun16(dst []float64, a []uint64, aOnes int, slab []uint64, ones []int32) {
+	panic("similarity: no fused count+divide kernel on this port")
+}
 
 func countRunVector(counts []int32, a, slab []uint64, words int) {
 	countRunScalar(counts, a, slab, words)

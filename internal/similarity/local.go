@@ -308,10 +308,12 @@ func BitSimRow(dst []float64, a []uint64, aOnes int, slab []uint64, ones []int32
 	// Rows are scored in chunks through the count-kernel dispatch
 	// (countRun: AVX2/NEON when available, the scalar specializations
 	// otherwise), with the Jaccard division kept here in Go — exact
-	// integer counts in, one float64 divide out, so every kernel arm is
-	// bit-identical by construction. The counts scratch lives on this
-	// frame (the kernel declarations are //go:noescape), keeping the
-	// solvers' zero-allocation contract intact.
+	// integer counts in, one float64 divide out. Under the avx512 arm a
+	// 16-word run's 8-row blocks first go through simRun16, which
+	// divides in-register; kernel.go argues why both divides give the
+	// same bits. The counts scratch lives on this frame (the kernel
+	// declarations are //go:noescape), keeping the solvers'
+	// zero-allocation contract intact.
 	if aOnes == 0 {
 		// Empty query signature: every intersection is 0, so every
 		// Jaccard is exactly the 0 the scalar reference produces
@@ -321,9 +323,16 @@ func BitSimRow(dst []float64, a []uint64, aOnes int, slab []uint64, ones []int32
 		}
 		return
 	}
-	var cbuf [kernelChunk]int32
 	base := j0 * words
-	for x0 := 0; x0 < len(dst); {
+	x0 := 0
+	if useFused && words == 16 {
+		if x0 = len(dst) &^ 7; x0 > 0 {
+			simRun16(dst[:x0], a, aOnes, slab[base:base+x0*16], po[:x0])
+			base += x0 * 16
+		}
+	}
+	var cbuf [kernelChunk]int32
+	for x0 < len(dst) {
 		n := len(dst) - x0
 		if n > kernelChunk {
 			n = kernelChunk

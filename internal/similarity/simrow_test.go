@@ -152,47 +152,59 @@ func TestSimRowCounting(t *testing.T) {
 // FuzzSimRowBits cross-checks the blocked bit kernel against scalar Sim
 // on fuzz-chosen member counts, word widths 1..33, and block boundaries
 // up to kernel-chunk-straddling run lengths — and re-runs every row
-// under the forced scalar kernel, asserting byte-identical output, so
-// the fuzzer hammers the vector/scalar bit-identity contract on
-// whatever hardware it runs on.
+// under each kernel the build and CPU provide, asserting byte-identical
+// output, so the fuzzer hammers the cross-arm bit-identity contract on
+// whatever hardware it runs on. Odd seeds draw members from edgeLocal's
+// zero, saturated and near-full signatures instead of bitsLocal's.
 func FuzzSimRowBits(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(20), uint8(0), uint8(7))
 	f.Add(int64(2), uint8(1), uint8(3), uint8(1), uint8(2))
 	f.Add(int64(3), uint8(17), uint8(9), uint8(4), uint8(5))
 	f.Add(int64(4), uint8(32), uint8(129), uint8(0), uint8(130))
+	f.Add(int64(5), uint8(15), uint8(131), uint8(1), uint8(128))
+	f.Add(int64(7), uint8(15), uint8(40), uint8(3), uint8(16))
+	f.Add(int64(6), uint8(15), uint8(131), uint8(5), uint8(8))
 	f.Fuzz(func(t *testing.T, seed int64, wordsB, mB, j0B, bsB uint8) {
 		defer restoreKernel()
 		words := 1 + int(wordsB)%33
 		m := 2 + int(mB)%132
 		rng := rand.New(rand.NewSource(seed))
 		loc := bitsLocal(t, rng, m, words)
+		if seed&1 != 0 {
+			loc = edgeLocal(rng, m, words)
+		}
 		j0 := int(j0B) % m
 		j1 := j0 + 1 + int(bsB)%(m-j0)
 		if j1 > m {
 			j1 = m
 		}
-		dst := make([]float64, j1-j0)
 		i := int(seed>>1) % m
 		if i < 0 {
 			i = -i
 		}
-		loc.SimRow(i, j0, j1, dst)
-		for x := range dst {
-			if got, want := dst[x], loc.Sim(i, j0+x); got != want {
+		if _, err := SelectKernel("scalar"); err != nil {
+			t.Fatal(err)
+		}
+		scalar := make([]float64, j1-j0)
+		loc.SimRow(i, j0, j1, scalar)
+		for x := range scalar {
+			if got, want := scalar[x], loc.Sim(i, j0+x); got != want {
 				t.Fatalf("words=%d m=%d i=%d block=[%d,%d): dst[%d]=%v, Sim=%v",
 					words, m, i, j0, j1, x, got, want)
 			}
 		}
-		scalar := make([]float64, j1-j0)
-		if _, err := SelectKernel("scalar"); err != nil {
-			t.Fatal(err)
-		}
-		loc.SimRow(i, j0, j1, scalar)
-		for x := range dst {
-			if math.Float64bits(dst[x]) != math.Float64bits(scalar[x]) {
-				t.Fatalf("words=%d m=%d i=%d block=[%d,%d): dst[%d]=%x, scalar=%x",
-					words, m, i, j0, j1, x,
-					math.Float64bits(dst[x]), math.Float64bits(scalar[x]))
+		dst := make([]float64, j1-j0)
+		for _, name := range Kernels()[1:] {
+			if _, err := SelectKernel(name); err != nil {
+				t.Fatal(err)
+			}
+			loc.SimRow(i, j0, j1, dst)
+			for x := range dst {
+				if math.Float64bits(dst[x]) != math.Float64bits(scalar[x]) {
+					t.Fatalf("kernel %s words=%d m=%d i=%d block=[%d,%d): dst[%d]=%x, scalar=%x",
+						name, words, m, i, j0, j1, x,
+						math.Float64bits(dst[x]), math.Float64bits(scalar[x]))
+				}
 			}
 		}
 	})
