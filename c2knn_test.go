@@ -71,6 +71,40 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBuildersNonPositiveK: every public builder treats k ≤ 0 as the
+// default 30 — none panics (brute force and LSH used to, inside worker
+// goroutines) or returns an empty K ≤ 0 graph.
+func TestBuildersNonPositiveK(t *testing.T) {
+	d, err := c2knn.Generate("ml1M", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := c2knn.ExactJaccard(d)
+	builders := map[string]func(k int) *c2knn.Graph{
+		"C2": func(k int) *c2knn.Graph {
+			g, _ := c2knn.BuildC2(d, sim, c2knn.BuildOptions{K: k})
+			return g
+		},
+		"BruteForce": func(k int) *c2knn.Graph { return c2knn.BuildBruteForce(d, sim, k) },
+		"Hyrec":      func(k int) *c2knn.Graph { return c2knn.BuildHyrec(d, sim, k) },
+		"NNDescent":  func(k int) *c2knn.Graph { return c2knn.BuildNNDescent(d, sim, k) },
+		"LSH":        func(k int) *c2knn.Graph { return c2knn.BuildLSH(d, sim, k) },
+	}
+	for name, build := range builders {
+		for _, k := range []int{0, -1} {
+			g := build(k)
+			if g.K != 30 || g.NumUsers() != d.NumUsers() {
+				t.Fatalf("%s(k=%d): graph K=%d over %d users, want K=30 over %d", name, k, g.K, g.NumUsers(), d.NumUsers())
+			}
+			for u, l := range g.Lists {
+				if l.K != 30 {
+					t.Fatalf("%s(k=%d): user %d list K=%d, want 30", name, k, u, l.K)
+				}
+			}
+		}
+	}
+}
+
 func TestDatasetFileRoundTrip(t *testing.T) {
 	d := smallDataset(t)
 	path := filepath.Join(t.TempDir(), "ds.txt")

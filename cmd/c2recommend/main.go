@@ -21,14 +21,9 @@ import (
 	"runtime"
 	"time"
 
-	"c2knn/internal/bruteforce"
-	"c2knn/internal/core"
-	"c2knn/internal/dataset"
+	"c2knn"
 	"c2knn/internal/goldfinger"
-	"c2knn/internal/persist"
 	"c2knn/internal/recommend"
-	"c2knn/internal/similarity"
-	"c2knn/internal/synth"
 )
 
 func main() {
@@ -43,6 +38,10 @@ func main() {
 		seed   = flag.Int64("seed", 42, "random seed")
 	)
 	flag.Parse()
+	if err := checkFlags(*folds, *k, *nRec); err != nil {
+		fmt.Fprintln(os.Stderr, "c2recommend:", err)
+		os.Exit(2)
+	}
 	workers := runtime.GOMAXPROCS(0)
 
 	if *graph != "" {
@@ -50,18 +49,13 @@ func main() {
 		return
 	}
 
-	var d *dataset.Dataset
+	var d *c2knn.Dataset
 	var err error
 	if *in != "" {
-		d, err = dataset.ReadFile(*in)
-	} else {
-		var cfg synth.Config
-		cfg, ok := synth.ByName(*preset)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "c2recommend: unknown preset %q\n", *preset)
-			os.Exit(2)
-		}
-		d = synth.Generate(cfg.Scale(*scale))
+		d, err = c2knn.LoadDataset(*in)
+	} else if d, err = c2knn.Generate(*preset, *scale); err != nil {
+		fmt.Fprintf(os.Stderr, "c2recommend: %v\n", err)
+		os.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "c2recommend: %v\n", err)
@@ -72,17 +66,17 @@ func main() {
 	var bfSum, c2Sum float64
 	var bfTime, c2Time time.Duration
 	for i, f := range recommend.Split(d, *folds, *seed) {
-		raw := similarity.NewJaccard(f.Train)
-		gf, err := goldfinger.New(f.Train, goldfinger.DefaultBits, 0x60fd)
+		raw := c2knn.ExactJaccard(f.Train)
+		gf, err := c2knn.NewGoldFinger(f.Train, goldfinger.DefaultBits)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "c2recommend: %v\n", err)
 			os.Exit(1)
 		}
 		start := time.Now()
-		exact := bruteforce.Build(f.Train.NumUsers(), *k, raw, workers)
+		exact := c2knn.BuildBruteForce(f.Train, raw, *k)
 		bfTime += time.Since(start)
 		start = time.Now()
-		g, _ := core.Build(f.Train, gf, core.Options{K: *k, Workers: workers, Seed: *seed})
+		g, _ := c2knn.BuildC2(f.Train, gf, c2knn.BuildOptions{K: *k, Workers: workers, Seed: *seed})
 		c2Time += time.Since(start)
 
 		bf := recommend.EvalRecall(f, exact, *nRec, workers)
@@ -106,28 +100,24 @@ func main() {
 // slightly optimistic versus a per-fold rebuild — the output says so.
 func serveFromSnapshot(path string, nRec, folds int, seed int64, workers int) {
 	start := time.Now()
-	snap, err := persist.LoadFile(path)
+	ix, err := c2knn.LoadIndex(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "c2recommend: %v\n", err)
 		os.Exit(1)
 	}
-	defer snap.Close()
-	if snap.Graph == nil || snap.Train == nil {
-		fmt.Fprintf(os.Stderr, "c2recommend: snapshot %s lacks a graph or dataset section\n", path)
-		os.Exit(1)
-	}
+	defer ix.Close()
 	loadTime := time.Since(start)
-	d := snap.Train
+	g, d := ix.Graph(), ix.Train()
 	fmt.Println(d.ComputeStats())
 	fmt.Printf("loaded %s in %v: %d users, %d edges, k=%d\n",
-		path, loadTime.Round(time.Millisecond), snap.Graph.NumUsers(), snap.Graph.NumEdges(), snap.Graph.K)
+		path, loadTime.Round(time.Millisecond), g.NumUsers(), g.NumEdges(), g.K)
 
 	var sum float64
 	var evalTime time.Duration
 	queries := 0
 	for i, f := range recommend.Split(d, folds, seed) {
 		start = time.Now()
-		r := recommend.EvalRecallFrozen(f, snap.Graph, nRec, workers)
+		r := recommend.EvalRecallFrozen(f, g, nRec, workers)
 		evalTime += time.Since(start)
 		queries += countTestUsers(f)
 		sum += r
@@ -140,6 +130,20 @@ func serveFromSnapshot(path string, nRec, folds int, seed int64, workers int) {
 	fmt.Printf("\naverage: C2(snapshot)=%.3f  (%d queries in %v, %.0f queries/sec, no rebuild)\n",
 		sum/float64(folds), queries, evalTime.Round(time.Millisecond), qps)
 	fmt.Println("note: the snapshot graph was built over the full dataset, so recall reads slightly optimistic vs a per-fold rebuild; the brute-force baseline is skipped in -graph mode")
+}
+
+// checkFlags rejects flag values c2recommend cannot honour, before any
+// work starts.
+func checkFlags(folds, k, n int) error {
+	switch {
+	case folds < 2:
+		return fmt.Errorf("-folds must be at least 2, got %d", folds)
+	case k < 1:
+		return fmt.Errorf("-k must be at least 1, got %d", k)
+	case n < 1:
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	}
+	return nil
 }
 
 func countTestUsers(f recommend.Fold) int {

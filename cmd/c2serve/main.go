@@ -6,9 +6,9 @@
 //     side of the build-once/serve-many split. With a per-shard
 //     snapshot (c2build -shards) the process serves one shard of a
 //     partitioned corpus. -load picks the snapshot materialization:
-//     auto (the default) memory-maps v2 snapshots so cold start is a
+//     auto (the default) memory-maps the snapshot so cold start is a
 //     page-cache hit and co-hosted replicas share one physical copy,
-//     mmap requires that path, copy forces the legacy decode-to-heap.
+//     mmap requires that path, copy forces the portable decode-to-heap.
 //   - -role router: stateless scatter-gather tier. Loads a shard
 //     manifest (c2build -shards writes it next to the snapshot), wires
 //     the bucket-range table to replica addresses from -shard-addrs,

@@ -143,9 +143,11 @@
 // offset. Decoding validates framing, checksums, structural invariants
 // and cross-section user counts, and on any failure returns an error
 // and no snapshot — truncated files, flipped bytes, and version skew
-// never panic and never yield a partially populated index. Version-1
-// files (the legacy packed layout) still load, via the copy path only.
-// See internal/persist for the full specification.
+// never panic and never yield a partially populated index. Version 2 is
+// the only format read: any other version, the retired packed version 1
+// included, fails with ErrSnapshotVersion on every load path, and the
+// remedy is a rebuild with c2build -snap. See internal/persist for the
+// full specification.
 //
 // Because version-2 slabs are 64-byte-aligned, LoadIndex can serve an
 // index directly from a read-only memory mapping of the file: no

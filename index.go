@@ -89,14 +89,14 @@ func newFrozenIndex(f *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set) 
 type LoadMode = persist.LoadMode
 
 const (
-	// LoadAuto memory-maps when the file and platform allow it (v2
-	// snapshots on unix little-endian hosts) and copy-decodes otherwise.
+	// LoadAuto memory-maps when the platform allows it (unix
+	// little-endian hosts) and copy-decodes otherwise.
 	LoadAuto = persist.LoadAuto
 	// LoadCopy always decode-and-copies; the index owns heap memory and
 	// needs no lifetime discipline.
 	LoadCopy = persist.LoadCopy
 	// LoadMMap requires the zero-copy mapped path and fails when it is
-	// unavailable (v1 file, non-mmap platform).
+	// unavailable (non-mmap platform, big-endian host).
 	LoadMMap = persist.LoadMMap
 )
 

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"c2knn"
+	"c2knn/internal/persist"
 )
 
 // buildTestIndex constructs a small C²-built index over the ml1M preset.
@@ -299,6 +301,27 @@ func TestLoadIndexTypedErrors(t *testing.T) {
 	}
 	if errors.Is(err, c2knn.ErrSnapshotVersion) {
 		t.Fatalf("corruption must not also read as version skew: %v", err)
+	}
+}
+
+// TestLoadIndexRejectsV1Snapshot: version-1 snapshots are retired, so
+// one fails with ErrSnapshotVersion under every load mode — auto does
+// not fall back to copy for it — and the message names c2build. The
+// fixture is the persist package's v1TinyFile output.
+func TestLoadIndexRejectsV1Snapshot(t *testing.T) {
+	path := filepath.Join("internal", "persist", "testdata", "v1-tiny.c2")
+	for _, mode := range []c2knn.LoadMode{c2knn.LoadAuto, c2knn.LoadCopy, c2knn.LoadMMap} {
+		ix, err := c2knn.LoadIndexMode(path, mode)
+		if mode == c2knn.LoadMMap && errors.Is(err, persist.ErrMapUnavailable) {
+			t.Logf("mmap unavailable on this platform: %v", err)
+			continue
+		}
+		if ix != nil || !errors.Is(err, c2knn.ErrSnapshotVersion) || errors.Is(err, c2knn.ErrSnapshotCorrupt) {
+			t.Fatalf("LoadIndexMode(v1, %v): err = %v, want ErrSnapshotVersion only", mode, err)
+		}
+		if !strings.Contains(err.Error(), "c2build") {
+			t.Fatalf("LoadIndexMode(v1, %v): error %q does not name c2build", mode, err)
+		}
 	}
 }
 

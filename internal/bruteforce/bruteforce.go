@@ -31,7 +31,11 @@ import (
 // it has one — and each row's forward edges enter the graph under a
 // single stripe-lock acquisition (knng.Shared.InsertRun), halving the
 // baseline's lock traffic versus the historical two locks per pair.
+// k ≤ 0 means the default 30, as in the other builders.
 func Build(n, k int, p similarity.Provider, workers int) *knng.Graph {
+	if k <= 0 {
+		k = 30
+	}
 	g := knng.New(n, k)
 	if n < 2 {
 		return g

@@ -137,8 +137,8 @@ func (d *Dataset) Validate() error {
 // the invariant that makes indexing per-item arrays (scorers, popularity
 // counts) memory-safe. Unlike Validate it does not require profiles to
 // be sorted and duplicate-free: those are value-level properties whose
-// violation skews scores but cannot read out of bounds. The snapshot
-// view path uses this after checksumming the section bytes.
+// violation skews scores but cannot read out of bounds. Both snapshot
+// load paths use this after checksumming the section bytes.
 func (d *Dataset) ValidateBounds() error {
 	// Unsigned compare folds the it < 0 and it >= NumItems checks into
 	// one test (negative ids map high); the per-profile max-reduce runs

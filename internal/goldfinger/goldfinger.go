@@ -163,43 +163,14 @@ func (s *Set) Ones(u int32) int { return int(s.ones[u]) }
 // mutated; the persistence layer serializes it verbatim.
 func (s *Set) Signatures() []uint64 { return s.sigs }
 
-// FromSignatures reconstructs a Set from a previously built signature
-// block (e.g. one loaded from a snapshot), recomputing the per-user
-// popcounts. sigs must hold exactly n × bits/64 words; it is aliased,
-// not copied. The item-hash seed is not needed: fingerprints are
-// self-contained for similarity estimation, the seed only matters when
-// summarizing new profiles.
-func FromSignatures(bitsN, n int, sigs []uint64) (*Set, error) {
-	if bitsN <= 0 || bitsN%64 != 0 {
-		return nil, fmt.Errorf("goldfinger: bits must be a positive multiple of 64, got %d", bitsN)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("goldfinger: negative user count %d", n)
-	}
-	words := bitsN / 64
-	if len(sigs) != n*words {
-		return nil, fmt.Errorf("goldfinger: signature block has %d words, want %d users × %d words",
-			len(sigs), n, words)
-	}
-	s := &Set{bits: bitsN, words: words, n: n, sigs: sigs, ones: make([]int32, n)}
-	for u := 0; u < n; u++ {
-		cnt := 0
-		for _, w := range sigs[u*words : (u+1)*words] {
-			cnt += bits.OnesCount64(w)
-		}
-		s.ones[u] = int32(cnt)
-	}
-	return s, nil
-}
-
 // FromParts reconstructs a Set from a signature block and its matching
-// per-user popcounts, aliasing both slices — the zero-copy counterpart
-// of FromSignatures for snapshot formats that persist the popcounts
-// alongside the signatures (both slices may view read-only mapped
-// memory). Lengths are validated and each popcount range-checked
-// against the fingerprint width; popcounts are not recomputed, so the
-// caller must have integrity evidence for the bytes (the snapshot
-// loader checksums them). A wrong-but-in-range popcount skews the
+// per-user popcounts, aliasing both slices (both may view read-only
+// mapped memory) — the snapshot loader's constructor, since the format
+// persists the popcounts alongside the signatures. Lengths are
+// validated and each popcount range-checked against the fingerprint
+// width; popcounts are not recomputed, so the caller must have
+// integrity evidence for the bytes (the snapshot loader checksums
+// them). A wrong-but-in-range popcount skews the
 // similarity estimate; it cannot cause out-of-range indexing.
 func FromParts(bitsN, n int, sigs []uint64, ones []int32) (*Set, error) {
 	if bitsN <= 0 || bitsN%64 != 0 {

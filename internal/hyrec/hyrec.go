@@ -19,7 +19,7 @@ import (
 // Options parameterizes a Hyrec run. Zero fields take the paper's
 // defaults.
 type Options struct {
-	// K is the neighborhood size (default 30).
+	// K is the neighborhood size (default 30; K < 0 is treated as 0).
 	K int
 	// Delta is the termination threshold: stop when an iteration performs
 	// fewer than Delta·K·n updates (default 0.001).
@@ -33,7 +33,7 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.K == 0 {
+	if o.K <= 0 {
 		o.K = 30
 	}
 	if o.Delta == 0 {

@@ -20,7 +20,7 @@ import (
 //
 // The exported fields describe the CSR layout and exist for the
 // persistence codec and tests; treat them as read-only. Use NewFrozen
-// to construct a Frozen from untrusted (e.g. decoded) slices — it
+// to construct a Frozen from slices assembled outside Freeze — it
 // checks every structural invariant Freeze guarantees.
 type Frozen struct {
 	// K is the neighborhood bound the graph was built with; individual
@@ -136,9 +136,9 @@ func (g *Graph) freezeRange(f *Frozen, lo, hi int) {
 }
 
 // NewFrozen assembles a Frozen from raw CSR slices, validating every
-// invariant Freeze guarantees. It is the single entry point for
-// untrusted data (the snapshot decoder): a Frozen that exists is a
-// Frozen the serving paths can index into without bounds anxiety.
+// invariant Freeze guarantees (delta compaction builds its graphs this
+// way): a Frozen that exists is a Frozen the serving paths can index
+// into without bounds anxiety.
 func NewFrozen(k int, offsets []int64, ids []int32, sims []float32) (*Frozen, error) {
 	f := &Frozen{K: k, Offsets: offsets, IDs: ids, Sims: sims}
 	if err := f.Validate(); err != nil {

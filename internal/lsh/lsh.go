@@ -21,7 +21,7 @@ import (
 // Options parameterizes an LSH run. Zero fields take the paper's
 // defaults.
 type Options struct {
-	// K is the neighborhood size (default 30).
+	// K is the neighborhood size (default 30; K < 0 is treated as 0).
 	K int
 	// T is the number of MinHash functions (default 10, §IV-C).
 	T int
@@ -32,7 +32,7 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.K == 0 {
+	if o.K <= 0 {
 		o.K = 30
 	}
 	if o.T == 0 {

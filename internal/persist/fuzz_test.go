@@ -15,8 +15,7 @@ import (
 // safe.
 func FuzzDecode(f *testing.F) {
 	f.Add(encodeBytes(f, tinySnapshot(f)))
-	v1, _ := v1TinyFile(f)
-	f.Add(v1)
+	f.Add(v1TinyFile(f)) // retired format: must be rejected by both decoders
 	full := tinySnapshot(f)
 	f.Add(encodeBytes(f, &Snapshot{Graph: full.Graph}))
 	f.Add(encodeBytes(f, &Snapshot{Train: full.Train}))

@@ -1,6 +1,6 @@
 package persist
 
-// The mmap load path. MapFile maps a version-2 snapshot file read-only
+// The mmap load path. MapFile maps a snapshot file read-only
 // and serves the artifact structures as unsafe.Slice views over the
 // mapping: no decode copy, no per-element work beyond the CRC pass and
 // bounds validation, and N replicas of one host share one physical copy
@@ -22,11 +22,11 @@ import (
 
 // ErrMapUnavailable tags MapFile failures that mean "this file or
 // platform cannot be memory-mapped" rather than "this file is bad":
-// version-1 snapshots (unaligned layout), non-mmap platforms,
-// big-endian hosts, or an mmap syscall the filesystem refuses.
-// LoadFileMode's auto mode falls back to copy-decode exactly when
-// errors.Is(err, ErrMapUnavailable); corruption never triggers
-// fallback, so a damaged file fails loudly on every path.
+// non-mmap platforms, big-endian hosts, or an mmap syscall the
+// filesystem refuses. LoadFileMode's auto mode falls back to
+// copy-decode exactly when errors.Is(err, ErrMapUnavailable);
+// corruption and version skew never trigger fallback, so a damaged or
+// foreign-version file fails loudly on every path.
 var ErrMapUnavailable = errors.New("persist: snapshot cannot be memory-mapped")
 
 // hostLittleEndian reports whether the host stores integers
@@ -108,9 +108,10 @@ func (m *Mapping) Size() int {
 // the caller owns it and must Release (via Snapshot.Close or a
 // take-over by c2knn.Index) when the views are no longer reachable.
 //
-// Files that cannot be mapped — version 1, non-mmap platform,
-// big-endian host — fail with ErrMapUnavailable; corrupt files fail
-// with ErrCorrupt. Use LoadFileMode for automatic fallback.
+// Where the file cannot be mapped — non-mmap platform, big-endian host
+// — MapFile fails with ErrMapUnavailable; corrupt files fail with
+// ErrCorrupt and other format versions with ErrVersion. Use
+// LoadFileMode for automatic fallback.
 func MapFile(path string) (*Snapshot, error) {
 	if !mmapSupported {
 		return nil, fmt.Errorf("%w: no mmap on this platform", ErrMapUnavailable)
@@ -138,11 +139,6 @@ func MapFile(path string) (*Snapshot, error) {
 		// An mmap refusal on an exotic filesystem is an availability
 		// problem, not a corruption one; let auto mode fall back.
 		return nil, fmt.Errorf("%w: mmap: %v", ErrMapUnavailable, err)
-	}
-	if len(data) >= 16 && string(data[:8]) == string(magic[:]) &&
-		binary.LittleEndian.Uint32(data[8:12]) == 1 {
-		munmap(data)
-		return nil, fmt.Errorf("%w: version-1 snapshots have no aligned layout", ErrMapUnavailable)
 	}
 	snap, err := decodeAll(data, true)
 	if err != nil {

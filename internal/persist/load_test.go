@@ -258,15 +258,15 @@ func patchRaw(data []byte, at int) []byte {
 	return out
 }
 
-// --- version-1 compatibility ---
+// --- retired version 1 ---
 
 func le32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func le64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-// v1TinyFile hand-builds a version-1 snapshot file (packed layout, no
-// alignment padding) carrying tinySnapshot's graph and dataset, using
-// the v1 payload encodings this build no longer writes.
-func v1TinyFile(tb testing.TB) ([]byte, *Snapshot) {
+// v1TinyFile hand-builds a version-1 snapshot file (the retired packed
+// layout: no alignment padding, degrees instead of offsets) carrying
+// tinySnapshot's graph and dataset. This build rejects it.
+func v1TinyFile(tb testing.TB) []byte {
 	tb.Helper()
 	want := tinySnapshot(tb)
 	f, d := want.Graph, want.Train
@@ -300,68 +300,61 @@ func v1TinyFile(tb testing.TB) ([]byte, *Snapshot) {
 		}
 	}
 
-	return v1File(gp, dp), want
-}
-
-// v1File frames version-1 sections (graph payload first, dataset
-// second; empty payload slices are skipped).
-func v1File(graphPayload, dsPayload []byte) []byte {
-	type sec struct {
-		typ     uint32
-		payload []byte
-	}
-	var secs []sec
-	if graphPayload != nil {
-		secs = append(secs, sec{secGraph, graphPayload})
-	}
-	if dsPayload != nil {
-		secs = append(secs, sec{secDataset, dsPayload})
-	}
 	data := append([]byte{}, magic[:]...)
 	data = le32(data, 1)
-	data = le32(data, uint32(len(secs)))
-	for _, s := range secs {
-		data = le32(data, s.typ)
-		data = le64(data, uint64(len(s.payload)))
-		data = append(data, s.payload...)
-		data = le32(data, crc32.Checksum(s.payload, crcTable))
+	data = le32(data, 2)
+	for i, payload := range [][]byte{gp, dp} {
+		data = le32(data, uint32(secGraph+i))
+		data = le64(data, uint64(len(payload)))
+		data = append(data, payload...)
+		data = le32(data, crc32.Checksum(payload, crcTable))
 	}
 	return data
 }
 
-// TestV1CompatCopyOnly: version-1 files still decode on the copy path,
-// the mmap path declines them with ErrMapUnavailable (their packed
-// layout cannot back aligned views), and auto mode falls back to copy.
-func TestV1CompatCopyOnly(t *testing.T) {
-	data, want := v1TinyFile(t)
-	snap, err := Decode(bytes.NewReader(data))
+// TestV1Rejected: version 1 is retired. A v1 file fails with ErrVersion
+// on both decoders and under every load mode — auto included, because
+// ErrVersion is not ErrMapUnavailable, so nothing falls back to copy —
+// and the message names the remedy. testdata/v1-tiny.c2 holds the same
+// bytes for tests outside this package.
+func TestV1Rejected(t *testing.T) {
+	data := v1TinyFile(t)
+	fixture, err := os.ReadFile(filepath.Join("testdata", "v1-tiny.c2"))
 	if err != nil {
-		t.Fatalf("Decode(v1): %v", err)
+		t.Fatal(err)
 	}
-	sameFrozen(t, snap.Graph, want.Graph)
-	if snap.Train.Name != want.Train.Name || snap.Train.NumUsers() != want.Train.NumUsers() {
-		t.Fatalf("v1 dataset mismatch: %q/%d users", snap.Train.Name, snap.Train.NumUsers())
+	if !bytes.Equal(fixture, data) {
+		t.Fatal("testdata/v1-tiny.c2 differs from v1TinyFile's output")
 	}
+	check := func(what string, snap *Snapshot, err error) {
+		t.Helper()
+		if snap != nil {
+			t.Fatalf("%s: returned a snapshot for a v1 file", what)
+		}
+		if !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrMapUnavailable) {
+			t.Fatalf("%s: err = %v, want ErrVersion only", what, err)
+		}
+		if !strings.Contains(err.Error(), "c2build -snap") {
+			t.Fatalf("%s: error %q does not name the c2build -snap remedy", what, err)
+		}
+	}
+	snap, err := Decode(bytes.NewReader(data))
+	check("Decode", snap, err)
+	snap, err = decodeAll(alignedCopy(data), true)
+	check("decodeAll(view)", snap, err)
 
 	path := filepath.Join(t.TempDir(), "v1.c2")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MapFile(path); !errors.Is(err, ErrMapUnavailable) {
-		t.Fatalf("MapFile(v1) error = %v, want ErrMapUnavailable", err)
+	modes := []LoadMode{LoadAuto, LoadCopy}
+	if mmapSupported && hostLittleEndian {
+		modes = append(modes, LoadMMap)
 	}
-	if _, err := LoadFileMode(path, LoadMMap); !errors.Is(err, ErrMapUnavailable) {
-		t.Fatalf("LoadFileMode(v1, mmap) error = %v, want ErrMapUnavailable", err)
+	for _, mode := range modes {
+		snap, err := LoadFileMode(path, mode)
+		check("LoadFileMode("+mode.String()+")", snap, err)
 	}
-	auto, err := LoadFileMode(path, LoadAuto)
-	if err != nil {
-		t.Fatalf("LoadFileMode(v1, auto): %v", err)
-	}
-	defer auto.Close()
-	if auto.Mapping != nil {
-		t.Fatal("auto mode mapped a v1 file")
-	}
-	sameFrozen(t, auto.Graph, want.Graph)
 }
 
 // --- satellite regressions ---
@@ -402,9 +395,8 @@ func TestDecodeUserCountBoundary(t *testing.T) {
 }
 
 // TestDecodeDatasetLengthOverflow: a hostile profile length must be
-// rejected by the checked add, on both decode paths and in both format
-// versions. Pre-fix, the v2 decoder sliced the item slab with the raw
-// sum — a length like 0xFFFFFFFF panicked on slice bounds instead of
+// rejected by the checked add, on both decode paths. Pre-fix, the
+// decoder sliced the item slab with the raw sum — a length like 0xFFFFFFFF panicked on slice bounds instead of
 // returning an error, and lengths crafted to wrap the uint64 total
 // could equal the declared ratings count while pointing profiles past
 // the slab.
@@ -421,27 +413,7 @@ func TestDecodeDatasetLengthOverflow(t *testing.T) {
 	})
 	_, err := decodeBothPaths(t, data)
 	if err == nil || !strings.Contains(err.Error(), "exceed") {
-		t.Fatalf("hostile v2 profile length: err=%v, want the lengths-exceed-ratings rejection", err)
-	}
-
-	// Same attack against the version-1 packed layout.
-	v1, _ := v1TinyFile(t)
-	snap, err := Decode(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 baseline decode: %v", err)
-	}
-	nameLen := 2 + len(snap.Train.Name) // u16 + name bytes
-	// v1 dataset section is the second section; find its payload by
-	// walking the packed framing.
-	off := 16
-	off += 12 + int(binary.LittleEndian.Uint64(v1[off+4:])) + 4 // skip graph section
-	lensOff := off + 12 + nameLen + 20
-	binary.LittleEndian.PutUint32(v1[lensOff:], 0xFFFFFFFF)
-	payStart, payLen := off+12, int(binary.LittleEndian.Uint64(v1[off+4:]))
-	binary.LittleEndian.PutUint32(v1[payStart+payLen:], crc32.Checksum(v1[payStart:payStart+payLen], crcTable))
-	_, err = Decode(bytes.NewReader(v1))
-	if err == nil || !strings.Contains(err.Error(), "exceed") {
-		t.Fatalf("hostile v1 profile length: err=%v, want the lengths-exceed-ratings rejection", err)
+		t.Fatalf("hostile profile length: err=%v, want the lengths-exceed-ratings rejection", err)
 	}
 }
 

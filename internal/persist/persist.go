@@ -48,17 +48,18 @@
 // is page-aligned, every array slab is 64-byte-aligned in memory too:
 // MapFile serves knng.Frozen / dataset.Dataset / goldfinger.Set
 // directly as unsafe.Slice views over the mapping, with no decode copy
-// and cache-line/vector-friendly slab bases. Version 2 stores what the
+// and cache-line/vector-friendly slab bases. The format stores what the
 // runtime structures hold (CSR offsets rather than degrees, build-time
 // popcounts alongside signatures) precisely so views need no
 // recomputation.
 //
-// # Version 1 compatibility
+// # Versions
 //
-// Readers also accept the legacy version-1 layout (no alignment,
-// degrees instead of offsets, no persisted popcounts); v1 files always
-// load through the copy path and get the full value-level validation
-// they always did. Writers emit version 2 only.
+// Version 2 is the only format read or written. Any other version, the
+// retired unaligned version 1 included, fails on every load path with
+// ErrVersion — not ErrMapUnavailable, so auto mode does not fall back
+// to copy. Snapshots are machine-local build caches: rebuild with
+// c2build -snap.
 //
 // # Robustness
 //
@@ -69,16 +70,14 @@
 // returns (nil, error). Truncated files, flipped bytes, and version
 // skew are all detected, on the copy path and the mmap path alike.
 //
-// Validation depth differs by version. Version-1 payloads pass their
-// packages' full validators (knng.Frozen.Validate, dataset.Validate).
-// Version-2 payloads — on both load paths, so the two stay
-// accept/reject-identical — pass the bounds-level validators
-// (knng.Frozen.ValidateBounds, dataset.ValidateBounds,
-// goldfinger.FromParts): everything needed for memory-safe serving is
-// checked, while value-level invariants (adjacency sort order, profile
-// dedup, popcount accuracy) are vouched for by the CRC over the
-// encoder's output. Forging bytes past a CRC can skew answers; it
-// cannot move an access out of bounds.
+// Payloads pass the bounds-level validators on both load paths, so the
+// two stay accept/reject-identical (knng.Frozen.ValidateBounds,
+// dataset.ValidateBounds, goldfinger.FromParts): everything needed for
+// memory-safe serving is checked, while value-level invariants
+// (adjacency sort order, profile dedup, popcount accuracy) are vouched
+// for by the CRC over the encoder's output, which ran the full
+// validators. Forging bytes past a CRC can skew answers; it cannot move
+// an access out of bounds.
 //
 // # Snapshot files must be replaced, never edited in place
 //
@@ -116,8 +115,8 @@ import (
 	"c2knn/internal/knng"
 )
 
-// Version is the snapshot format version this build writes; Decode
-// additionally reads version 1.
+// Version is the snapshot format version this build writes and the
+// only one it reads; any other version fails with ErrVersion.
 const Version = 2
 
 var magic = [8]byte{'C', '2', 'S', 'N', 'A', 'P', '\r', '\n'}
@@ -159,7 +158,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // alignUp rounds x up to the next multiple of 64 — the in-file (and
 // therefore, under a page-aligned mapping, in-memory) alignment of
-// every version-2 array slab.
+// every array slab.
 func alignUp(x int) int { return (x + 63) &^ 63 }
 
 // pad64 returns how many zero bytes follow a position at absolute
@@ -379,14 +378,13 @@ func encodeGoldFinger(s *goldfinger.Set) []byte {
 // checks; Decode (streaming) and decodeAll (whole-image, mmap) share it
 // so both load paths accept and reject identically.
 type assembler struct {
-	version uint32
-	view    bool
-	snap    Snapshot
-	seen    map[uint32]bool
+	view bool
+	snap Snapshot
+	seen map[uint32]bool
 }
 
-func newAssembler(version uint32, view bool) *assembler {
-	return &assembler{version: version, view: view, seen: make(map[uint32]bool, 3)}
+func newAssembler(view bool) *assembler {
+	return &assembler{view: view, seen: make(map[uint32]bool, 3)}
 }
 
 func (a *assembler) section(i uint32, typ uint32, payload []byte) error {
@@ -397,23 +395,11 @@ func (a *assembler) section(i uint32, typ uint32, payload []byte) error {
 	var err error
 	switch typ {
 	case secGraph:
-		if a.version == 1 {
-			a.snap.Graph, err = decodeGraphV1(payload)
-		} else {
-			a.snap.Graph, err = decodeGraph(payload, a.view)
-		}
+		a.snap.Graph, err = decodeGraph(payload, a.view)
 	case secDataset:
-		if a.version == 1 {
-			a.snap.Train, err = decodeDatasetV1(payload)
-		} else {
-			a.snap.Train, err = decodeDataset(payload, a.view)
-		}
+		a.snap.Train, err = decodeDataset(payload, a.view)
 	case secGoldFinger:
-		if a.version == 1 {
-			a.snap.GoldFinger, err = decodeGoldFingerV1(payload)
-		} else {
-			a.snap.GoldFinger, err = decodeGoldFinger(payload, a.view)
-		}
+		a.snap.GoldFinger, err = decodeGoldFinger(payload, a.view)
 	default:
 		err = fmt.Errorf("unknown section type %d", typ)
 	}
@@ -437,24 +423,24 @@ func (a *assembler) finish() (*Snapshot, error) {
 	return s, nil
 }
 
-// checkHeader validates the 16-byte file header and returns the version
-// and section count.
-func checkHeader(hdr []byte) (version, count uint32, err error) {
+// checkHeader validates the 16-byte file header and returns the section
+// count.
+func checkHeader(hdr []byte) (count uint32, err error) {
 	if !bytes.Equal(hdr[:8], magic[:]) {
-		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
+		return 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
 	}
-	version = binary.LittleEndian.Uint32(hdr[8:12])
-	if version != 1 && version != Version {
-		return 0, 0, fmt.Errorf("%w: file has version %d, this build reads 1 and %d", ErrVersion, version, Version)
+	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != Version {
+		return 0, fmt.Errorf("%w: file has version %d, this build reads only %d; rebuild the snapshot with c2build -snap",
+			ErrVersion, v, Version)
 	}
 	count = binary.LittleEndian.Uint32(hdr[12:16])
 	if count == 0 || count > maxSections {
-		return 0, 0, fmt.Errorf("%w: implausible section count %d", ErrCorrupt, count)
+		return 0, fmt.Errorf("%w: implausible section count %d", ErrCorrupt, count)
 	}
-	return version, count, nil
+	return count, nil
 }
 
-// Decode reads a snapshot from r, accepting format versions 1 and 2.
+// Decode reads a snapshot from r.
 // This is the copy path: decoded structures own their memory and r is
 // read strictly forward in bounded chunks. On any error the returned
 // snapshot is nil — a decoded Snapshot is always complete and
@@ -464,11 +450,11 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
 	}
-	version, count, err := checkHeader(hdr[:])
+	count, err := checkHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	asm := newAssembler(version, false)
+	asm := newAssembler(false)
 	off := uint64(16)
 	for i := uint32(0); i < count; i++ {
 		var sh [12]byte
@@ -478,17 +464,15 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		off += 12
 		typ := binary.LittleEndian.Uint32(sh[0:4])
 		length := binary.LittleEndian.Uint64(sh[4:12])
-		if version >= 2 {
-			var padBuf [64]byte
-			pad := pad64(off)
-			if _, err := io.ReadFull(r, padBuf[:pad]); err != nil {
-				return nil, fmt.Errorf("%w: section %d padding: %v", ErrCorrupt, i, err)
-			}
-			if !bytes.Equal(padBuf[:pad], zeros[:pad]) {
-				return nil, fmt.Errorf("%w: section %d has non-zero padding", ErrCorrupt, i)
-			}
-			off += uint64(pad)
+		var padBuf [64]byte
+		pad := pad64(off)
+		if _, err := io.ReadFull(r, padBuf[:pad]); err != nil {
+			return nil, fmt.Errorf("%w: section %d padding: %v", ErrCorrupt, i, err)
 		}
+		if !bytes.Equal(padBuf[:pad], zeros[:pad]) {
+			return nil, fmt.Errorf("%w: section %d has non-zero padding", ErrCorrupt, i)
+		}
+		off += uint64(pad)
 		payload, err := readPayload(r, length)
 		if err != nil {
 			return nil, fmt.Errorf("%w: section %d (type %d): %v", ErrCorrupt, i, typ, err)
@@ -516,7 +500,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 }
 
 // decodeAll decodes a complete in-memory snapshot image. With view set,
-// version-2 array slabs become unsafe.Slice views aliasing data (which
+// array slabs become unsafe.Slice views aliasing data (which
 // must then outlive the snapshot and have 64-byte-aligned backing — an
 // mmap, or a test buffer via alignedCopy); otherwise all structures own
 // their memory. Both modes run the same validation.
@@ -524,11 +508,11 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("%w: header: file is %d bytes", ErrCorrupt, len(data))
 	}
-	version, count, err := checkHeader(data[:16])
+	count, err := checkHeader(data[:16])
 	if err != nil {
 		return nil, err
 	}
-	asm := newAssembler(version, view)
+	asm := newAssembler(view)
 	off := uint64(16)
 	size := uint64(len(data))
 	for i := uint32(0); i < count; i++ {
@@ -538,16 +522,14 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 		typ := binary.LittleEndian.Uint32(data[off:])
 		length := binary.LittleEndian.Uint64(data[off+4:])
 		off += 12
-		if version >= 2 {
-			pad := uint64(pad64(off))
-			if size-off < pad {
-				return nil, fmt.Errorf("%w: section %d padding: truncated", ErrCorrupt, i)
-			}
-			if !bytes.Equal(data[off:off+pad], zeros[:pad]) {
-				return nil, fmt.Errorf("%w: section %d has non-zero padding", ErrCorrupt, i)
-			}
-			off += pad
+		pad := uint64(pad64(off))
+		if size-off < pad {
+			return nil, fmt.Errorf("%w: section %d padding: truncated", ErrCorrupt, i)
 		}
+		if !bytes.Equal(data[off:off+pad], zeros[:pad]) {
+			return nil, fmt.Errorf("%w: section %d has non-zero padding", ErrCorrupt, i)
+		}
+		off += pad
 		if length > maxSectionBytes {
 			return nil, fmt.Errorf("%w: section %d (type %d): section length %d exceeds the %d-byte bound",
 				ErrCorrupt, i, typ, length, int64(maxSectionBytes))
@@ -624,7 +606,7 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-// decodeGraph decodes a version-2 graph payload, as aliasing views when
+// decodeGraph decodes a graph payload, as aliasing views when
 // view is set (payload must be 64-byte-aligned) or as owned copies.
 func decodeGraph(payload []byte, view bool) (*knng.Frozen, error) {
 	if len(payload) < 64 {
@@ -655,7 +637,7 @@ func decodeGraph(payload []byte, view bool) (*knng.Frozen, error) {
 	return knng.NewFrozenView(int(k), offsets, ids, sims)
 }
 
-// decodeDataset decodes a version-2 dataset payload.
+// decodeDataset decodes a dataset payload.
 func decodeDataset(payload []byte, view bool) (*dataset.Dataset, error) {
 	if len(payload) < 64 {
 		return nil, fmt.Errorf("dataset payload too short (%d bytes)", len(payload))
@@ -781,7 +763,7 @@ func maxU32(xs []int32) uint32 {
 	return m0
 }
 
-// decodeGoldFinger decodes a version-2 fingerprint payload.
+// decodeGoldFinger decodes a fingerprint payload.
 func decodeGoldFinger(payload []byte, view bool) (*goldfinger.Set, error) {
 	if len(payload) < 64 {
 		return nil, fmt.Errorf("goldfinger payload too short (%d bytes)", len(payload))
@@ -805,116 +787,6 @@ func decodeGoldFinger(payload []byte, view bool) (*goldfinger.Set, error) {
 		return nil, err
 	}
 	return goldfinger.FromParts(int(bitsN), int(n), sigs, ones)
-}
-
-// --- version-1 payload decoders (copy only; full value-level validation) ---
-
-func decodeGraphV1(payload []byte) (*knng.Frozen, error) {
-	if len(payload) < 20 {
-		return nil, fmt.Errorf("graph payload too short (%d bytes)", len(payload))
-	}
-	d := &dec{b: payload}
-	k := d.u32()
-	n := d.u64()
-	m := d.u64()
-	if n > maxUsers || m > maxEdges || k > maxK {
-		return nil, fmt.Errorf("implausible graph dimensions: k=%d users=%d edges=%d", k, n, m)
-	}
-	if need := 20 + 4*n + 8*m; uint64(len(payload)) != need {
-		return nil, fmt.Errorf("graph payload is %d bytes, dimensions require %d", len(payload), need)
-	}
-	offsets := make([]int64, n+1)
-	var off int64
-	for u := uint64(0); u < n; u++ {
-		deg := d.u32()
-		off += int64(deg)
-		offsets[u+1] = off
-	}
-	if off != int64(m) {
-		return nil, fmt.Errorf("degrees sum to %d, header says %d edges", off, m)
-	}
-	ids := make([]int32, m)
-	for i := range ids {
-		ids[i] = int32(d.u32())
-	}
-	sims := make([]float32, m)
-	for i := range sims {
-		sims[i] = math.Float32frombits(d.u32())
-	}
-	return knng.NewFrozen(int(k), offsets, ids, sims)
-}
-
-func decodeDatasetV1(payload []byte) (*dataset.Dataset, error) {
-	if len(payload) < 2 {
-		return nil, fmt.Errorf("dataset payload too short (%d bytes)", len(payload))
-	}
-	d := &dec{b: payload}
-	nameLen := int(d.u16())
-	if len(payload) < 2+nameLen+20 {
-		return nil, fmt.Errorf("dataset payload too short for %d-byte name", nameLen)
-	}
-	name := string(payload[d.off : d.off+nameLen])
-	d.off += nameLen
-	numItems := d.u32()
-	n := d.u64()
-	ratings := d.u64()
-	if n > maxUsers || ratings > maxEdges || numItems > maxItems {
-		return nil, fmt.Errorf("implausible dataset dimensions: users=%d ratings=%d items=%d", n, ratings, numItems)
-	}
-	if need := uint64(2+nameLen+20) + 4*n + 4*ratings; uint64(len(payload)) != need {
-		return nil, fmt.Errorf("dataset payload is %d bytes, dimensions require %d", len(payload), need)
-	}
-	lens := make([]uint32, n)
-	var total uint64
-	for i := range lens {
-		lens[i] = d.u32()
-		// Checked add: a hostile length past the remaining ratings budget
-		// would wrap the uint64 sum given enough users; reject it before
-		// it accumulates.
-		if uint64(lens[i]) > ratings-total {
-			return nil, fmt.Errorf("profile lengths exceed the %d ratings the header declares", ratings)
-		}
-		total += uint64(lens[i])
-	}
-	if total != ratings {
-		return nil, fmt.Errorf("profile lengths sum to %d, header says %d ratings", total, ratings)
-	}
-	items := make([]int32, ratings)
-	for i := range items {
-		items[i] = int32(d.u32())
-	}
-	profiles := make([][]int32, n)
-	var at uint64
-	for u := range profiles {
-		profiles[u] = items[at : at+uint64(lens[u]) : at+uint64(lens[u])]
-		at += uint64(lens[u])
-	}
-	ds := &dataset.Dataset{Name: name, NumItems: int32(numItems), Profiles: profiles}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-func decodeGoldFingerV1(payload []byte) (*goldfinger.Set, error) {
-	if len(payload) < 12 {
-		return nil, fmt.Errorf("goldfinger payload too short (%d bytes)", len(payload))
-	}
-	d := &dec{b: payload}
-	bitsN := d.u32()
-	n := d.u64()
-	if bitsN == 0 || bitsN%64 != 0 || bitsN > maxBits || n > maxUsers {
-		return nil, fmt.Errorf("implausible fingerprint dimensions: bits=%d users=%d", bitsN, n)
-	}
-	words := uint64(bitsN / 64)
-	if need := 12 + 8*n*words; uint64(len(payload)) != need {
-		return nil, fmt.Errorf("goldfinger payload is %d bytes, dimensions require %d", len(payload), need)
-	}
-	sigs := make([]uint64, n*words)
-	for i := range sigs {
-		sigs[i] = d.u64()
-	}
-	return goldfinger.FromSignatures(int(bitsN), int(n), sigs)
 }
 
 // WriteFile atomically writes s to path: the snapshot is encoded to a
