@@ -151,12 +151,17 @@
 //
 // Because version-2 slabs are 64-byte-aligned, LoadIndex can serve an
 // index directly from a read-only memory mapping of the file: no
-// decode copy, near-constant time-to-first-query regardless of
-// snapshot size, and every replica on a host sharing one physical copy
-// of the data through the page cache. The mode is selected by the
-// C2_LOAD environment variable or LoadIndexMode ("auto" maps when the
-// file and platform allow and copy-decodes otherwise; "copy" and
-// "mmap" force a path). Mapped indexes report Mapped() and follow the
+// decode copy, and every replica on a host sharing one physical copy
+// of the data through the page cache. What a mapped load still pays
+// for is verification — a CRC-32C over every payload byte and a bounds
+// check of every neighbor id and item — and it does that in one pass
+// on all cores: each worker checksums a 256 KiB chunk and, where the
+// chunk holds ids or items, takes their maximum while the chunk is
+// still in cache; the chunk checksums combine into each section's CRC,
+// and nothing is decoded until every CRC matches. The mode is selected
+// by the C2_LOAD environment variable or LoadIndexMode ("auto" maps
+// when the file and platform allow and copy-decodes otherwise; "copy"
+// and "mmap" force a path). Mapped indexes report Mapped() and follow the
 // Retain/Release/Close lifetime protocol during hot swaps; built or
 // copy-loaded indexes are exempt (Retain always succeeds, Close is a
 // no-op). One operational rule follows: never modify a snapshot file

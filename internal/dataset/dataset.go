@@ -142,51 +142,14 @@ func (d *Dataset) Validate() error {
 func (d *Dataset) ValidateBounds() error {
 	// Unsigned compare folds the it < 0 and it >= NumItems checks into
 	// one test (negative ids map high); the per-profile max-reduce runs
-	// branch-free, and this scan dominates zero-copy snapshot loads.
+	// branch-free.
 	limit := uint32(d.NumItems)
 	for u, p := range d.Profiles {
-		if len(p) > 0 && maxItemID(p) >= limit {
+		if len(p) > 0 && sets.MaxU32(p) >= limit {
 			return fmt.Errorf("dataset %s: profile of user %d has item ids outside [0,%d)", d.Name, u, d.NumItems)
 		}
 	}
 	return nil
-}
-
-// maxItemID returns the maximum of p reinterpreted as unsigned values.
-// Four independent accumulators keep the dependency chains short so the
-// compiler emits conditional moves.
-func maxItemID(p []int32) uint32 {
-	var m0, m1, m2, m3 uint32
-	i := 0
-	for ; i+4 <= len(p); i += 4 {
-		if v := uint32(p[i]); v > m0 {
-			m0 = v
-		}
-		if v := uint32(p[i+1]); v > m1 {
-			m1 = v
-		}
-		if v := uint32(p[i+2]); v > m2 {
-			m2 = v
-		}
-		if v := uint32(p[i+3]); v > m3 {
-			m3 = v
-		}
-	}
-	for ; i < len(p); i++ {
-		if v := uint32(p[i]); v > m0 {
-			m0 = v
-		}
-	}
-	if m1 > m0 {
-		m0 = m1
-	}
-	if m2 > m0 {
-		m0 = m2
-	}
-	if m3 > m0 {
-		m0 = m3
-	}
-	return m0
 }
 
 // CompactItems renumbers item ids densely (dropping unused ids) and

@@ -195,92 +195,49 @@ func (f *Frozen) Validate() error {
 
 // NewFrozenView assembles a Frozen from CSR slices that may alias
 // read-only storage (a memory-mapped snapshot section), checking only
-// the bounds invariants — see ValidateBounds for what that covers and
-// what it deliberately skips. The caller must have integrity evidence
-// for the bytes (the snapshot loader checksums every section before
-// building views); data of unknown provenance goes through NewFrozen.
-func NewFrozenView(k int, offsets []int64, ids []int32, sims []float32) (*Frozen, error) {
-	f := &Frozen{K: k, Offsets: offsets, IDs: ids, Sims: sims}
-	if err := f.ValidateBounds(); err != nil {
-		return nil, err
+// the bounds invariants that make every serving-path access
+// memory-safe: offsets anchored at 0, monotone, ending exactly at
+// len(ids); array lengths agreeing; every neighbor id in [0, NumUsers).
+// idMax must be sets.MaxU32(ids), the ids' maximum compared unsigned:
+// the snapshot loader computes it while it checksums the id slab, so
+// the ids are not read a second time here.
+//
+// It does not check the value-level invariants Validate does (degree ≤
+// K, no self edges, finite similarities, sort order) — violating those
+// yields wrong answers, never out-of-bounds access, and checking them
+// touches every edge twice on a path whose whole point is to avoid
+// touching the edge arrays at load time. The caller must have integrity
+// evidence for the bytes (the snapshot loader checksums every section
+// before building views); data of unknown provenance goes through
+// NewFrozen.
+func NewFrozenView(k int, offsets []int64, ids []int32, sims []float32, idMax uint32) (*Frozen, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("knng: frozen graph has negative k %d", k)
 	}
-	return f, nil
-}
-
-// ValidateBounds checks the invariants that make every serving-path
-// access memory-safe: offsets anchored at 0, monotone, ending exactly
-// at len(IDs); array lengths agreeing; every neighbor id in
-// [0, NumUsers). It does not check the value-level invariants Validate
-// does (degree ≤ K, no self edges, finite similarities, sort order) —
-// violating those yields wrong answers, never out-of-bounds access,
-// and checking them touches every edge twice on a path whose whole
-// point is to avoid touching the edge arrays at load time.
-func (f *Frozen) ValidateBounds() error {
-	if f.K < 0 {
-		return fmt.Errorf("knng: frozen graph has negative k %d", f.K)
+	if len(offsets) == 0 || offsets[0] != 0 {
+		return nil, fmt.Errorf("knng: frozen graph offsets must start with 0")
 	}
-	if len(f.Offsets) == 0 || f.Offsets[0] != 0 {
-		return fmt.Errorf("knng: frozen graph offsets must start with 0")
-	}
-	n := len(f.Offsets) - 1
-	if int64(len(f.IDs)) != f.Offsets[n] || len(f.Sims) != len(f.IDs) {
-		return fmt.Errorf("knng: frozen graph arrays disagree: offsets end %d, %d ids, %d sims",
-			f.Offsets[n], len(f.IDs), len(f.Sims))
+	n := len(offsets) - 1
+	if int64(len(ids)) != offsets[n] || len(sims) != len(ids) {
+		return nil, fmt.Errorf("knng: frozen graph arrays disagree: offsets end %d, %d ids, %d sims",
+			offsets[n], len(ids), len(sims))
 	}
 	for u := 0; u < n; u++ {
-		if f.Offsets[u+1] < f.Offsets[u] {
-			return fmt.Errorf("knng: frozen graph offsets decrease at user %d", u)
+		if offsets[u+1] < offsets[u] {
+			return nil, fmt.Errorf("knng: frozen graph offsets decrease at user %d", u)
 		}
 	}
 	// Unsigned compare folds the id < 0 and id >= n checks into one test
-	// (negative ids map high); the max-reduce runs branch-free, and this
-	// scan is the load-time cost floor of the view path.
-	if len(f.IDs) > 0 && maxU32(f.IDs) >= uint32(n) {
-		for i, id := range f.IDs {
+	// (negative ids map high); only a failing maximum pays for the walk
+	// that names the offending edge.
+	if len(ids) > 0 && idMax >= uint32(n) {
+		for i, id := range ids {
 			if uint32(id) >= uint32(n) {
-				return fmt.Errorf("knng: edge %d has neighbor id %d outside [0,%d)", i, id, n)
+				return nil, fmt.Errorf("knng: edge %d has neighbor id %d outside [0,%d)", i, id, n)
 			}
 		}
 	}
-	return nil
-}
-
-// maxU32 returns the maximum of xs reinterpreted as unsigned values.
-// Four independent accumulators keep the dependency chains short so the
-// compiler emits conditional moves; zero-copy snapshot loads spend most
-// of their time in this scan and its dataset twin.
-func maxU32(xs []int32) uint32 {
-	var m0, m1, m2, m3 uint32
-	i := 0
-	for ; i+4 <= len(xs); i += 4 {
-		if v := uint32(xs[i]); v > m0 {
-			m0 = v
-		}
-		if v := uint32(xs[i+1]); v > m1 {
-			m1 = v
-		}
-		if v := uint32(xs[i+2]); v > m2 {
-			m2 = v
-		}
-		if v := uint32(xs[i+3]); v > m3 {
-			m3 = v
-		}
-	}
-	for ; i < len(xs); i++ {
-		if v := uint32(xs[i]); v > m0 {
-			m0 = v
-		}
-	}
-	if m1 > m0 {
-		m0 = m1
-	}
-	if m2 > m0 {
-		m0 = m2
-	}
-	if m3 > m0 {
-		m0 = m3
-	}
-	return m0
+	return &Frozen{K: k, Offsets: offsets, IDs: ids, Sims: sims}, nil
 }
 
 // NumUsers returns the number of users the graph is defined over.

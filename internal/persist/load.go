@@ -2,8 +2,9 @@ package persist
 
 // The mmap load path. MapFile maps a snapshot file read-only
 // and serves the artifact structures as unsafe.Slice views over the
-// mapping: no decode copy, no per-element work beyond the CRC pass and
-// bounds validation, and N replicas of one host share one physical copy
+// mapping: no decode copy, no per-element work beyond the one-pass
+// verifier's CRC and bounds scan (see the package comment's
+// Robustness section), and N replicas of one host share one physical copy
 // of the slabs through the page cache. Lifetime is explicit — the
 // returned Snapshot carries a refcounted Mapping, and callers (the
 // serving Index) must hold a reference across every access, because
@@ -101,12 +102,15 @@ func (m *Mapping) Size() int {
 }
 
 // MapFile maps the snapshot at path read-only and returns a Snapshot
-// whose artifacts view the mapping directly. Every section's CRC is
-// verified and bounds-validated before the snapshot is returned (see
-// the package comment on validation depth), so integrity cover equals
-// the copy path's. The returned snapshot's Mapping holds one reference;
-// the caller owns it and must Release (via Snapshot.Close or a
-// take-over by c2knn.Index) when the views are no longer reachable.
+// whose artifacts view the mapping directly. Before any section is
+// decoded, one pass on GOMAXPROCS workers checksums every payload byte
+// and takes the maximum of every neighbor id and item; the snapshot is
+// returned only once every CRC matches and every id and item is in
+// bounds (see the package comment's Robustness section), so integrity
+// cover equals the copy path's. The returned snapshot's Mapping holds
+// one reference; the caller owns it and must Release (via
+// Snapshot.Close or a take-over by c2knn.Index) when the views are no
+// longer reachable.
 //
 // Where the file cannot be mapped — non-mmap platform, big-endian host
 // — MapFile fails with ErrMapUnavailable; corrupt files fail with

@@ -71,13 +71,41 @@
 // skew are all detected, on the copy path and the mmap path alike.
 //
 // Payloads pass the bounds-level validators on both load paths, so the
-// two stay accept/reject-identical (knng.Frozen.ValidateBounds,
+// two stay accept/reject-identical (knng.NewFrozenView,
 // dataset.ValidateBounds, goldfinger.FromParts): everything needed for
 // memory-safe serving is checked, while value-level invariants
 // (adjacency sort order, profile dedup, popcount accuracy) are vouched
 // for by the CRC over the encoder's output, which ran the full
 // validators. Forging bytes past a CRC can skew answers; it cannot move
 // an access out of bounds.
+//
+// The two paths order the same checks differently. Decode, the copy
+// path and the oracle, runs serially and section by section: read the
+// payload, check its CRC, decode it, bounds-check its ids and items
+// with the plain Go loop. decodeAll, behind MapFile, verifies the whole
+// image in one pass on GOMAXPROCS workers before decoding anything:
+//
+//  1. Walk the framing: header, section headers, zero padding, lengths
+//     against the file size, no trailing bytes. For the graph and
+//     dataset sections it also reads the payload header, through the
+//     decoders' own plausibility and exact-size checks, only to locate
+//     the neighbor-id and item slabs.
+//  2. Cut every payload into 256 KiB chunks. A worker CRC-32Cs its
+//     chunk and, where the chunk overlaps one of those slabs,
+//     max-reduces the overlap (compared unsigned, so negative ids
+//     count as huge) while it is still in cache — with an AVX2 kernel
+//     when a vector similarity kernel is active, the Go loop otherwise.
+//     Chunk CRCs combine into each section's CRC (zlib's
+//     crc32_combine), chunk maxima into each slab's maximum.
+//  3. Once every section's CRC matches, decode the sections
+//     concurrently. The graph and dataset decoders compare the slab
+//     maximum against their limit in place of their own scan, and only
+//     when its byte range is exactly the slab they view.
+//
+// A file with faults in several sections may therefore report a
+// different first error on each path; the two paths accept exactly the
+// same files. Encode checksums through the same chunked pass, so writes
+// use every core too, and the bytes written do not change.
 //
 // # Snapshot files must be replaced, never edited in place
 //
@@ -104,11 +132,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"c2knn/internal/dataset"
 	"c2knn/internal/goldfinger"
@@ -281,7 +307,7 @@ func writeSection(w *countingWriter, typ uint32, payload []byte) error {
 		return err
 	}
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(crc[:], checksum(payload))
 	_, err := w.Write(crc[:])
 	return err
 }
@@ -388,20 +414,38 @@ func newAssembler(view bool) *assembler {
 }
 
 func (a *assembler) section(i uint32, typ uint32, payload []byte) error {
+	if err := a.claim(i, typ); err != nil {
+		return err
+	}
+	return a.decode(i, typ, payload, nil)
+}
+
+// claim records section i's type, rejecting duplicates and unknown
+// types.
+func (a *assembler) claim(i uint32, typ uint32) error {
 	if a.seen[typ] {
 		return fmt.Errorf("%w: duplicate section type %d", ErrCorrupt, typ)
 	}
 	a.seen[typ] = true
+	if typ != secGraph && typ != secDataset && typ != secGoldFinger {
+		return fmt.Errorf("%w: section %d: unknown section type %d", ErrCorrupt, i, typ)
+	}
+	return nil
+}
+
+// decode decodes claimed section i into the snapshot; pre, when it
+// covers the section's bounds-checked slab, spares the decoder its
+// scan. Sections of distinct types write distinct fields, so decodeAll
+// runs them concurrently.
+func (a *assembler) decode(i uint32, typ uint32, payload []byte, pre *slabMax) error {
 	var err error
 	switch typ {
 	case secGraph:
-		a.snap.Graph, err = decodeGraph(payload, a.view)
+		a.snap.Graph, err = decodeGraph(payload, a.view, pre)
 	case secDataset:
-		a.snap.Train, err = decodeDataset(payload, a.view)
+		a.snap.Train, err = decodeDataset(payload, a.view, pre)
 	case secGoldFinger:
 		a.snap.GoldFinger, err = decodeGoldFinger(payload, a.view)
-	default:
-		err = fmt.Errorf("unknown section type %d", typ)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: section %d: %v", ErrCorrupt, i, err)
@@ -504,6 +548,13 @@ func Decode(r io.Reader) (*Snapshot, error) {
 // must then outlive the snapshot and have 64-byte-aligned backing — an
 // mmap, or a test buffer via alignedCopy); otherwise all structures own
 // their memory. Both modes run the same validation.
+//
+// It verifies in three steps. First it walks the framing, and locates
+// the bounds-checked slabs from the section headers under the decoders'
+// own plausibility checks. Then scan checksums every payload byte, and
+// max-reduces those slabs, in one chunked pass on all cores. Only once
+// every section's CRC matches does it decode the sections, concurrently,
+// each decoder taking the slab maximum in place of its own scan.
 func decodeAll(data []byte, view bool) (*Snapshot, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("%w: header: file is %d bytes", ErrCorrupt, len(data))
@@ -512,7 +563,9 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	asm := newAssembler(view)
+	types := make([]uint32, 0, count)
+	wants := make([]uint32, 0, count)
+	spans := make([]span, 0, count)
 	off := uint64(16)
 	size := uint64(len(data))
 	for i := uint32(0); i < count; i++ {
@@ -539,19 +592,68 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 		}
 		payload := data[off : off+length : off+length]
 		off += length
-		want := binary.LittleEndian.Uint32(data[off:])
+		types = append(types, typ)
+		wants = append(wants, binary.LittleEndian.Uint32(data[off:]))
+		spans = append(spans, span{b: payload, slab: boundsSlab(typ, payload)})
 		off += 4
-		if crc32.Checksum(payload, crcTable) != want {
-			return nil, fmt.Errorf("%w: section %d (type %d) checksum mismatch", ErrCorrupt, i, typ)
-		}
-		if err := asm.section(i, typ, payload); err != nil {
-			return nil, err
-		}
 	}
 	if off != size {
 		return nil, fmt.Errorf("%w: trailing data after final section", ErrCorrupt)
 	}
+	scan(spans)
+	for i, sp := range spans {
+		if sp.crc != wants[i] {
+			return nil, fmt.Errorf("%w: section %d (type %d) checksum mismatch", ErrCorrupt, i, types[i])
+		}
+	}
+	asm := newAssembler(view)
+	for i, typ := range types {
+		if err := asm.claim(uint32(i), typ); err != nil {
+			return nil, err
+		}
+	}
+	errs := make([]error, len(spans))
+	parallel(len(spans), func(i int) {
+		errs[i] = asm.decode(uint32(i), types[i], spans[i].b, spans[i].slab)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	return asm.finish()
+}
+
+// boundsSlab locates the int32 slab of a section payload whose every
+// value its decoder bounds-checks — the graph's neighbor ids or the
+// dataset's items — for scan to max-reduce. It reads the section header
+// before the CRC has vouched for it, so it goes through the decoder's
+// own header checks (plausible dimensions, exact payload size) and
+// returns nil wherever the decoder will reject the header anyway, for
+// other section types, and for a slab that does not start 4-byte
+// aligned in memory (one the view decoder refuses).
+func boundsSlab(typ uint32, payload []byte) *slabMax {
+	var lo, n int
+	switch typ {
+	case secGraph:
+		h, err := readGraphHeader(payload)
+		if err != nil {
+			return nil
+		}
+		lo, n = h.lay.ids, h.m
+	case secDataset:
+		h, err := readDatasetHeader(payload)
+		if err != nil {
+			return nil
+		}
+		lo, n = h.lay.items, h.ratings
+	default:
+		return nil
+	}
+	if n > 0 && uintptr(unsafe.Pointer(&payload[lo]))%4 != 0 {
+		return nil
+	}
+	return &slabMax{lo: lo, hi: lo + 4*n}
 }
 
 // readPayload reads exactly length bytes in bounded chunks, so a
@@ -606,60 +708,98 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-// decodeGraph decodes a graph payload, as aliasing views when
-// view is set (payload must be 64-byte-aligned) or as owned copies.
-func decodeGraph(payload []byte, view bool) (*knng.Frozen, error) {
+// graphHeader is a graph payload's checked header.
+type graphHeader struct {
+	k, n, m int
+	lay     graphLayout
+}
+
+// readGraphHeader reads a graph payload's header and checks its
+// dimensions for plausibility and against the payload size.
+func readGraphHeader(payload []byte) (graphHeader, error) {
 	if len(payload) < 64 {
-		return nil, fmt.Errorf("graph payload too short (%d bytes)", len(payload))
+		return graphHeader{}, fmt.Errorf("graph payload too short (%d bytes)", len(payload))
 	}
 	k := binary.LittleEndian.Uint32(payload[0:])
 	n := binary.LittleEndian.Uint64(payload[8:])
 	m := binary.LittleEndian.Uint64(payload[16:])
 	if n > maxUsers || m > maxEdges || k > maxK {
-		return nil, fmt.Errorf("implausible graph dimensions: k=%d users=%d edges=%d", k, n, m)
+		return graphHeader{}, fmt.Errorf("implausible graph dimensions: k=%d users=%d edges=%d", k, n, m)
 	}
 	lay := graphLayoutOf(int(n), int(m))
 	if len(payload) != lay.size {
-		return nil, fmt.Errorf("graph payload is %d bytes, dimensions require %d", len(payload), lay.size)
+		return graphHeader{}, fmt.Errorf("graph payload is %d bytes, dimensions require %d", len(payload), lay.size)
 	}
-	offsets, err := sliceI64(payload[lay.offs:lay.offs+8*(int(n)+1)], view)
-	if err != nil {
-		return nil, err
-	}
-	ids, err := sliceI32(payload[lay.ids:lay.ids+4*int(m)], view)
-	if err != nil {
-		return nil, err
-	}
-	sims, err := sliceF32(payload[lay.sims:lay.sims+4*int(m)], view)
-	if err != nil {
-		return nil, err
-	}
-	return knng.NewFrozenView(int(k), offsets, ids, sims)
+	return graphHeader{k: int(k), n: int(n), m: int(m), lay: lay}, nil
 }
 
-// decodeDataset decodes a dataset payload.
-func decodeDataset(payload []byte, view bool) (*dataset.Dataset, error) {
+// decodeGraph decodes a graph payload, as aliasing views when
+// view is set (payload must be 64-byte-aligned) or as owned copies.
+// pre may carry the neighbor-id slab's maximum (see slabMax.of).
+func decodeGraph(payload []byte, view bool, pre *slabMax) (*knng.Frozen, error) {
+	h, err := readGraphHeader(payload)
+	if err != nil {
+		return nil, err
+	}
+	lay := h.lay
+	offsets, err := sliceI64(payload[lay.offs:lay.offs+8*(h.n+1)], view)
+	if err != nil {
+		return nil, err
+	}
+	ids, err := sliceI32(payload[lay.ids:lay.ids+4*h.m], view)
+	if err != nil {
+		return nil, err
+	}
+	sims, err := sliceF32(payload[lay.sims:lay.sims+4*h.m], view)
+	if err != nil {
+		return nil, err
+	}
+	return knng.NewFrozenView(h.k, offsets, ids, sims, pre.of(lay.ids, lay.ids+4*h.m, ids))
+}
+
+// datasetHeader is a dataset payload's checked header.
+type datasetHeader struct {
+	nameLen, n, ratings int
+	numItems            uint32
+	lay                 dsLayout
+}
+
+// readDatasetHeader reads a dataset payload's header and checks its
+// dimensions for plausibility and against the payload size.
+func readDatasetHeader(payload []byte) (datasetHeader, error) {
 	if len(payload) < 64 {
-		return nil, fmt.Errorf("dataset payload too short (%d bytes)", len(payload))
+		return datasetHeader{}, fmt.Errorf("dataset payload too short (%d bytes)", len(payload))
 	}
 	nameLen := binary.LittleEndian.Uint32(payload[0:])
 	numItems := binary.LittleEndian.Uint32(payload[4:])
 	n := binary.LittleEndian.Uint64(payload[8:])
 	ratings := binary.LittleEndian.Uint64(payload[16:])
 	if n > maxUsers || ratings > maxEdges || numItems > maxItems || nameLen > math.MaxUint16 {
-		return nil, fmt.Errorf("implausible dataset dimensions: users=%d ratings=%d items=%d nameLen=%d",
+		return datasetHeader{}, fmt.Errorf("implausible dataset dimensions: users=%d ratings=%d items=%d nameLen=%d",
 			n, ratings, numItems, nameLen)
 	}
 	lay := dsLayoutOf(int(nameLen), int(n), int(ratings))
 	if len(payload) != lay.size {
-		return nil, fmt.Errorf("dataset payload is %d bytes, dimensions require %d", len(payload), lay.size)
+		return datasetHeader{}, fmt.Errorf("dataset payload is %d bytes, dimensions require %d", len(payload), lay.size)
 	}
-	name := string(payload[lay.name : lay.name+int(nameLen)])
-	items, err := sliceI32(payload[lay.items:lay.items+4*int(ratings)], view)
+	return datasetHeader{nameLen: int(nameLen), n: int(n), ratings: int(ratings), numItems: numItems, lay: lay}, nil
+}
+
+// decodeDataset decodes a dataset payload. pre may carry the item
+// slab's maximum (see slabMax.of).
+func decodeDataset(payload []byte, view bool, pre *slabMax) (*dataset.Dataset, error) {
+	h, err := readDatasetHeader(payload)
 	if err != nil {
 		return nil, err
 	}
-	profiles := make([][]int32, n)
+	lay := h.lay
+	name := string(payload[lay.name : lay.name+h.nameLen])
+	items, err := sliceI32(payload[lay.items:lay.items+4*h.ratings], view)
+	if err != nil {
+		return nil, err
+	}
+	ratings := uint64(h.ratings)
+	profiles := make([][]int32, h.n)
 	var total uint64
 	for u := range profiles {
 		l := uint64(binary.LittleEndian.Uint32(payload[lay.lens+4*u:]))
@@ -675,92 +815,17 @@ func decodeDataset(payload []byte, view bool) (*dataset.Dataset, error) {
 	if total != ratings {
 		return nil, fmt.Errorf("profile lengths sum to %d, header says %d ratings", total, ratings)
 	}
-	ds := &dataset.Dataset{Name: name, NumItems: int32(numItems), Profiles: profiles}
+	ds := &dataset.Dataset{Name: name, NumItems: int32(h.numItems), Profiles: profiles}
 	// Bounds-check the flat slab rather than profile by profile: the
 	// checked adds above prove every profile is a sub-slice of items, so
-	// one (parallel, on big slabs) scan covers them all. This scan is
-	// the dominant cost of a zero-copy load. ValidateBounds reruns the
-	// per-profile walk only to name the offending user in the error.
-	if !boundsOK(items, numItems) {
+	// its maximum covers them all. ValidateBounds reruns the per-profile
+	// walk only to name the offending user in the error.
+	if len(items) > 0 && pre.of(lay.items, lay.items+4*h.ratings, items) >= h.numItems {
 		if err := ds.ValidateBounds(); err != nil {
 			return nil, err
 		}
 	}
 	return ds, nil
-}
-
-// boundsOK reports whether every id of xs lies in [0, limit), compared
-// unsigned so negative ids fail too. Slabs past parallelScanMin are
-// split across cores — snapshot loads run on otherwise-idle replicas
-// where scan latency is the cold-start floor.
-func boundsOK(xs []int32, limit uint32) bool {
-	workers := runtime.GOMAXPROCS(0)
-	if len(xs) < parallelScanMin || workers < 2 {
-		return maxU32(xs) < limit || len(xs) == 0
-	}
-	if workers > 8 {
-		workers = 8
-	}
-	chunk := (len(xs) + workers - 1) / workers
-	var bad atomic.Bool
-	var wg sync.WaitGroup
-	for start := 0; start < len(xs); start += chunk {
-		end := start + chunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		wg.Add(1)
-		go func(part []int32) {
-			defer wg.Done()
-			if maxU32(part) >= limit {
-				bad.Store(true)
-			}
-		}(xs[start:end])
-	}
-	wg.Wait()
-	return !bad.Load()
-}
-
-// parallelScanMin is the slab size (in elements) below which boundsOK
-// stays single-threaded; under it goroutine fan-out costs more than the
-// scan.
-const parallelScanMin = 1 << 17
-
-// maxU32 returns the maximum of xs reinterpreted as unsigned values
-// (0 for an empty slice). Four independent accumulators keep the
-// dependency chains short so the compiler emits conditional moves.
-func maxU32(xs []int32) uint32 {
-	var m0, m1, m2, m3 uint32
-	i := 0
-	for ; i+4 <= len(xs); i += 4 {
-		if v := uint32(xs[i]); v > m0 {
-			m0 = v
-		}
-		if v := uint32(xs[i+1]); v > m1 {
-			m1 = v
-		}
-		if v := uint32(xs[i+2]); v > m2 {
-			m2 = v
-		}
-		if v := uint32(xs[i+3]); v > m3 {
-			m3 = v
-		}
-	}
-	for ; i < len(xs); i++ {
-		if v := uint32(xs[i]); v > m0 {
-			m0 = v
-		}
-	}
-	if m1 > m0 {
-		m0 = m1
-	}
-	if m2 > m0 {
-		m0 = m2
-	}
-	if m3 > m0 {
-		m0 = m3
-	}
-	return m0
 }
 
 // decodeGoldFinger decodes a fingerprint payload.

@@ -106,6 +106,8 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "c2_snapshot_swaps_total %d\n", stats.swaps.Load())
 	counter("c2_reload_failures_total", "Snapshot reloads refused (old epoch kept serving).")
 	fmt.Fprintf(w, "c2_reload_failures_total %d\n", stats.reloadFail.Load())
+	gauge("c2_persist_load_ms", "Snapshot load time of the last successful reload or compaction swap (persist.load_ms); 0 before the first.")
+	fmt.Fprintf(w, "c2_persist_load_ms %.3f\n", stats.loadMS())
 
 	gauge("c2_uptime_seconds", "Seconds since the daemon started.")
 	fmt.Fprintf(w, "c2_uptime_seconds %.3f\n", time.Since(stats.start).Seconds())

@@ -304,7 +304,9 @@ func (s *Server) Reload() error {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
+	start := time.Now()
 	ix, err := c2knn.LoadIndexMode(s.cfg.SnapshotPath, s.cfg.LoadMode)
+	loaded := time.Since(start)
 	if err != nil {
 		err = fmt.Errorf("server: reload %s: %w", s.cfg.SnapshotPath, err)
 		// Surface the refusal on /statsz and /metrics: the old epoch
@@ -329,6 +331,7 @@ func (s *Server) Reload() error {
 	s.st.Store(&state{ix: ix, epoch: old.epoch + 1})
 	s.cache.Flush() // see Swap: free the budgets the dead epoch held
 	s.stats.RecordSwap()
+	s.stats.RecordLoad(loaded)
 	// The displaced index's mapping (if any) is released once its last
 	// in-flight request drains.
 	old.ix.Close()

@@ -164,6 +164,10 @@ type Stats struct {
 	cacheHits  atomic.Uint64
 	cacheMiss  atomic.Uint64
 	swaps      atomic.Uint64
+	// loadNanos is how long the last successful Reload or compaction
+	// swap took to load its snapshot (c2knn.LoadIndexMode), 0 before
+	// the first.
+	loadNanos atomic.Int64
 
 	// Hardening counters (fed by the middleware stack and the
 	// handlers' failure paths; see /metrics for their exported names).
@@ -236,6 +240,13 @@ func (st *Stats) RecordBadRequest() { st.badRequest.Add(1) }
 
 // RecordSwap accounts one successful snapshot hot-swap.
 func (st *Stats) RecordSwap() { st.swaps.Add(1) }
+
+// RecordLoad remembers the snapshot load time of a successful Reload or
+// compaction swap, reported as persist.load_ms.
+func (st *Stats) RecordLoad(d time.Duration) { st.loadNanos.Store(int64(d)) }
+
+// loadMS returns the last recorded snapshot load time in milliseconds.
+func (st *Stats) loadMS() float64 { return float64(st.loadNanos.Load()) / 1e6 }
 
 // RecordPanic accounts one recovered handler panic (the request was
 // answered with 500 and the daemon kept running).
@@ -359,6 +370,12 @@ type Snapshot struct {
 	Users int    `json:"users"`
 	K     int    `json:"k"`
 
+	// LoadMS is the snapshot load time of the last successful Reload or
+	// compaction swap, under the benchmark's layer name, so a live swap
+	// compares directly with a perfbench record; absent before the
+	// first.
+	LoadMS float64 `json:"persist.load_ms,omitempty"`
+
 	// SimKernel names the similarity count kernel this process selected
 	// at startup ("avx512", "avx2", "neon", "scalar") — operators
 	// reading /statsz can tell at a glance whether a replica is running
@@ -429,6 +446,7 @@ func (st *Stats) snapshot() Snapshot {
 		CacheHits:   st.cacheHits.Load(),
 		CacheMisses: st.cacheMiss.Load(),
 		Swaps:       st.swaps.Load(),
+		LoadMS:      st.loadMS(),
 	}
 	s.Panics = st.panics.Load()
 	s.Shed = st.shed.Load()

@@ -183,7 +183,9 @@ func (s *Server) CompactNow() (CompactResult, error) {
 		s.stats.RecordCompactionFailure(err.Error())
 		return CompactResult{}, err
 	}
+	loadStart := time.Now()
 	ix, err := c2knn.LoadIndexMode(s.cfg.SnapshotPath, s.cfg.LoadMode)
+	loaded := time.Since(loadStart)
 	if err != nil {
 		err = fmt.Errorf("server: reload compacted %s: %w", s.cfg.SnapshotPath, err)
 		s.stats.RecordCompactionFailure(err.Error())
@@ -199,6 +201,7 @@ func (s *Server) CompactNow() (CompactResult, error) {
 	s.cache.Flush()
 	s.stats.RecordSwap()
 	s.stats.RecordCompaction()
+	s.stats.RecordLoad(loaded)
 	// Readers still draining on the old index fall back to its plain
 	// base rows (memory-safe; the overlay now serves through the new
 	// index only). Its mapping unmaps once the last of them releases.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,5 +336,55 @@ func TestServerCompactorBackgroundLoop(t *testing.T) {
 	getJSON(t, ts.URL+"/statsz", &st)
 	if st.Compactions == 0 {
 		t.Fatalf("statsz compactions = 0 after background folding")
+	}
+}
+
+// TestServerReportsLoadTime: a successful Reload and a compaction swap
+// each publish their snapshot load time as persist.load_ms on /statsz
+// and as c2_persist_load_ms on /metrics; before either, /statsz omits it.
+func TestServerReportsLoadTime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.c2")
+	ix := testIndex(t, 1)
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, ix, Config{SnapshotPath: path, Upserts: true, LoadMode: envLoadMode(t)})
+	loadMS := func() (statsz float64, present bool, metrics string) {
+		t.Helper()
+		var raw map[string]any
+		getJSON(t, ts.URL+"/statsz", &raw)
+		v, ok := raw["persist.load_ms"].(float64)
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(text), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == "c2_persist_load_ms" {
+				metrics = f[1]
+			}
+		}
+		return v, ok, metrics
+	}
+	if v, ok, m := loadMS(); ok || m != "0.000" {
+		t.Fatalf("before any reload: statsz persist.load_ms=%v (present %v), metrics %q", v, ok, m)
+	}
+	if err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	v, ok, m := loadMS()
+	if !ok || v <= 0 || m == "" || m == "0.000" {
+		t.Fatalf("after Reload: statsz persist.load_ms=%v (present %v), metrics %q", v, ok, m)
+	}
+	if code, body := postBody(t, ts.URL+"/v1/upsert", `{"items":[1,2,3]}`); code != http.StatusOK {
+		t.Fatalf("upsert: status %d: %s", code, body)
+	}
+	s.stats.RecordLoad(0)
+	if _, err := s.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, _ := loadMS(); !ok || v <= 0 {
+		t.Fatalf("after compaction: statsz persist.load_ms=%v (present %v)", v, ok)
 	}
 }

@@ -147,3 +147,33 @@ func Equal(a, b []int32) bool {
 	}
 	return true
 }
+
+// MaxU32 returns the maximum of s reinterpreted as unsigned values (0
+// for an empty slice). Bounds checks use it to fold "x < 0" and
+// "x >= limit" into one test: negative ids map high. The slice need not
+// be sorted. Four independent accumulators keep the dependency chains
+// short so the compiler emits conditional moves.
+func MaxU32(s []int32) uint32 {
+	var m0, m1, m2, m3 uint32
+	i := 0
+	for ; i+4 <= len(s); i += 4 {
+		if v := uint32(s[i]); v > m0 {
+			m0 = v
+		}
+		if v := uint32(s[i+1]); v > m1 {
+			m1 = v
+		}
+		if v := uint32(s[i+2]); v > m2 {
+			m2 = v
+		}
+		if v := uint32(s[i+3]); v > m3 {
+			m3 = v
+		}
+	}
+	for ; i < len(s); i++ {
+		if v := uint32(s[i]); v > m0 {
+			m0 = v
+		}
+	}
+	return max(m0, m1, m2, m3)
+}

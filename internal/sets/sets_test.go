@@ -214,3 +214,25 @@ func BenchmarkIntersectCountGalloping(b *testing.B) {
 		IntersectCount(x, y)
 	}
 }
+
+func TestMaxU32(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n < 40; n++ {
+		s := make([]int32, n)
+		for i := range s {
+			s[i] = int32(rng.Uint32())
+		}
+		var want uint32
+		for _, v := range s {
+			if uint32(v) > want {
+				want = uint32(v)
+			}
+		}
+		if got := MaxU32(s); got != want {
+			t.Fatalf("n=%d: MaxU32 = %d, want %d", n, got, want)
+		}
+	}
+	if got := MaxU32([]int32{3, -1, 7}); got != 1<<32-1 {
+		t.Fatalf("MaxU32 with -1 = %d, want %d (negative values compare high)", got, uint32(1<<32-1))
+	}
+}
