@@ -3,8 +3,8 @@
 // mutable build structure it replaces. BenchmarkServeFrozenNeighbors vs
 // BenchmarkServeGraphNeighbors is the acceptance pair — the frozen view
 // must be allocation-free and at least 2x the alloc-and-sort path.
-// scripts/bench-serve.sh records the same comparison as
-// benchmarks/BENCH_serve.json for the CI gate.
+// `c2bench -exp serve` runs the same comparison and fails below its
+// floors (ServeSummary.Floors).
 package c2knn_test
 
 import (

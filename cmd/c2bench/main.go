@@ -11,14 +11,17 @@
 //
 // Experiments: table1, table2, table3, table4, table5, fig6, fig7, fig8,
 // theory, ablations, pipeline, serve, serve-http, solve, shard, load, update, all.
+//
+// The pipeline, serve, serve-http, solve, shard, load and update
+// experiments carry floors (see their summaries' Floors methods in
+// internal/experiments). After the run c2bench prints each one's
+// verdict and exits 1 if any floor failed.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -28,7 +31,6 @@ import (
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, theory, ablations, pipeline, serve, serve-http, solve, shard, load, update, all")
-		jsonOut  = flag.String("json", "", "write the pipeline/serve/serve-http/solve/shard/load/update experiment's summary as JSON to this file (CI records them as benchmarks/BENCH_pipeline.json, BENCH_serve.json, BENCH_http.json, BENCH_solve.json, BENCH_shard.json, BENCH_load.json and BENCH_update.json); when several such experiments run, the experiment name is inserted before the extension")
 		scale    = flag.Float64("scale", 0.05, "dataset scale factor (1 = paper size)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", 42, "master random seed")
@@ -53,69 +55,29 @@ func main() {
 		names = strings.Split(*datasets, ",")
 	}
 
-	// Assigned after toRun is known; runners only call it at run time.
-	var jsonPath func(string) string
-
-	runners := map[string]func() error{
-		"table1":    func() error { _, err := env.Table1(); return err },
-		"table2":    func() error { _, err := env.Table2(names); return err },
-		"table3":    func() error { _, err := env.Table3(names); return err },
-		"table4":    func() error { _, err := env.Table4(); return err },
-		"table5":    func() error { _, err := env.Table5(); return err },
-		"fig6":      func() error { _, err := env.Fig6(); return err },
-		"fig7":      func() error { _, err := env.Fig7(); return err },
-		"fig8":      func() error { _, err := env.Fig8(); return err },
-		"theory":    func() error { _, err := env.Theory(); return err },
-		"ablations": func() error { _, err := env.Ablations(); return err },
-		"pipeline": func() error {
+	// A runner returns the summary whose floors judge the run, or nil
+	// for the paper tables and figures, which have none.
+	runners := map[string]func() (floored, error){
+		"table1":    func() (floored, error) { _, err := env.Table1(); return nil, err },
+		"table2":    func() (floored, error) { _, err := env.Table2(names); return nil, err },
+		"table3":    func() (floored, error) { _, err := env.Table3(names); return nil, err },
+		"table4":    func() (floored, error) { _, err := env.Table4(); return nil, err },
+		"table5":    func() (floored, error) { _, err := env.Table5(); return nil, err },
+		"fig6":      func() (floored, error) { _, err := env.Fig6(); return nil, err },
+		"fig7":      func() (floored, error) { _, err := env.Fig7(); return nil, err },
+		"fig8":      func() (floored, error) { _, err := env.Fig8(); return nil, err },
+		"theory":    func() (floored, error) { _, err := env.Theory(); return nil, err },
+		"ablations": func() (floored, error) { _, err := env.Ablations(); return nil, err },
+		"pipeline": func() (floored, error) {
 			_, sum, err := env.Pipeline()
-			if err != nil {
-				return err
-			}
-			return writeSummary(jsonPath("pipeline"), sum)
+			return sum, err
 		},
-		"serve": func() error {
-			sum, err := env.Serve()
-			if err != nil {
-				return err
-			}
-			return writeSummary(jsonPath("serve"), sum)
-		},
-		"serve-http": func() error {
-			sum, err := env.ServeHTTP()
-			if err != nil {
-				return err
-			}
-			return writeSummary(jsonPath("serve-http"), sum)
-		},
-		"solve": func() error {
-			sum, err := env.Solve()
-			if err != nil {
-				return err
-			}
-			return writeSummary(jsonPath("solve"), sum)
-		},
-		"shard": func() error {
-			sum, err := env.Shard()
-			if err != nil {
-				return err
-			}
-			return writeSummary(jsonPath("shard"), sum)
-		},
-		"load": func() error {
-			sum, err := env.Load()
-			if err != nil {
-				return err
-			}
-			return writeSummary(jsonPath("load"), sum)
-		},
-		"update": func() error {
-			sum, err := env.Update()
-			if err != nil {
-				return err
-			}
-			return writeSummary(jsonPath("update"), sum)
-		},
+		"serve":      func() (floored, error) { return env.Serve() },
+		"serve-http": func() (floored, error) { return env.ServeHTTP() },
+		"solve":      func() (floored, error) { return env.Solve() },
+		"shard":      func() (floored, error) { return env.Shard() },
+		"load":       func() (floored, error) { return env.Load() },
+		"update":     func() (floored, error) { return env.Update() },
 	}
 	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "theory", "ablations", "pipeline", "serve", "serve-http", "solve", "shard", "load", "update"}
 
@@ -133,42 +95,35 @@ func main() {
 		}
 	}
 
-	// When several JSON-producing experiments run in one invocation, a
-	// single -json path would be silently overwritten by the last one;
-	// disambiguate by inserting the experiment name before the extension
-	// (out.json → out.pipeline.json, out.serve.json, out.solve.json).
-	jsonProducers := 0
-	for _, name := range toRun {
-		if name == "pipeline" || name == "serve" || name == "serve-http" || name == "solve" || name == "shard" || name == "load" || name == "update" {
-			jsonProducers++
-		}
-	}
-	jsonPath = func(name string) string {
-		if *jsonOut == "" || jsonProducers <= 1 {
-			return *jsonOut
-		}
-		ext := filepath.Ext(*jsonOut)
-		return strings.TrimSuffix(*jsonOut, ext) + "." + name + ext
-	}
+	var verdicts, violations []string
 	for _, name := range toRun {
 		start := time.Now()
-		if err := runners[name](); err != nil {
+		sum, err := runners[name]()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "c2bench: %s failed: %v\n", name, err)
 			os.Exit(1)
 		}
+		if sum != nil {
+			failed := sum.Floors()
+			for _, v := range failed {
+				violations = append(violations, name+": "+v)
+			}
+			if len(failed) == 0 {
+				verdicts = append(verdicts, name+" floors held")
+			}
+		}
 		fmt.Printf("-- %s done in %v\n\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	for _, v := range verdicts {
+		fmt.Println("c2bench:", v)
+	}
+	for _, v := range violations {
+		fmt.Fprintln(os.Stderr, "c2bench: FAIL:", v)
+	}
+	if len(violations) > 0 {
+		os.Exit(1)
 	}
 }
 
-// writeSummary records an experiment's flat summary as JSON when -json
-// is given (no-op otherwise).
-func writeSummary(path string, sum any) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+// floored is a summary with legacy floors; Floors lists the violated ones.
+type floored interface{ Floors() []string }

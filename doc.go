@@ -87,7 +87,7 @@
 // "neon" selects that arm when the CPU supports it, so an AVX-512 host
 // can still test the avx2 arm. The active kernel's name is reported by
 // similarity.KernelName, surfaced in the daemon's /statsz (sim_kernel)
-// and recorded in benchmarks/BENCH_solve.json. New assembly widths
+// and printed by `c2bench -exp solve`. New assembly widths
 // follow the same pattern: exact integer counts, one contiguous run per
 // call, the remainder in Go, and a byte-identity test of every arm
 // against the scalar reference before dispatch is wired up.

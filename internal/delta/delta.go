@@ -61,7 +61,7 @@
 // untouched (reverse edges beyond the local patch appear only at the
 // next full rebuild), and a profile update does not re-score rows that
 // held the user before the update. The equivalence experiment
-// (experiments.Update, BENCH_update.json) measures the effect: recall
+// (experiments.Update, `c2bench -exp update`) measures the effect: recall
 // after absorbing a user stream stays within the golden band of a
 // from-scratch build.
 package delta

@@ -232,8 +232,8 @@ func TestAblationsRun(t *testing.T) {
 }
 
 // TestServeHTTPRun drives the daemon load experiment end to end on a
-// tiny preset: the correctness gates CI enforces on BENCH_http.json
-// must hold here too — no failed or mismatched responses through the
+// tiny preset: the correctness floors CI enforces on the serve-http
+// experiment must hold here too — no failed or mismatched responses through the
 // mid-load hot swap, and an allocation-free cache-hit path.
 func TestServeHTTPRun(t *testing.T) {
 	e := tinyEnv()
@@ -265,8 +265,8 @@ func TestServeHTTPRun(t *testing.T) {
 }
 
 // TestSoakRun drives the fault-injection soak end to end on a tiny
-// preset with a short window: every invariant the CI gate enforces on
-// BENCH_soak.json must hold here too — zero failed/mismatched
+// preset with a short window: every invariant the CI soak enforces
+// must hold here too — zero failed/mismatched
 // well-formed requests, every fault class provoked and answered with
 // its documented status, the corrupt-reload runbook survived, and the
 // /metrics counters reconciled exactly with the harness accounting.
@@ -348,12 +348,12 @@ func TestPipelineRun(t *testing.T) {
 }
 
 // TestShardRun drives the sharded-serving experiment end to end on a
-// tiny preset: the correctness invariants the CI gate enforces on
-// BENCH_shard.json must hold here too — zero failed requests, every
+// tiny preset: the correctness invariants the CI shard run enforces
+// must hold here too — zero failed requests, every
 // routed response byte-identical to the single-process daemon's, and
 // zero partial responses while all replicas are up. Speedup is only
-// checked for sanity (> 0): it is hardware-dependent and gated
-// conditionally by scripts/bench-compare.sh, not here.
+// checked for sanity (> 0): it is hardware-dependent and judged
+// conditionally by ShardSummary.Floors, not here.
 func TestShardRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second serving comparison")

@@ -13,43 +13,43 @@ import (
 	"c2knn/internal/recommend"
 )
 
-// LoadSummary condenses the cold-start experiment into the flat record
-// CI tracks (benchmarks/BENCH_load.json): how fast a serving replica
-// goes from a snapshot file on a warm page cache to its first answered
-// recommendation, and how much heap each replica then holds, for the
-// mmap (zero-copy view) load path versus the copy-decode path.
+// LoadSummary condenses the cold-start experiment, judged by its
+// Floors: how fast a serving replica goes from a snapshot file on a warm
+// page cache to its first answered recommendation, and how much heap
+// each replica then holds, for the mmap (zero-copy view) load path
+// versus the copy-decode path.
 type LoadSummary struct {
-	Dataset       string `json:"dataset"`
-	Users         int    `json:"users"`
-	Edges         int    `json:"edges"`
-	SnapshotBytes int64  `json:"snapshot_bytes"`
+	Dataset       string
+	Users         int
+	Edges         int
+	SnapshotBytes int64
 
 	// Mapped reports whether the mmap path is available here (unix,
-	// little-endian). When false only the copy numbers are real and the
-	// bench-compare gate skips the mmap clauses.
-	Mapped bool `json:"mapped"`
+	// little-endian). When false only the copy numbers are real and
+	// Floors judges only Identical.
+	Mapped bool
 
 	// Cold-start-to-first-query: open the snapshot, materialize the
 	// index artifacts, build scoring scratch, answer one recommendation.
 	// Page cache warm (the restart/new-replica case the mmap path
 	// targets), best-of interleaved passes.
-	MMapFirstQueryMS float64 `json:"mmap_first_query_ms"`
-	CopyFirstQueryMS float64 `json:"copy_first_query_ms"`
-	LoadSpeedup      float64 `json:"load_speedup"` // copy / mmap
+	MMapFirstQueryMS float64
+	CopyFirstQueryMS float64
+	LoadSpeedup      float64 // copy / mmap
 
 	// Heap held per loaded replica (MemStats.HeapAlloc delta after GC):
 	// the copy path owns every decoded array; the mmap path owns slice
 	// headers and scratch while the slabs stay in the (shared) page
 	// cache. This is the RSS-per-replica story — N mapped replicas on a
 	// host share one physical copy of the slabs.
-	MMapHeapBytes int64 `json:"mmap_heap_bytes"`
-	CopyHeapBytes int64 `json:"copy_heap_bytes"`
+	MMapHeapBytes int64
+	CopyHeapBytes int64
 
 	// Identical is the equivalence verdict: both paths loaded the same
 	// file into bitwise-identical structures (raw float bits compared)
 	// answering identical queries. Trivially true when the mmap path is
 	// unavailable (nothing to diverge).
-	Identical bool `json:"identical"`
+	Identical bool
 }
 
 // Load measures the snapshot cold-start paths on the ml1M preset: one

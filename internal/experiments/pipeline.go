@@ -22,16 +22,16 @@ type PipelineRow struct {
 	Quality       float64
 }
 
-// PipelineSummary condenses a pipeline run into the flat record the CI
-// benchmark tracks (benchmarks/BENCH_pipeline.json).
+// PipelineSummary condenses a pipeline run into the numbers its Floors
+// judge.
 type PipelineSummary struct {
-	Dataset      string  `json:"dataset"`
-	Workers      int     `json:"workers"`
-	PipelinedMS  float64 `json:"pipelined_ms"`
-	BarrierMS    float64 `json:"barrier_ms"`
-	Speedup      float64 `json:"speedup"`
-	OverlapMS    float64 `json:"overlap_ms"`
-	QualityRatio float64 `json:"quality_ratio"`
+	Dataset      string
+	Workers      int
+	PipelinedMS  float64
+	BarrierMS    float64
+	Speedup      float64
+	OverlapMS    float64
+	QualityRatio float64
 }
 
 // Pipeline measures what pipelining clustering into the solver pool
@@ -73,7 +73,7 @@ func (e *Env) Pipeline() ([]PipelineRow, *PipelineSummary, error) {
 	// grown-heap advantage one process offers, so handing it to the
 	// barrier biases the measured speedup (barrier/pipelined) DOWNWARD —
 	// an honest-to-conservative estimate of the pipeline's win. The
-	// bench-compare.sh gate threshold is a lenient 0.8x precisely
+	// speedup floor (PipelineSummary.Floors) is a lenient 0.8x precisely
 	// because this ordering, plus runner noise, works against the
 	// pipelined side.
 	pipelined := run("pipelined", false)

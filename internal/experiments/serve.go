@@ -9,27 +9,27 @@ import (
 	"c2knn/internal/recommend"
 )
 
-// ServeSummary condenses the serving-layer experiment into the flat
-// record CI tracks (benchmarks/BENCH_serve.json): query cost on the
-// frozen CSR path versus the mutable build structure, for both the
-// neighbor-lookup primitive and full recommendation queries.
+// ServeSummary condenses the serving-layer experiment, judged by its
+// Floors: query cost on the frozen CSR path versus the mutable build
+// structure, for both the neighbor-lookup primitive and full
+// recommendation queries.
 type ServeSummary struct {
-	Dataset string `json:"dataset"`
-	Workers int    `json:"workers"`
-	Queries int    `json:"queries"`
+	Dataset string
+	Workers int
+	Queries int
 
 	// Full recommendation queries (user-based CF, top-30).
-	QueriesPerSec    float64 `json:"queries_per_sec"`    // concurrent, frozen path
-	NsPerQuery       float64 `json:"ns_per_query"`       // serial, frozen path
-	AllocsPerQuery   float64 `json:"allocs_per_query"`   // serial, frozen path
-	GraphNsPerQuery  float64 `json:"graph_ns_per_query"` // serial, mutable-graph map path
-	RecommendSpeedup float64 `json:"recommend_speedup"`  // graph / frozen
+	QueriesPerSec    float64 // concurrent, frozen path
+	NsPerQuery       float64 // serial, frozen path
+	AllocsPerQuery   float64 // serial, frozen path
+	GraphNsPerQuery  float64 // serial, mutable-graph map path
+	RecommendSpeedup float64 // graph / frozen
 
 	// Bare neighbor lookups — the primitive every serving read pays.
-	NeighborsNs      float64 `json:"neighbors_ns"`               // frozen view
-	GraphNeighborsNs float64 `json:"graph_neighbors_ns"`         // alloc + sort per call
-	NeighborsSpeedup float64 `json:"neighbors_speedup"`          // graph / frozen
-	NeighborsAllocs  float64 `json:"neighbors_allocs_per_query"` // frozen; must be 0
+	NeighborsNs      float64 // frozen view
+	GraphNeighborsNs float64 // alloc + sort per call
+	NeighborsSpeedup float64 // graph / frozen
+	NeighborsAllocs  float64 // frozen; must be 0
 }
 
 // Serve measures the build/serve split on the ml1M preset: one C² graph

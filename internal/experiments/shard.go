@@ -17,36 +17,35 @@ import (
 	"c2knn/internal/server"
 )
 
-// ShardSummary condenses the sharded-serving experiment into the flat
-// record CI tracks (benchmarks/BENCH_shard.json). The correctness
-// fields are hard gates in scripts/bench-compare.sh: FailedReqs,
-// MismatchedResps (routed bodies byte-compared against the
-// single-process daemon's) and Partials must all be zero, and Speedup —
+// ShardSummary condenses the sharded-serving experiment. Its Floors
+// judge the correctness fields: FailedReqs, MismatchedResps (routed
+// bodies byte-compared against the single-process daemon's) and
+// Partials must all be zero, and Speedup —
 // routed throughput over the single-process baseline at the same
 // per-process worker budget — must clear 1.8x at 2 shards, or the
 // scatter-gather tier is costing more than the parallelism it buys.
 type ShardSummary struct {
-	Dataset string `json:"dataset"`
-	Users   int    `json:"users"`
-	Shards  int    `json:"shards"`
-	Workers int    `json:"workers_per_process"`
+	Dataset string
+	Users   int
+	Shards  int
+	Workers int
 	// Cores is GOMAXPROCS at run time. Sharded speedup needs real
 	// parallel hardware: on a 1-core box two shard workers time-slice
-	// one CPU and the best possible speedup is 1.0x, so the
-	// bench-compare gate only judges Speedup when Cores >= Shards.
-	Cores int `json:"cores"`
+	// one CPU and the best possible speedup is 1.0x, so Floors only
+	// judges Speedup when Cores >= Shards.
+	Cores int
 
-	Clients   int `json:"clients"`
-	BatchSize int `json:"batch_size"`
-	Requests  int `json:"requests"` // per phase (same plan both phases)
+	Clients   int
+	BatchSize int
+	Requests  int // per phase (same plan both phases)
 
-	FailedReqs      int `json:"failed_requests"`
-	MismatchedResps int `json:"mismatched_responses"` // routed body != single-process body
-	Partials        int `json:"partial_responses"`
+	FailedReqs      int
+	MismatchedResps int // routed body != single-process body
+	Partials        int
 
-	SingleQPS float64 `json:"qps_single"`
-	RoutedQPS float64 `json:"qps_routed"`
-	Speedup   float64 `json:"speedup"`
+	SingleQPS float64
+	RoutedQPS float64
+	Speedup   float64
 }
 
 // Shard is the sharded-serving experiment: one C² index served two

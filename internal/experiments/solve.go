@@ -11,30 +11,29 @@ import (
 	"c2knn/internal/similarity"
 )
 
-// SolveSummary condenses the local-solve experiment into the flat
-// record CI tracks (benchmarks/BENCH_solve.json): the cost of solving
-// one gathered cluster through the blocked row-kernel path
-// (bruteforce.LocalInto / hyrec.LocalInto) versus the frozen
-// pair-at-a-time references (LocalIntoScalar), on the paper's default
-// GoldFinger configuration.
+// SolveSummary condenses the local-solve experiment, judged by its
+// Floors: the cost of solving one gathered cluster through the blocked
+// row-kernel path (bruteforce.LocalInto / hyrec.LocalInto) versus the
+// frozen pair-at-a-time references (LocalIntoScalar), on the paper's
+// default GoldFinger configuration.
 type SolveSummary struct {
-	Dataset string `json:"dataset"`
-	K       int    `json:"k"`
+	Dataset string
+	K       int
 
 	// Brute-force solves at the historical 400-member kernel-bench
 	// cluster and at 1600 members (near the splitting threshold, where
-	// the O(m²) cost of a real build concentrates). The gate reads the
+	// the O(m²) cost of a real build concentrates). The floors read the
 	// large-cluster speedup — that is where the wall-clock lives — and
 	// the allocation count of the blocked path.
-	ClusterSmall   int     `json:"cluster_small"`
-	SmallBlockedMS float64 `json:"small_blocked_ms"`
-	SmallScalarMS  float64 `json:"small_scalar_ms"`
-	SmallSpeedup   float64 `json:"small_speedup"`
-	ClusterLarge   int     `json:"cluster_large"`
-	LargeBlockedMS float64 `json:"large_blocked_ms"`
-	LargeScalarMS  float64 `json:"large_scalar_ms"`
-	SolveSpeedup   float64 `json:"solve_speedup"`
-	AllocsPerSolve float64 `json:"allocs_per_solve"`
+	ClusterSmall   int
+	SmallBlockedMS float64
+	SmallScalarMS  float64
+	SmallSpeedup   float64
+	ClusterLarge   int
+	LargeBlockedMS float64
+	LargeScalarMS  float64
+	SolveSpeedup   float64
+	AllocsPerSolve float64
 
 	// Kernel is the similarity count kernel the blocked numbers above
 	// were measured with ("scalar", "avx2", "avx512", "neon");
@@ -42,11 +41,11 @@ type SolveSummary struct {
 	// the same solve with the kernel forced to scalar — the
 	// vectorization's isolated contribution (1.0 when the active kernel
 	// already is scalar).
-	Kernel         string  `json:"kernel"`
-	KernelSpeedup  float64 `json:"kernel_speedup"`
-	HyrecBlockedMS float64 `json:"hyrec_blocked_ms"`
-	HyrecScalarMS  float64 `json:"hyrec_scalar_ms"`
-	HyrecSpeedup   float64 `json:"hyrec_speedup"`
+	Kernel         string
+	KernelSpeedup  float64
+	HyrecBlockedMS float64
+	HyrecScalarMS  float64
+	HyrecSpeedup   float64
 }
 
 // solveRounds times fn over enough repetitions to dominate timer noise

@@ -13,45 +13,44 @@ import (
 	"c2knn/internal/recommend"
 )
 
-// UpdateSummary condenses the incremental-maintenance experiment into
-// the flat record CI tracks (benchmarks/BENCH_update.json): how fast
-// the delta overlay absorbs a profile (the sub-second freshness
-// headline), whether the merged read path stays allocation-free, and —
-// the quality clause — how far a graph grown through upserts plus one
-// compaction lands from the graph a from-scratch rebuild would produce
-// on the same data.
+// UpdateSummary condenses the incremental-maintenance experiment,
+// judged by its Floors: how fast the delta overlay absorbs a profile
+// (the sub-second freshness headline), whether the merged read path
+// stays allocation-free, and — the quality clause — how far a graph
+// grown through upserts plus one compaction lands from the graph a
+// from-scratch rebuild would produce on the same data.
 type UpdateSummary struct {
-	Dataset   string `json:"dataset"`
-	K         int    `json:"k"`
-	BaseUsers int    `json:"base_users"`
+	Dataset   string
+	K         int
+	BaseUsers int
 
 	// Upserts profiles were absorbed one at a time through the overlay;
 	// the percentiles are per-absorbed-profile wall times. The p99 is
-	// the freshness number the gate bounds at one second — each of
+	// the freshness number Floors bounds at one second — each of
 	// these placements re-solved only the clusters the profile hashes
 	// into, never the graph.
-	Upserts     int     `json:"upserts"`
-	UpsertP50MS float64 `json:"upsert_p50_ms"`
-	UpsertP99MS float64 `json:"upsert_p99_ms"`
+	Upserts     int
+	UpsertP50MS float64
+	UpsertP99MS float64
 
 	// MergedReadAllocs is the allocation count per merged neighbor+
-	// profile read against the overlay view (gate: exactly 0 — the
+	// profile read against the overlay view (floor: exactly 0 — the
 	// serving hot path must not regress when upserts are enabled).
-	MergedReadAllocs float64 `json:"merged_read_allocs"`
+	MergedReadAllocs float64
 
 	// CompactMS is one background fold: base + delta re-assembled into
 	// fresh validated artifacts (snapshot write excluded — that cost is
-	// the load path's story, tracked by BENCH_load.json).
-	CompactMS float64 `json:"compact_ms"`
+	// the load path's story, measured by the load experiment).
+	CompactMS float64
 
 	// Recall of the rebuilt-from-scratch graph versus the graph that
 	// reached the same user set incrementally (build on a truncated
 	// base, upsert the held-out profiles, compact). The delta between
-	// them is scale-free and gated at 0.005 — the same tolerance the
+	// them is scale-free and bounded at 0.005 — the same tolerance the
 	// golden recall test grants legitimate float-ordering jitter.
-	RecallRebuild     float64 `json:"recall_rebuild"`
-	RecallIncremental float64 `json:"recall_incremental"`
-	RecallDelta       float64 `json:"recall_delta"`
+	RecallRebuild     float64
+	RecallIncremental float64
+	RecallDelta       float64
 }
 
 // Update measures incremental maintenance on the ml1M preset: a

@@ -821,9 +821,9 @@ func (s *Server) serveDelay(w http.ResponseWriter, r *http.Request) {
 // recommend fast path: it primes the cache with one (user, n) query,
 // then replays it iters times and returns the mean allocation count per
 // replay, as runtime.MemStats sees it. Zero is the contract the
-// BENCH_http.json gate enforces. It pins the process to one P, as
-// testing.AllocsPerRun does, so other goroutines' allocations stay off
-// the counter; call it on an otherwise idle server.
+// serve-http experiment's floors enforce. It pins the process to one P,
+// as testing.AllocsPerRun does, so other goroutines' allocations stay
+// off the counter; call it on an otherwise idle server.
 func (s *Server) CacheHitAllocs(u int32, n, iters int) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s.answer(context.Background(), EpRecommend, u, nil, n) // prime (marshal + insert)

@@ -293,7 +293,7 @@ func TestServerHealthzStatsz(t *testing.T) {
 
 // TestServerCacheHitZeroAlloc: the whole internal fast path — key
 // build, shard lookup, recency update — must not allocate on a hit.
-// This is the property the BENCH_http.json gate tracks in CI.
+// This is the property the serve-http experiment's floors check in CI.
 func TestServerCacheHitZeroAlloc(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates; the non-race run enforces this")

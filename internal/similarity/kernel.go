@@ -52,7 +52,7 @@ import (
 // as "avx2", "avx512" or "neon" demands that kernel and falls back to
 // scalar with a warning when the hardware lacks it). The active kernel
 // name is surfaced by KernelName — c2serve reports it in /statsz,
-// c2bench records it in BENCH_solve.json — so a benchmark record
+// c2bench prints it with the solve experiment — so a benchmark run
 // always says which arm it measured.
 
 // kernelChunk is the number of rows BitSimRow scores per count-kernel

@@ -10,9 +10,9 @@
 // Brute force is measured at two cluster sizes: 400 is the historical
 // kernel-bench cluster, 1600 sits near the splitting threshold N=2000 —
 // and since a solve costs O(m²), clusters of that size are where a real
-// build's brute-force wall-clock concentrates. scripts/bench-solve.sh
-// records the same comparison as benchmarks/BENCH_solve.json and
-// bench-compare.sh gates the speedup and the zero-allocation contract.
+// build's brute-force wall-clock concentrates. `c2bench -exp solve`
+// runs the same comparison and fails below its speedup and
+// zero-allocation floors (SolveSummary.Floors).
 // See EXPERIMENTS.md for measured numbers and the discussion of where
 // the remaining time goes.
 package c2knn_test
