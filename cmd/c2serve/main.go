@@ -53,9 +53,11 @@
 // -read-only and answer writes with 403 and a typed body, as does the
 // router role (a router that proxied writes would split the write
 // stream across replicas — the delta-skew probe below catches exactly
-// that operator error).
+// that operator error). -snap and -upserts belong to the shard role;
+// the router role refuses them with exit status 2.
 //
-// Hardening (see internal/server/middleware): every request gets an
+// Hardening, the same in both roles (one server.Front built from the
+// flags; see internal/server/middleware): every request gets an
 // X-Request-ID; handler panics become logged 500s instead of dropped
 // connections; -timeout bounds each query (503 beyond); -max-body caps
 // request bodies (413 beyond); -inflight sheds stampedes with 429 +
@@ -112,7 +114,7 @@ func main() {
 
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request deadline on query endpoints, 503 beyond (0 disables)")
 		maxBody   = flag.Int64("max-body", 1<<20, "request body cap in bytes, 413 beyond")
-		inflight  = flag.Int("inflight", 0, "max in-flight requests before shedding with 429 (0 = 64x pool, negative disables)")
+		inflight  = flag.Int("inflight", 0, "max in-flight requests before shedding with 429 (0 = 64x -pool on a shard, 256x GOMAXPROCS on a router; negative disables)")
 		accessLog = flag.Bool("access-log", false, "log one line per completed request")
 		pprofAddr = flag.String("pprof", "", "serve /debug/pprof and /metrics on this extra admin address (empty disables; keep it on localhost)")
 		faults    = flag.Bool("fault-injection", false, "mount /admin/panic and /admin/delay (soak testing only; never in production)")
@@ -136,25 +138,40 @@ func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("c2serve: ")
 
-	switch *role {
-	case "shard":
-	case "router":
-		rcfg := routerCLI{
-			manifest: *manifest, shardAddrs: *shardAddrs,
-			hedge: *hedge, upstreamTO: *upstreamTO, healthTick: *healthTick,
-			batch: *batch, maxBody: *maxBody, timeout: *timeout, inflight: *inflight,
-			accessLog: *accessLog,
-		}
-		runRouter(rcfg, *addr, *pprofAddr, *drainTO, *readTO)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "c2serve: unknown -role %q (want shard or router)\n", *role)
+	if err := checkFlags(*role, *snap, *manifest, *shardAddrs, *upserts); err != nil {
+		fmt.Fprintln(os.Stderr, "c2serve:", err)
 		os.Exit(2)
 	}
 
-	if *snap == "" {
-		fmt.Fprintln(os.Stderr, "c2serve: -snap is required")
-		os.Exit(2)
+	// One front for both roles. Flag semantics: a 0 timeout means "off"
+	// for the user, but Front treats 0 as "use the default" — translate.
+	front := server.Front{
+		MaxBatch:       *batch,
+		MaxBodyBytes:   *maxBody,
+		RequestTimeout: *timeout,
+		MaxInFlight:    *inflight,
+		Logf:           log.Printf,
+	}
+	if *timeout == 0 {
+		front.RequestTimeout = -1
+	}
+	if *accessLog {
+		front.AccessLogf = log.Printf
+	}
+	serve := func(handler, metrics http.Handler) {
+		if *pprofAddr != "" {
+			serveAdmin(*pprofAddr, metrics)
+		}
+		listenAndServe(handler, *addr, *drainTO, *readTO)
+	}
+
+	if *role == "router" {
+		rt := newRouter(router.Config{
+			Front: front, UpstreamTimeout: *upstreamTO, HedgeAfter: *hedge, HealthEvery: *healthTick,
+		}, *manifest, *shardAddrs)
+		defer rt.Close()
+		serve(rt.Handler(), rt.MetricsHandler())
+		return
 	}
 
 	loadMode, err := c2knn.ParseLoadMode(*load)
@@ -181,32 +198,20 @@ func main() {
 	log.Printf("loaded %s in %v via %s: %d users, k=%d", *snap, time.Since(start).Round(time.Millisecond), via, ix.NumUsers(), ix.K())
 
 	cfg := server.Config{
+		Front:          front,
 		SnapshotPath:   *snap,
 		LoadMode:       loadMode,
 		MaxConcurrent:  *pool,
 		CacheEntries:   *cache,
 		CacheShards:    *shards,
-		MaxBatch:       *batch,
-		MaxBodyBytes:   *maxBody,
-		RequestTimeout: *timeout,
-		MaxInFlight:    *inflight,
-		Logf:           log.Printf,
 		FaultInjection: *faults,
-	}
-	// Flag semantics: 0 means "off" for the user, but Config treats 0 as
-	// "use the default" — translate.
-	if *timeout == 0 {
-		cfg.RequestTimeout = -1
-	}
-	if *accessLog {
-		cfg.AccessLogf = log.Printf
+		Upserts:        *upserts,
+		ReadOnly:       *readOnly,
+		UpsertParams:   c2knn.UpsertConfig{Seed: *upsertSeed},
 	}
 	if *faults {
 		log.Printf("fault injection ENABLED: /admin/panic and /admin/delay are live")
 	}
-	cfg.Upserts = *upserts
-	cfg.ReadOnly = *readOnly
-	cfg.UpsertParams = c2knn.UpsertConfig{Seed: *upsertSeed}
 	srv, err := server.New(ix, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -218,27 +223,6 @@ func main() {
 			defer stop()
 			log.Printf("background compactor: every %v, depth ≥ %d or age ≥ %v", *compactEvery, *compactDepth, *compactAge)
 		}
-	}
-
-	if *pprofAddr != "" {
-		admin := http.NewServeMux()
-		admin.HandleFunc("/debug/pprof/", pprof.Index)
-		admin.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		admin.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		admin.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		admin.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		admin.Handle("/metrics", srv.MetricsHandler())
-		adminLn, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			log.Fatalf("admin listen: %v", err)
-		}
-		log.Printf("admin (pprof + metrics) on %s", adminLn.Addr())
-		go func() {
-			adminSrv := &http.Server{Handler: admin, ReadHeaderTimeout: 10 * time.Second}
-			if err := adminSrv.Serve(adminLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("admin serve: %v", err)
-			}
-		}()
 	}
 
 	hup := make(chan os.Signal, 1)
@@ -254,7 +238,58 @@ func main() {
 		}
 	}()
 
-	listenAndServe(srv.Handler(), *addr, *drainTO, *readTO)
+	serve(srv.Handler(), srv.MetricsHandler())
+}
+
+// checkFlags rejects flag combinations c2serve cannot honour, before
+// any work starts.
+func checkFlags(role, snap, manifest, shardAddrs string, upserts bool) error {
+	switch role {
+	case "shard":
+		if snap == "" {
+			return errors.New("-snap is required")
+		}
+	case "router":
+		switch {
+		case manifest == "" || shardAddrs == "":
+			return errors.New("-role router requires -manifest and -shard-addrs")
+		case snap != "":
+			return errors.New("-snap does not apply to -role router: shard daemons load the snapshots, the router reads -manifest")
+		case upserts:
+			return errors.New("-upserts does not apply to -role router: the router refuses writes; enable them on the shard's writable daemon")
+		}
+	default:
+		return fmt.Errorf("unknown -role %q (want shard or router)", role)
+	}
+	return nil
+}
+
+// adminMux routes the admin listener: pprof plus the role's /metrics.
+func adminMux(metrics http.Handler) *http.ServeMux {
+	admin := http.NewServeMux()
+	admin.HandleFunc("/debug/pprof/", pprof.Index)
+	admin.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	admin.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	admin.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	admin.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	admin.Handle("/metrics", metrics)
+	return admin
+}
+
+// serveAdmin starts the admin listener on addr in the background. It is
+// authentication-free: bind it to localhost.
+func serveAdmin(addr string, metrics http.Handler) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("admin listen: %v", err)
+	}
+	log.Printf("admin (pprof + metrics) on %s", ln.Addr())
+	go func() {
+		adminSrv := &http.Server{Handler: adminMux(metrics), ReadHeaderTimeout: 10 * time.Second}
+		if err := adminSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("admin serve: %v", err)
+		}
+	}()
 }
 
 // listenAndServe runs handler on addr with the daemon's socket
@@ -308,49 +343,19 @@ func listenAndServe(handler http.Handler, addr string, drainTO, readTO time.Dura
 	}
 }
 
-// routerCLI carries the router role's flag values.
-type routerCLI struct {
-	manifest, shardAddrs          string
-	hedge, upstreamTO, healthTick time.Duration
-	timeout                       time.Duration
-	batch                         int
-	maxBody                       int64
-	inflight                      int
-	accessLog                     bool
-}
-
-// runRouter builds the scatter-gather tier from a shard manifest and a
-// replica table and serves it.
-func runRouter(cli routerCLI, addr, pprofAddr string, drainTO, readTO time.Duration) {
-	if cli.manifest == "" || cli.shardAddrs == "" {
-		fmt.Fprintln(os.Stderr, "c2serve: -role router requires -manifest and -shard-addrs")
-		os.Exit(2)
-	}
-	m, err := persist.ReadManifestFile(cli.manifest)
+// newRouter completes cfg with the bucket-range table of the manifest
+// at manifestPath and the replica addresses of shardAddrs, and starts
+// the router.
+func newRouter(cfg router.Config, manifestPath, shardAddrs string) *router.Router {
+	m, err := persist.ReadManifestFile(manifestPath)
 	if err != nil {
 		log.Fatalf("manifest: %v", err)
 	}
-	table, err := parseShardAddrs(cli.shardAddrs)
+	table, err := parseShardAddrs(shardAddrs)
 	if err != nil {
 		log.Fatalf("shard-addrs: %v", err)
 	}
-	cfg := router.Config{
-		Buckets:         m.Buckets,
-		UpstreamTimeout: cli.upstreamTO,
-		HedgeAfter:      cli.hedge,
-		HealthEvery:     cli.healthTick,
-		MaxBatch:        cli.batch,
-		MaxBodyBytes:    cli.maxBody,
-		RequestTimeout:  cli.timeout,
-		MaxInFlight:     cli.inflight,
-		Logf:            log.Printf,
-	}
-	if cli.timeout == 0 {
-		cfg.RequestTimeout = -1
-	}
-	if cli.accessLog {
-		cfg.AccessLogf = log.Printf
-	}
+	cfg.Buckets = m.Buckets
 	for _, sh := range m.Shards {
 		replicas, ok := table[sh.ID]
 		if !ok {
@@ -366,30 +371,8 @@ func runRouter(cli routerCLI, addr, pprofAddr string, drainTO, readTO time.Durat
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer rt.Close()
 	log.Printf("router over %d shards (%d buckets, manifest epoch %d)", len(cfg.Shards), m.Buckets, m.Epoch)
-
-	if pprofAddr != "" {
-		admin := http.NewServeMux()
-		admin.HandleFunc("/debug/pprof/", pprof.Index)
-		admin.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		admin.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		admin.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		admin.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		adminLn, err := net.Listen("tcp", pprofAddr)
-		if err != nil {
-			log.Fatalf("admin listen: %v", err)
-		}
-		log.Printf("admin (pprof) on %s", adminLn.Addr())
-		go func() {
-			adminSrv := &http.Server{Handler: admin, ReadHeaderTimeout: 10 * time.Second}
-			if err := adminSrv.Serve(adminLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("admin serve: %v", err)
-			}
-		}()
-	}
-
-	listenAndServe(rt.Handler(), addr, drainTO, readTO)
+	return rt
 }
 
 // parseShardAddrs parses 'id=url|url,id=url' into a replica table.

@@ -268,22 +268,28 @@
 //
 // # Scatter-gather routing
 //
-// The router (internal/router) proxies single-user GETs verbatim from
-// the owning shard — status and body bytes untouched — and splits
-// batched POSTs into per-shard sub-batches, reassembling the responses
-// in request order from the shards' own marshaled bytes, so a routed
-// response is byte-identical to what one unsharded daemon would have
-// produced. Per-try upstream deadlines, failover to sibling replicas,
-// and hedged retries (a second replica is tried after -hedge) keep
-// tail latency bounded; when a shard is entirely unreachable the
-// router degrades instead of failing — affected users get empty
-// results and the response carries an X-C2-Partial header counting
-// them. A health loop polls replica /healthz endpoints, prefers
-// healthy replicas in rotation, and surfaces a replica stuck on an old
-// snapshot epoch after a hot swap ("epoch skew") through the same
-// /statsz reload-failure plumbing the shard tier uses, plus
-// router-specific /metrics series (c2_router_*). See EXPERIMENTS.md
-// ("Sharded serving") for the measured scaling and the CI gates.
+// The router (internal/router) shares the shard daemon's HTTP front:
+// its limits and defaults, hardening chain, request validation, error
+// bodies, wire types and shared /metrics series all come from
+// internal/server, so a request the router refuses itself gets the
+// same status and bytes a shard would answer. It proxies single-user
+// GETs verbatim from the owning shard — status and body bytes
+// untouched — and splits batched POSTs into per-shard sub-batches,
+// reassembling the responses in request order from the shards' own
+// marshaled bytes, so a routed response is byte-identical to what one
+// unsharded daemon would have produced. Per-try upstream deadlines,
+// failover to sibling replicas, and hedged retries (a second replica
+// is tried after -hedge) keep tail latency bounded; when a shard is
+// entirely unreachable the router degrades instead of failing —
+// affected users get empty results and the response carries an
+// X-C2-Partial header counting them. A health loop polls replica
+// /healthz endpoints, prefers healthy replicas in rotation, and
+// surfaces a replica stuck on an old snapshot epoch after a hot swap
+// ("epoch skew") through the same /statsz reload-failure plumbing the
+// shard tier uses. Its /metrics carries the shard tier's request,
+// hardening and latency series plus router-specific ones (c2_router_*).
+// See EXPERIMENTS.md ("Sharded serving") for the measured scaling and
+// the CI gates.
 //
 // # Incremental maintenance
 //

@@ -84,7 +84,7 @@ func (e *Env) Shard() (*ShardSummary, error) {
 	// deliberately CPU-starved single daemon so the measured speedup
 	// isolates what sharding adds, instead of drowning it in pool-level
 	// parallelism both tiers would share.
-	serveCfg := server.Config{MaxConcurrent: 1, CacheEntries: -1, Logf: discardLogf}
+	serveCfg := server.Config{MaxConcurrent: 1, CacheEntries: -1, Front: server.Front{Logf: discardLogf}}
 	single, err := server.New(ix, serveCfg)
 	if err != nil {
 		return nil, err
@@ -100,7 +100,7 @@ func (e *Env) Shard() (*ShardSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	rcfg := router.Config{Buckets: c2knn.DefaultShardBuckets, Logf: discardLogf}
+	rcfg := router.Config{Buckets: c2knn.DefaultShardBuckets, Front: server.Front{Logf: discardLogf}}
 	var closers []func()
 	defer func() {
 		for _, c := range closers {

@@ -133,13 +133,15 @@ func (e *Env) Soak(opts SoakOptions) (*SoakSummary, error) {
 	srv, err := server.New(ix, server.Config{
 		SnapshotPath:   snap,
 		MaxConcurrent:  e.Workers,
-		MaxBatch:       maxBatch,
-		MaxBodyBytes:   maxBody,
-		RequestTimeout: reqTimeout,
-		MaxInFlight:    maxInFlight,
 		FaultInjection: true,
-		// Injected panics log a full stack each; keep the report readable.
-		Logf: func(string, ...any) {},
+		Front: server.Front{
+			MaxBatch:       maxBatch,
+			MaxBodyBytes:   maxBody,
+			RequestTimeout: reqTimeout,
+			MaxInFlight:    maxInFlight,
+			// Injected panics log a full stack each; keep the report readable.
+			Logf: func(string, ...any) {},
+		},
 	})
 	if err != nil {
 		return nil, err

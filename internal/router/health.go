@@ -6,16 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-)
 
-// healthResponse mirrors the shard daemon's /healthz body.
-type healthResponse struct {
-	Status   string `json:"status"`
-	Users    int    `json:"users"`
-	K        int    `json:"k"`
-	Epoch    uint64 `json:"epoch"`
-	DeltaSeq uint64 `json:"delta_seq"`
-}
+	"c2knn/internal/server"
+)
 
 // healthLoop polls every replica's /healthz on the configured period.
 func (rt *Router) healthLoop() {
@@ -120,7 +113,7 @@ func (rt *Router) PollHealth() {
 	}
 }
 
-func (rt *Router) probe(ctx context.Context, rep *replica) (*healthResponse, error) {
+func (rt *Router) probe(ctx context.Context, rep *replica) (*server.HealthResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base+"/healthz", nil)
 	if err != nil {
 		return nil, err
@@ -133,7 +126,7 @@ func (rt *Router) probe(ctx context.Context, rep *replica) (*healthResponse, err
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
-	var h healthResponse
+	var h server.HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		return nil, err
 	}
@@ -166,5 +159,5 @@ func (rt *Router) serveHealthz(w http.ResponseWriter, r *http.Request) {
 			h.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, h)
+	server.WriteJSON(w, http.StatusOK, h)
 }

@@ -3,45 +3,9 @@ package router
 import (
 	"cmp"
 	"slices"
+
+	"c2knn/internal/server"
 )
-
-// Wire shapes, mirrored from internal/server. The router re-marshals
-// results only on the overlap (migration) path; everywhere else it
-// moves the shard's bytes verbatim, so these structs exist for the
-// rare merge case and for the empty fills of degraded responses. The
-// JSON tags must stay byte-for-byte in sync with the server's — the
-// equivalence tests in router_test.go enforce it.
-
-type batchRequest struct {
-	Users []int32 `json:"users"`
-	K     int     `json:"k,omitempty"`
-	N     int     `json:"n,omitempty"`
-}
-
-type neighborsResult struct {
-	User int32     `json:"user"`
-	IDs  []int32   `json:"ids"`
-	Sims []float32 `json:"sims"`
-}
-
-type neighborJSON struct {
-	ID  int32   `json:"id"`
-	Sim float64 `json:"sim"`
-}
-
-type topkResult struct {
-	User      int32          `json:"user"`
-	Neighbors []neighborJSON `json:"neighbors"`
-}
-
-type recommendResult struct {
-	User  int32   `json:"user"`
-	Items []int32 `json:"items"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
 
 // mergeNeighbors combines several shards' adjacency rows for one user
 // into the canonical single-snapshot ordering: similarity descending,
@@ -52,7 +16,7 @@ type errorResponse struct {
 // deduplicated; rows disagree only during a migration, in which case
 // the higher similarity wins, keeping the result a valid top-k. The
 // result is truncated to k.
-func mergeNeighbors(rows []neighborsResult, user int32, k int) neighborsResult {
+func mergeNeighbors(rows []server.NeighborsResult, user int32, k int) server.NeighborsResult {
 	type edge struct {
 		id  int32
 		sim float32
@@ -75,7 +39,7 @@ func mergeNeighbors(rows []neighborsResult, user int32, k int) neighborsResult {
 	if k >= 0 && len(edges) > k {
 		edges = edges[:k]
 	}
-	out := neighborsResult{User: user, IDs: []int32{}, Sims: []float32{}}
+	out := server.NeighborsResult{User: user, IDs: []int32{}, Sims: []float32{}}
 	for _, e := range edges {
 		out.IDs = append(out.IDs, e.id)
 		out.Sims = append(out.Sims, e.sim)
@@ -86,12 +50,12 @@ func mergeNeighbors(rows []neighborsResult, user int32, k int) neighborsResult {
 // mergeTopK is mergeNeighbors for the /v1/topk float64 wire shape. The
 // tie-break narrows to float32 before comparing, matching the frozen
 // graph's stored precision so router and shard order ties identically.
-func mergeTopK(rows []topkResult, user int32, k int) topkResult {
-	var nbs []neighborJSON
+func mergeTopK(rows []server.TopKResult, user int32, k int) server.TopKResult {
+	var nbs []server.Neighbor
 	for _, r := range rows {
 		nbs = append(nbs, r.Neighbors...)
 	}
-	nbs = dedupSort(nbs, func(n neighborJSON) int32 { return n.ID }, func(a, b neighborJSON) int {
+	nbs = dedupSort(nbs, func(n server.Neighbor) int32 { return n.ID }, func(a, b server.Neighbor) int {
 		as, bs := float32(a.Sim), float32(b.Sim)
 		if as != bs {
 			if as > bs {
@@ -105,9 +69,9 @@ func mergeTopK(rows []topkResult, user int32, k int) topkResult {
 		nbs = nbs[:k]
 	}
 	if nbs == nil {
-		nbs = []neighborJSON{}
+		nbs = []server.Neighbor{}
 	}
-	return topkResult{User: user, Neighbors: nbs}
+	return server.TopKResult{User: user, Neighbors: nbs}
 }
 
 // dedupSort sorts es by less and drops later duplicates (same key).

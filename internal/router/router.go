@@ -4,7 +4,14 @@
 // shard manifest) and fans /v1/{neighbors,topk,recommend} requests out
 // to shard daemons over HTTP.
 //
-// Design, from the request inward:
+// The HTTP front is the shard daemon's own, called from internal/server
+// rather than copied: the limits and their defaults (server.Front), the
+// hardening chain, request parsing and validation, the error bodies,
+// the wire types, and the /metrics series every server.Stats feeds. A
+// request the router refuses itself is therefore refused exactly as a
+// shard would refuse it, and request IDs propagate through
+// X-Request-ID, so one request is traceable across tiers. What this
+// package adds is routing, from the request inward:
 //
 //   - Routing is by shard key: frh.ShardKey hashes the user id into the
 //     manifest's bucket space and the owning shard is the range holding
@@ -34,10 +41,6 @@
 //     from both their old and new shard — take a slow path: typed
 //     decode, deterministic merge (similarity descending, ties by
 //     ascending id; exactly the frozen CSR order), re-encode.
-//
-// The router reuses the shard daemon's middleware stack (request IDs
-// propagate through X-Request-ID, so one request is traceable across
-// tiers), its Stats counters, and its latency histogram layout.
 package router
 
 import (
@@ -76,6 +79,10 @@ type ShardSpec struct {
 // Config parameterizes a Router; the zero value of most fields gets
 // sensible defaults.
 type Config struct {
+	// Front holds the request limits and logging hooks the shard daemon
+	// shares (same defaults; MaxInFlight defaults to 256×GOMAXPROCS).
+	// Logf also receives degradation reports.
+	server.Front
 	// Buckets is the shard-key space size the table's ranges live in
 	// (from the manifest; default frh.DefaultShardBuckets).
 	Buckets int
@@ -90,18 +97,6 @@ type Config struct {
 	// HealthEvery is the replica health-poll period (default 2s;
 	// negative disables the background loop — PollHealth still works).
 	HealthEvery time.Duration
-	// MaxBatch, MaxResults, MaxBodyBytes, RequestTimeout, MaxInFlight,
-	// ShedRetryAfter mirror the shard daemon's limits (same defaults).
-	MaxBatch       int
-	MaxResults     int
-	MaxBodyBytes   int64
-	RequestTimeout time.Duration
-	MaxInFlight    int
-	ShedRetryAfter time.Duration
-	// Logf receives panic and degradation reports; AccessLogf enables
-	// access logging (one line per completed request).
-	Logf       func(format string, args ...any)
-	AccessLogf func(format string, args ...any)
 	// Client overrides the upstream HTTP client (tests). The default
 	// allows many idle connections per replica.
 	Client *http.Client
@@ -120,24 +115,8 @@ func (c *Config) setDefaults() {
 	if c.HealthEvery == 0 {
 		c.HealthEvery = 2 * time.Second
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
-	}
-	if c.MaxResults <= 0 {
-		c.MaxResults = 1000
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 256 * runtime.GOMAXPROCS(0)
-	}
-	if c.ShedRetryAfter <= 0 {
-		c.ShedRetryAfter = time.Second
-	}
+	// MaxInFlight: 64× the shard daemon's default pool of 4×GOMAXPROCS.
+	c.Front.SetDefaults(4 * runtime.GOMAXPROCS(0))
 	if c.Client == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.MaxIdleConns = 256
@@ -215,39 +194,14 @@ func New(cfg Config) (*Router, error) {
 		rt.ranges = append(rt.ranges, spec.Range)
 	}
 
-	// Same hardening chain as the shard daemon (see server.New): the
-	// query surface is observed, shed, body-capped and deadlined; the
-	// operator surface bypasses all of it.
-	observe := middleware.CountStatus(rt.stats.RecordStatus)
-	queryStages := []middleware.Middleware{observe}
-	if cfg.MaxInFlight > 0 {
-		queryStages = append(queryStages,
-			middleware.Shed(cfg.MaxInFlight, cfg.ShedRetryAfter, rt.stats.InFlightGauge(), rt.stats.RecordShed))
-	}
-	queryStages = append(queryStages, middleware.BodyLimit(cfg.MaxBodyBytes, rt.stats.RecordTooLarge))
-	if cfg.RequestTimeout > 0 {
-		queryStages = append(queryStages, middleware.Deadline(cfg.RequestTimeout))
-	}
-	query := func(h http.HandlerFunc) http.Handler { return middleware.Chain(h, queryStages...) }
-
+	query, wrap := rt.cfg.Harden(rt.stats.Stats)
 	mux := http.NewServeMux()
-	mux.Handle("/v1/neighbors", query(func(w http.ResponseWriter, r *http.Request) { rt.serveQuery(w, r, server.EpNeighbors) }))
-	mux.Handle("/v1/topk", query(func(w http.ResponseWriter, r *http.Request) { rt.serveQuery(w, r, server.EpTopK) }))
-	mux.Handle("/v1/recommend", query(func(w http.ResponseWriter, r *http.Request) { rt.serveQuery(w, r, server.EpRecommend) }))
+	server.MountQueries(mux, query, rt.serveSingle, rt.serveBatch)
 	mux.Handle("/v1/upsert", query(rt.serveUpsert))
 	mux.HandleFunc("/healthz", rt.serveHealthz)
 	mux.HandleFunc("/statsz", rt.serveStatsz)
 	mux.HandleFunc("/metrics", rt.serveMetrics)
-
-	global := []middleware.Middleware{middleware.RequestID()}
-	if cfg.AccessLogf != nil {
-		global = append(global, middleware.AccessLog(cfg.AccessLogf))
-	}
-	global = append(global, middleware.Recover(cfg.Logf, func() {
-		rt.stats.RecordPanic()
-		rt.stats.RecordStatus(http.StatusInternalServerError)
-	}))
-	rt.handler = middleware.Chain(mux, global...)
+	rt.handler = wrap(mux)
 
 	rt.healthCtx, rt.stop = context.WithCancel(context.Background())
 	if cfg.HealthEvery > 0 {
@@ -264,6 +218,12 @@ func (rt *Router) Handler() http.Handler { return rt.handler }
 // Stats exposes the router's counters.
 func (rt *Router) Stats() *Stats { return rt.stats }
 
+// MetricsHandler returns the /metrics endpoint as a standalone handler,
+// for mounting on an admin mux alongside pprof (see cmd/c2serve).
+func (rt *Router) MetricsHandler() http.Handler {
+	return http.HandlerFunc(rt.serveMetrics)
+}
+
 // Close stops the health loop. In-flight requests are unaffected.
 func (rt *Router) Close() {
 	rt.stop()
@@ -278,24 +238,6 @@ func (rt *Router) logf(format string, args ...any) {
 
 // ---- request handling ----
 
-func (rt *Router) badRequest(w http.ResponseWriter, msg string) {
-	rt.stats.RecordBadRequest()
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// upsertRefusal mirrors the shard daemon's typed 403 body so clients
-// see one wire shape for "writes don't go here" across the tier.
-type upsertRefusal struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
 // serveUpsert refuses writes with a typed 403: the router is a
 // stateless read tier, and proxying an upsert to whichever replica a
 // retry policy happened to pick would split the write stream across
@@ -307,29 +249,7 @@ func (rt *Router) serveUpsert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "upsert requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, http.StatusForbidden, upsertRefusal{
-		Error: "the router tier is read-only; send writes to the shard's writable daemon",
-		Kind:  "read-only",
-	})
-}
-
-func countParam(ep server.Endpoint) string {
-	if ep == server.EpRecommend {
-		return "n"
-	}
-	return "k"
-}
-
-func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request, ep server.Endpoint) {
-	switch r.Method {
-	case http.MethodGet:
-		rt.serveSingle(w, r, ep)
-	case http.MethodPost:
-		rt.serveBatch(w, r, ep)
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "use GET for single queries, POST for batches", http.StatusMethodNotAllowed)
-	}
+	server.Refuse(w, "read-only", "the router tier is read-only; send writes to the shard's writable daemon")
 }
 
 // serveSingle answers a single-user GET: validate just enough to route,
@@ -340,13 +260,11 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request, ep server.E
 // partial header.
 func (rt *Router) serveSingle(w http.ResponseWriter, r *http.Request, ep server.Endpoint) {
 	start := time.Now()
-	q := r.URL.Query()
-	user64, err := strconv.ParseInt(q.Get("user"), 10, 32)
+	u, err := server.ParseUser(r.URL.Query())
 	if err != nil {
-		rt.badRequest(w, "user must be a 32-bit integer")
+		server.BadRequest(w, rt.stats.Stats, err.Error())
 		return
 	}
-	u := int32(user64)
 	owners := frh.OwnersOf(u, rt.cfg.Buckets, rt.ranges, nil)
 	if len(owners) > 1 {
 		rt.serveSingleMerged(w, r, ep, u, owners, start)
@@ -380,9 +298,9 @@ func (rt *Router) serveSingle(w http.ResponseWriter, r *http.Request, ep server.
 // serveSingleMerged fetches u's row from every owning shard (the
 // overlap window of a migration) and merges deterministically.
 func (rt *Router) serveSingleMerged(w http.ResponseWriter, r *http.Request, ep server.Endpoint, u int32, owners []int, start time.Time) {
-	count, err := rt.parseCount(r.URL.Query().Get(countParam(ep)))
+	count, err := rt.cfg.ParseCount(r.URL.Query(), ep, 0)
 	if err != nil {
-		rt.badRequest(w, countParam(ep)+" "+err.Error())
+		server.BadRequest(w, rt.stats.Stats, err.Error())
 		return
 	}
 	bodies := make([][]byte, 0, len(owners))
@@ -417,22 +335,6 @@ func (rt *Router) serveSingleMerged(w http.ResponseWriter, r *http.Request, ep s
 	rt.stats.RecordQuery(ep, time.Since(start), 1, false, false)
 }
 
-// parseCount validates an explicit k/n parameter against the router's
-// own bound; 0 means "absent, let the shard apply its default".
-func (rt *Router) parseCount(raw string) (int, error) {
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("must be a positive integer, got %q", raw)
-	}
-	if v > rt.cfg.MaxResults {
-		return 0, fmt.Errorf("exceeds the maximum of %d", rt.cfg.MaxResults)
-	}
-	return v, nil
-}
-
 // mergeBodies decodes per-shard single-user bodies and re-encodes the
 // deterministic merge.
 func mergeBodies(ep server.Endpoint, u int32, bodies [][]byte, count int) ([]byte, error) {
@@ -441,9 +343,9 @@ func mergeBodies(ep server.Endpoint, u int32, bodies [][]byte, count int) ([]byt
 	}
 	switch ep {
 	case server.EpNeighbors:
-		rows := make([]neighborsResult, 0, len(bodies))
+		rows := make([]server.NeighborsResult, 0, len(bodies))
 		for _, b := range bodies {
-			var row neighborsResult
+			var row server.NeighborsResult
 			if err := json.Unmarshal(b, &row); err != nil {
 				return nil, err
 			}
@@ -451,9 +353,9 @@ func mergeBodies(ep server.Endpoint, u int32, bodies [][]byte, count int) ([]byt
 		}
 		return json.Marshal(mergeNeighbors(rows, u, count))
 	case server.EpTopK:
-		rows := make([]topkResult, 0, len(bodies))
+		rows := make([]server.TopKResult, 0, len(bodies))
 		for _, b := range bodies {
-			var row topkResult
+			var row server.TopKResult
 			if err := json.Unmarshal(b, &row); err != nil {
 				return nil, err
 			}
@@ -480,11 +382,11 @@ func emptyFill(ep server.Endpoint, u int32) []byte {
 	var v any
 	switch ep {
 	case server.EpNeighbors:
-		v = neighborsResult{User: u, IDs: []int32{}, Sims: []float32{}}
+		v = server.NeighborsResult{User: u, IDs: []int32{}, Sims: []float32{}}
 	case server.EpTopK:
-		v = topkResult{User: u, Neighbors: []neighborJSON{}}
+		v = server.TopKResult{User: u, Neighbors: []server.Neighbor{}}
 	default:
-		v = recommendResult{User: u, Items: []int32{}}
+		v = server.RecommendResult{User: u, Items: []int32{}}
 	}
 	b, _ := json.Marshal(v)
 	return b
@@ -497,33 +399,8 @@ func emptyFill(ep server.Endpoint, u int32) []byte {
 // partial header instead of failing the request.
 func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, ep server.Endpoint) {
 	start := time.Now()
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			rt.stats.RecordTooLarge()
-			w.Header().Set("Connection", "close")
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-				Error: fmt.Sprintf("request body exceeds the %d-byte limit", rt.cfg.MaxBodyBytes)})
-			return
-		}
-		rt.badRequest(w, "invalid JSON body: "+err.Error())
-		return
-	}
-	if len(req.Users) == 0 {
-		rt.badRequest(w, `"users" must be a non-empty array`)
-		return
-	}
-	if len(req.Users) > rt.cfg.MaxBatch {
-		rt.badRequest(w, fmt.Sprintf("batch of %d users exceeds the maximum of %d", len(req.Users), rt.cfg.MaxBatch))
-		return
-	}
-	count := req.K
-	if ep == server.EpRecommend {
-		count = req.N
-	}
-	if count < 0 || count > rt.cfg.MaxResults {
-		rt.badRequest(w, fmt.Sprintf("%s must be in [1, %d]", countParam(ep), rt.cfg.MaxResults))
+	users, count, ok := rt.cfg.DecodeBatch(w, r, rt.stats.Stats, ep, 0)
+	if !ok {
 		return
 	}
 
@@ -533,7 +410,7 @@ func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, ep server.E
 	groups := make(map[int]*group)
 	var overlapPos []int32
 	var ownerScratch []int
-	for i, u := range req.Users {
+	for i, u := range users {
 		ownerScratch = frh.OwnersOf(u, rt.cfg.Buckets, rt.ranges, ownerScratch[:0])
 		switch len(ownerScratch) {
 		case 1:
@@ -549,7 +426,7 @@ func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, ep server.E
 		}
 	}
 
-	results := make([][]byte, len(req.Users))
+	results := make([][]byte, len(users))
 	partial := 0
 	var partialMu sync.Mutex
 	var wg sync.WaitGroup
@@ -577,7 +454,7 @@ func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, ep server.E
 		wg.Add(1)
 		go func(pos int32) {
 			defer wg.Done()
-			u := req.Users[pos]
+			u := users[pos]
 			owners := frh.OwnersOf(u, rt.cfg.Buckets, rt.ranges, nil)
 			body, degraded := rt.mergedUser(r.Context(), ep, u, owners, count, requestID(r))
 			results[pos] = body
@@ -617,7 +494,7 @@ func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, ep server.E
 	}
 	w.Header().Set("Content-Type", "application/json")
 	buf.WriteTo(w)
-	rt.stats.RecordQuery(ep, time.Since(start), len(req.Users), true, false)
+	rt.stats.RecordQuery(ep, time.Since(start), len(users), true, false)
 }
 
 // mergedUser answers one overlap user for the batch path; degraded is
@@ -641,16 +518,10 @@ func (rt *Router) mergedUser(ctx context.Context, ep server.Endpoint, u int32, o
 	return out, len(bodies) < len(owners)
 }
 
-// batchEnvelope decodes a shard's batch response without touching the
-// per-user payloads.
-type batchEnvelope struct {
-	Results []json.RawMessage `json:"results"`
-}
-
 // fetchSubBatch POSTs one shard's sub-batch and returns the per-user
 // raw result bytes in the order of users.
 func (rt *Router) fetchSubBatch(ctx context.Context, sh *shard, path string, users []int32, ep server.Endpoint, count int, rid string) ([]json.RawMessage, error) {
-	sub := batchRequest{Users: users}
+	sub := server.BatchRequest{Users: users}
 	if ep == server.EpRecommend {
 		sub.N = count
 	} else {
@@ -667,7 +538,7 @@ func (rt *Router) fetchSubBatch(ctx context.Context, sh *shard, path string, use
 	if res.status != http.StatusOK {
 		return nil, fmt.Errorf("shard %d answered %d: %s", sh.spec.ID, res.status, truncate(res.body, 200))
 	}
-	var env batchEnvelope
+	var env server.BatchResponse[json.RawMessage] // per-user payloads stay raw
 	if err := json.Unmarshal(res.body, &env); err != nil {
 		return nil, fmt.Errorf("shard %d batch response: %w", sh.spec.ID, err)
 	}
@@ -701,8 +572,7 @@ func requestID(r *http.Request) string {
 func wroteContextError(w http.ResponseWriter, r *http.Request, err error, st *Stats) bool {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() != nil:
-		st.RecordTimeout()
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request deadline expired"})
+		server.DeadlineExpired(w, st.Stats)
 		return true
 	case errors.Is(err, context.Canceled) && r.Context().Err() != nil:
 		return true

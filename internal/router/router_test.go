@@ -131,14 +131,85 @@ func TestRoutedByteIdentity(t *testing.T) {
 		t.Fatal("healthy routed batch flagged partial")
 	}
 
-	// Against the index directly: the router's mirrored wire structs
-	// must marshal exactly what the server marshals.
+	// Against the index directly: the shared wire structs must marshal
+	// exactly what the server marshals.
 	u := int32(41)
 	ids, sims := ix.Neighbors(u)
-	wantJSON, _ := json.Marshal(neighborsResult{User: u, IDs: ids, Sims: sims})
+	wantJSON, _ := json.Marshal(server.NeighborsResult{User: u, IDs: ids, Sims: sims})
 	code, _, got = get(t, rt.Handler(), fmt.Sprintf("/v1/neighbors?user=%d", u))
 	if code != 200 || !bytes.Equal(bytes.TrimRight(got, "\n"), wantJSON) {
 		t.Fatalf("routed vs index: %s vs %s", got, wantJSON)
+	}
+
+	// Errors the router raises itself, never asking a shard, must match
+	// the direct server's status, Content-Type and body bytes.
+	overBatch, _ := json.Marshal(map[string]any{"users": make([]int32, 1025)})
+	overBody := `{"users":[` + strings.Repeat("1,", 600_000) + `1]}`
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/neighbors?user=notanint", ""},
+		{http.MethodPost, "/v1/neighbors", `{"users":[]}`},
+		{http.MethodPost, "/v1/topk", string(overBatch)},
+		{http.MethodPost, "/v1/topk", `not json`},
+		{http.MethodPost, "/v1/recommend", `{"users":[1],"n":100000}`},
+		{http.MethodPost, "/v1/recommend", overBody},
+		{http.MethodDelete, "/v1/neighbors", ""},
+	} {
+		req, _ := http.NewRequest(tc.method, direct.URL+tc.path, strings.NewReader(tc.body))
+		wantResp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := io.ReadAll(wantResp.Body)
+		wantResp.Body.Close()
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != wantResp.StatusCode || rec.Header().Get("Content-Type") != wantResp.Header.Get("Content-Type") ||
+			!bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%s %s (%d-byte body): routed %d %q %q, direct %d %q %q", tc.method, tc.path, len(tc.body),
+				rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes(),
+				wantResp.StatusCode, wantResp.Header.Get("Content-Type"), want)
+		}
+	}
+	if n := rt.Stats().upstreamErrs.Load(); n != 0 {
+		t.Fatalf("router-raised errors reached a shard: %d upstream errors", n)
+	}
+}
+
+// TestRouterMetricsStable: the router's /metrics lists its series in a
+// fixed order — scrapes of an idle router differ only in the uptime —
+// and exports the shared series its server.Stats counts.
+func TestRouterMetricsStable(t *testing.T) {
+	rt := newRouter(t, Config{
+		Shards: []ShardSpec{{ID: 0, Range: frh.BucketRange{Lo: 1, Hi: frh.DefaultShardBuckets},
+			Replicas: []string{"http://127.0.0.1:1"}}},
+	})
+	// Fill several status codes so every labelled family has entries.
+	get(t, rt.Handler(), "/v1/topk?user=x")
+	post(t, rt.Handler(), "/v1/upsert", `{}`)
+	get(t, rt.Handler(), "/v1/upsert")
+	scrape := func() string {
+		code, _, body := get(t, rt.Handler(), "/metrics")
+		if code != 200 {
+			t.Fatalf("/metrics status %d", code)
+		}
+		var keep []string
+		for _, line := range strings.Split(string(body), "\n") {
+			if !strings.HasPrefix(line, "c2_uptime_seconds ") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	first := scrape()
+	for i := 0; i < 20; i++ {
+		if again := scrape(); again != first {
+			t.Fatalf("scrape %d differs from the first:\n%s\n--- first ---\n%s", i+2, again, first)
+		}
+	}
+	for _, series := range []string{"c2_queries_total 0", "c2_body_too_large_total 0", "c2_request_duration_seconds_count 0"} {
+		if !strings.Contains(first, "\n"+series+"\n") {
+			t.Errorf("/metrics lacks %q", series)
+		}
 	}
 }
 
@@ -261,7 +332,7 @@ func TestFailoverAndPartial(t *testing.T) {
 		t.Fatalf("degraded batch: status %d partial=%q body=%s", code, hdr.Get(HeaderPartial), body)
 	}
 	var env struct {
-		Results []recommendResult `json:"results"`
+		Results []server.RecommendResult `json:"results"`
 	}
 	if err := json.Unmarshal(body, &env); err != nil || len(env.Results) != 3 {
 		t.Fatalf("degraded batch body malformed: %s (%v)", body, err)
@@ -358,15 +429,15 @@ func TestEpochSkewSurfaced(t *testing.T) {
 // and merging must reproduce the canonical frozen ordering exactly,
 // including float32 tie-breaks by ascending id and overlap dedup.
 func TestMergeDeterminism(t *testing.T) {
-	full := neighborsResult{User: 9,
+	full := server.NeighborsResult{User: 9,
 		IDs:  []int32{4, 11, 2, 30, 7},
 		Sims: []float32{0.9, 0.7, 0.7, 0.5, 0.3},
 	}
 	// Shard rows: interleaved, with an overlap duplicate (id 2).
-	a := neighborsResult{User: 9, IDs: []int32{11, 30}, Sims: []float32{0.7, 0.5}}
-	b := neighborsResult{User: 9, IDs: []int32{4, 2, 7}, Sims: []float32{0.9, 0.7, 0.3}}
-	c := neighborsResult{User: 9, IDs: []int32{2}, Sims: []float32{0.7}} // overlap copy
-	for _, order := range [][]neighborsResult{{a, b, c}, {c, b, a}, {b, c, a}} {
+	a := server.NeighborsResult{User: 9, IDs: []int32{11, 30}, Sims: []float32{0.7, 0.5}}
+	b := server.NeighborsResult{User: 9, IDs: []int32{4, 2, 7}, Sims: []float32{0.9, 0.7, 0.3}}
+	c := server.NeighborsResult{User: 9, IDs: []int32{2}, Sims: []float32{0.7}} // overlap copy
+	for _, order := range [][]server.NeighborsResult{{a, b, c}, {c, b, a}, {b, c, a}} {
 		got := mergeNeighbors(order, 9, -1)
 		// Ties (0.7) break by ascending id: 2 before 11.
 		wantIDs := []int32{4, 2, 11, 30, 7}
@@ -376,16 +447,16 @@ func TestMergeDeterminism(t *testing.T) {
 			t.Fatalf("merge order %v, want %v", got.IDs, wantIDs)
 		}
 	}
-	if got := mergeNeighbors([]neighborsResult{a, b}, 9, 2); len(got.IDs) != 2 {
+	if got := mergeNeighbors([]server.NeighborsResult{a, b}, 9, 2); len(got.IDs) != 2 {
 		t.Fatalf("k truncation failed: %v", got.IDs)
 	}
 	_ = full
 
 	// topk: float64 wire values that collide only after float32
 	// narrowing must still tie-break by id (the frozen graph's rule).
-	x := topkResult{User: 1, Neighbors: []neighborJSON{{ID: 8, Sim: 0.30000001}}}
-	y := topkResult{User: 1, Neighbors: []neighborJSON{{ID: 3, Sim: 0.30000002}}}
-	got := mergeTopK([]topkResult{x, y}, 1, -1)
+	x := server.TopKResult{User: 1, Neighbors: []server.Neighbor{{ID: 8, Sim: 0.30000001}}}
+	y := server.TopKResult{User: 1, Neighbors: []server.Neighbor{{ID: 3, Sim: 0.30000002}}}
+	got := mergeTopK([]server.TopKResult{x, y}, 1, -1)
 	if got.Neighbors[0].ID != 3 || got.Neighbors[1].ID != 8 {
 		t.Fatalf("narrowed tie-break failed: %+v", got.Neighbors)
 	}
@@ -438,7 +509,7 @@ func TestOverlapMigration(t *testing.T) {
 		t.Fatalf("overlap batch: status %d: %s", code, got)
 	}
 	var env struct {
-		Results []neighborsResult `json:"results"`
+		Results []server.NeighborsResult `json:"results"`
 	}
 	if err := json.Unmarshal(got, &env); err != nil || len(env.Results) != 3 {
 		t.Fatalf("overlap batch malformed: %s (%v)", got, err)

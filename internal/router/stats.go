@@ -81,7 +81,7 @@ type statszResponse struct {
 
 func (rt *Router) serveStatsz(w http.ResponseWriter, r *http.Request) {
 	resp := statszResponse{Snapshot: rt.stats.Snapshot(), Router: rt.routerSection()}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) routerSection() routerSection {
@@ -149,64 +149,27 @@ func (rt *Router) routerSection() routerSection {
 	return sec
 }
 
-// serveMetrics writes the router's Prometheus exposition: the shared
-// request counters under the shard tier's names (same stack, same
-// semantics) plus c2_router_* series for fan-out behavior.
+// serveMetrics writes the router's Prometheus exposition: the series
+// every server.Stats feeds, under the shard tier's names (same stack,
+// same semantics), then c2_router_* series for fan-out behavior.
 func (rt *Router) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := rt.stats.Snapshot()
 	sec := rt.routerSection()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	rt.stats.WriteMetrics(w)
+	gauge := func(name, help string, on bool) {
+		server.WriteHelp(w, "gauge", name, help)
+		v := 0
+		if on {
+			v = 1
+		}
+		fmt.Fprintf(w, "%s %d\n", name, v)
+	}
 
-	counter := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	gauge := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-
-	counter("c2_requests_total", "Successfully answered query requests by endpoint.")
-	for ep, n := range snap.ByEndpoint {
-		fmt.Fprintf(w, "c2_requests_total{endpoint=%q} %d\n", ep, n)
-	}
-	counter("c2_responses_total", "Responses on the query and admin surfaces by status code.")
-	for code, n := range snap.ByStatus {
-		fmt.Fprintf(w, "c2_responses_total{code=%q} %d\n", code, n)
-	}
-	counter("c2_bad_requests_total", "Requests rejected before any shard was asked (400).")
-	fmt.Fprintf(w, "c2_bad_requests_total %d\n", snap.BadRequests)
-	counter("c2_panics_total", "Handler panics recovered into 500 responses.")
-	fmt.Fprintf(w, "c2_panics_total %d\n", snap.Panics)
-	counter("c2_shed_total", "Requests refused with 429 by admission control.")
-	fmt.Fprintf(w, "c2_shed_total %d\n", snap.Shed)
-	counter("c2_deadline_expired_total", "Requests whose per-request deadline expired (503).")
-	fmt.Fprintf(w, "c2_deadline_expired_total %d\n", snap.DeadlineExpired)
-	gauge("c2_inflight_requests", "Requests currently inside the admission-control stage.")
-	fmt.Fprintf(w, "c2_inflight_requests %d\n", snap.InFlight)
-	counter("c2_reload_failures_total", "Degradations surfaced through reload-failure plumbing (incl. epoch skew).")
-	fmt.Fprintf(w, "c2_reload_failures_total %d\n", snap.ReloadFailures)
-	gauge("c2_uptime_seconds", "Seconds since the router started.")
-	fmt.Fprintf(w, "c2_uptime_seconds %.3f\n", snap.UptimeSec)
-
-	counter("c2_router_partial_responses_total", "Requests answered with partial (degraded) results.")
-	fmt.Fprintf(w, "c2_router_partial_responses_total %d\n", sec.Partials)
-	counter("c2_router_hedged_tries_total", "Upstream tries launched by the hedge timer.")
-	fmt.Fprintf(w, "c2_router_hedged_tries_total %d\n", sec.Hedges)
-	counter("c2_router_failover_tries_total", "Upstream tries launched after an earlier try failed.")
-	fmt.Fprintf(w, "c2_router_failover_tries_total %d\n", sec.Failovers)
-	counter("c2_router_upstream_errors_total", "Upstream tries that failed (transport error or 5xx).")
-	fmt.Fprintf(w, "c2_router_upstream_errors_total %d\n", sec.UpstreamErrors)
-	gauge("c2_router_epoch_skew", "1 when replicas of some shard disagree about the serving epoch.")
-	skew := 0
-	if sec.EpochSkew {
-		skew = 1
-	}
-	fmt.Fprintf(w, "c2_router_epoch_skew %d\n", skew)
-	gauge("c2_router_delta_skew", "1 when same-epoch replicas of some shard disagree about the upsert cursor.")
-	dskew := 0
-	if sec.DeltaSkew {
-		dskew = 1
-	}
-	fmt.Fprintf(w, "c2_router_delta_skew %d\n", dskew)
+	server.WriteCounter(w, "c2_router_partial_responses_total", "Requests answered with partial (degraded) results.", sec.Partials)
+	server.WriteCounter(w, "c2_router_hedged_tries_total", "Upstream tries launched by the hedge timer.", sec.Hedges)
+	server.WriteCounter(w, "c2_router_failover_tries_total", "Upstream tries launched after an earlier try failed.", sec.Failovers)
+	server.WriteCounter(w, "c2_router_upstream_errors_total", "Upstream tries that failed (transport error or 5xx).", sec.UpstreamErrors)
+	gauge("c2_router_epoch_skew", "1 when replicas of some shard disagree about the serving epoch.", sec.EpochSkew)
+	gauge("c2_router_delta_skew", "1 when same-epoch replicas of some shard disagree about the upsert cursor.", sec.DeltaSkew)
 	for _, ss := range sec.Shards {
 		healthy := 0
 		for _, rep := range ss.Replicas {
@@ -217,15 +180,6 @@ func (rt *Router) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "c2_router_shard_replicas_healthy{shard=\"%d\"} %d\n", ss.ID, healthy)
 	}
 
-	// Fan-out latency histogram (one observation per upstream try).
-	uppers := []float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 500000, 1e6}
-	cum, total := rt.stats.Fanout.CumulativeAtMost(uppers)
-	fmt.Fprintf(w, "# HELP c2_router_fanout_duration_seconds Upstream try latency.\n")
-	fmt.Fprintf(w, "# TYPE c2_router_fanout_duration_seconds histogram\n")
-	for i, le := range uppers {
-		fmt.Fprintf(w, "c2_router_fanout_duration_seconds_bucket{le=\"%g\"} %d\n", le/1e6, cum[i])
-	}
-	fmt.Fprintf(w, "c2_router_fanout_duration_seconds_bucket{le=\"+Inf\"} %d\n", total)
-	fmt.Fprintf(w, "c2_router_fanout_duration_seconds_sum %.6f\n", float64(rt.stats.Fanout.SumMicros())/1e6)
-	fmt.Fprintf(w, "c2_router_fanout_duration_seconds_count %d\n", total)
+	// One observation per upstream try.
+	server.WriteHistogram(w, "c2_router_fanout_duration_seconds", "Upstream try latency.", &rt.stats.Fanout)
 }

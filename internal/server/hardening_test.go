@@ -33,11 +33,11 @@ func TestServerPanicRecovery(t *testing.T) {
 	var logs []string
 	s, ts := newTestServer(t, ix, Config{
 		FaultInjection: true,
-		Logf: func(format string, args ...any) {
+		Front: Front{Logf: func(format string, args ...any) {
 			mu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
 			mu.Unlock()
-		},
+		}},
 	})
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/admin/panic", nil)
@@ -59,7 +59,7 @@ func TestServerPanicRecovery(t *testing.T) {
 	}
 
 	// The daemon survived: queries still answer, and the counter shows.
-	var rec recommendResult
+	var rec RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=5", &rec)
 	if want := emptyNotNil(ix.Recommend(1, 5)); !slices.Equal(rec.Items, want) {
 		t.Fatalf("post-panic query diverged: %v vs %v", rec.Items, want)
@@ -82,7 +82,7 @@ func TestServerPanicRecovery(t *testing.T) {
 // counted, and distinct from 400.
 func TestServerBodyLimit413(t *testing.T) {
 	ix := testIndex(t, 1)
-	_, ts := newTestServer(t, ix, Config{MaxBodyBytes: 512})
+	_, ts := newTestServer(t, ix, Config{Front: Front{MaxBodyBytes: 512}})
 
 	big := []byte(`{"users":[` + strings.Repeat("1,", 600) + `1],"n":5}`)
 	resp, err := http.Post(ts.URL+"/v1/recommend", "application/json", bytes.NewReader(big))
@@ -115,11 +115,11 @@ func TestServerBodyLimit413(t *testing.T) {
 	}
 	// An under-cap but over-batch request stays a 400 (fan-out cap), not
 	// a 413 (byte cap) — the two limits are distinct failure modes.
-	if code := postJSON(t, ts.URL+"/v1/recommend", batchRequest{Users: []int32{1, 2, 3}, N: 5}, nil); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/recommend", BatchRequest{Users: []int32{1, 2, 3}, N: 5}, nil); code != 200 {
 		t.Fatalf("in-bounds batch: status %d", code)
 	}
-	over := batchRequest{Users: make([]int32, 60)}
-	_, ts2 := newTestServer(t, ix, Config{MaxBodyBytes: 512, MaxBatch: 8})
+	over := BatchRequest{Users: make([]int32, 60)}
+	_, ts2 := newTestServer(t, ix, Config{Front: Front{MaxBodyBytes: 512, MaxBatch: 8}})
 	if code := postJSON(t, ts2.URL+"/v1/recommend", over, nil); code != 400 {
 		t.Fatalf("over-batch under-cap request: status %d, want 400", code)
 	}
@@ -132,9 +132,11 @@ func TestServerShed429(t *testing.T) {
 	ix := testIndex(t, 1)
 	_, ts := newTestServer(t, ix, Config{
 		FaultInjection: true,
-		MaxInFlight:    2,
-		ShedRetryAfter: 2 * time.Second,
-		RequestTimeout: 10 * time.Second,
+		Front: Front{
+			MaxInFlight:    2,
+			ShedRetryAfter: 2 * time.Second,
+			RequestTimeout: 10 * time.Second,
+		},
 	})
 
 	// Two delay requests occupy both admission slots.
@@ -196,7 +198,7 @@ func TestServerShed429(t *testing.T) {
 		t.Fatalf("in-flight gauge %d after drain, want 0", st.InFlight)
 	}
 	// Shedding must not poison later traffic.
-	var rec recommendResult
+	var rec RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=5", &rec)
 }
 
@@ -206,7 +208,7 @@ func TestServerDeadline503(t *testing.T) {
 	ix := testIndex(t, 1)
 	_, ts := newTestServer(t, ix, Config{
 		FaultInjection: true,
-		RequestTimeout: 50 * time.Millisecond,
+		Front:          Front{RequestTimeout: 50 * time.Millisecond},
 	})
 	resp, err := http.Get(ts.URL + "/admin/delay?d=5s")
 	if err != nil {
@@ -223,7 +225,7 @@ func TestServerDeadline503(t *testing.T) {
 		t.Fatalf("deadline accounting: expired=%d by_status[503]=%d, want 1 both", st.DeadlineExpired, st.ByStatus["503"])
 	}
 	// Fast queries sail under the same deadline.
-	var rec recommendResult
+	var rec RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=5", &rec)
 }
 
@@ -299,7 +301,7 @@ func TestServerReloadFailureSurfacing(t *testing.T) {
 			t.Fatalf("corrupt reload %d advanced the epoch to %d", i, s.Epoch())
 		}
 		// The old epoch keeps serving identical answers.
-		var rec recommendResult
+		var rec RecommendResult
 		getJSON(t, ts.URL+"/v1/recommend?user=1&n=5", &rec)
 		if !slices.Equal(rec.Items, wantItems) {
 			t.Fatalf("serving diverged after refused reload %d", i)
@@ -330,15 +332,15 @@ func TestServerReloadFailureSurfacing(t *testing.T) {
 // unit-scale version of the soak harness's reconciliation gate.
 func TestServerMetricsReconcile(t *testing.T) {
 	ix := testIndex(t, 1)
-	_, ts := newTestServer(t, ix, Config{MaxBodyBytes: 512})
+	_, ts := newTestServer(t, ix, Config{Front: Front{MaxBodyBytes: 512}})
 
 	const okSingles = 7
 	for i := 0; i < okSingles; i++ {
-		var rec recommendResult
+		var rec RecommendResult
 		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=5", ts.URL, i%3), &rec)
 	}
-	var batch batchResponse[recommendResult]
-	if code := postJSON(t, ts.URL+"/v1/recommend", batchRequest{Users: []int32{0, 1, 2, 3}, N: 5}, &batch); code != 200 {
+	var batch BatchResponse[RecommendResult]
+	if code := postJSON(t, ts.URL+"/v1/recommend", BatchRequest{Users: []int32{0, 1, 2, 3}, N: 5}, &batch); code != 200 {
 		t.Fatalf("batch status %d", code)
 	}
 	// One 400 and one 413.
@@ -433,7 +435,7 @@ func parseMetrics(t *testing.T, text string) map[string]uint64 {
 // a concurrent burst (no leaked slots), even with mixed outcomes.
 func TestServerInFlightGaugeUnderLoad(t *testing.T) {
 	ix := testIndex(t, 1)
-	_, ts := newTestServer(t, ix, Config{MaxInFlight: 8})
+	_, ts := newTestServer(t, ix, Config{Front: Front{MaxInFlight: 8}})
 	var wg sync.WaitGroup
 	var bad atomic.Int64
 	for i := 0; i < 64; i++ {

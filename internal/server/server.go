@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +48,9 @@ import (
 
 // Config parameterizes a Server; the zero value gets sensible defaults.
 type Config struct {
+	// Front holds the request limits and logging hooks the router
+	// shares; its MaxInFlight defaults to 64×MaxConcurrent.
+	Front
 	// SnapshotPath is the file Reload re-reads; empty disables Reload
 	// (Swap still works).
 	SnapshotPath string
@@ -69,33 +71,6 @@ type Config struct {
 	// (default 64 MiB) — the entry count alone would not cap memory,
 	// since batched response bodies can reach megabytes each.
 	CacheMaxBytes int64
-	// MaxBatch bounds the user count of one batched request
-	// (default 1024).
-	MaxBatch int
-	// MaxResults bounds k/n in a request (default 1000).
-	MaxResults int
-	// MaxBodyBytes bounds a request body (default 1 MiB); over-cap
-	// requests are refused with 413.
-	MaxBodyBytes int64
-	// RequestTimeout is the per-request deadline on query endpoints:
-	// a request that cannot be answered within it gets 503
-	// (default 10s; negative disables).
-	RequestTimeout time.Duration
-	// MaxInFlight is the admission-control bound: at most this many
-	// requests may be past the shed stage at once — the excess is
-	// refused with 429 + Retry-After instead of queueing unboundedly
-	// behind the worker pool (default 64×MaxConcurrent; negative
-	// disables shedding).
-	MaxInFlight int
-	// ShedRetryAfter is the Retry-After hint on shed responses
-	// (default 1s).
-	ShedRetryAfter time.Duration
-	// Logf receives panic reports (with stacks and request IDs); nil
-	// discards them. cmd/c2serve passes log.Printf.
-	Logf func(format string, args ...any)
-	// AccessLogf, when non-nil, enables the access-log stage: one line
-	// per completed request.
-	AccessLogf func(format string, args ...any)
 	// FaultInjection mounts /admin/panic (a handler that panics, to
 	// prove recovery) and /admin/delay?d= (a handler that sleeps, to
 	// provoke deadline expiry and occupy admission slots). For tests
@@ -131,27 +106,7 @@ func (c *Config) setDefaults() {
 	if c.CacheShards <= 0 {
 		c.CacheShards = 16
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
-	}
-	if c.MaxResults <= 0 {
-		c.MaxResults = 1000
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MaxInFlight == 0 {
-		// Far above the pool so only stampedes shed: waiters up to the
-		// limit queue briefly at the pool semaphore, which the request
-		// deadline bounds.
-		c.MaxInFlight = 64 * c.MaxConcurrent
-	}
-	if c.ShedRetryAfter <= 0 {
-		c.ShedRetryAfter = time.Second
-	}
+	c.Front.SetDefaults(c.MaxConcurrent)
 }
 
 // state is the unit of hot swap: an index and the epoch it was
@@ -202,28 +157,10 @@ func New(ix *c2knn.Index, cfg Config) (*Server, error) {
 	s.keys.New = func() any { b := make([]byte, 0, 256); return &b }
 	s.st.Store(&state{ix: ix, epoch: 1})
 
-	// Per-route hardening chain for the query surface, innermost last:
-	// status accounting (reconcilable with a load generator), admission
-	// control, body cap, request deadline. /healthz, /statsz and
-	// /metrics bypass all of it — an overloaded daemon must still
-	// answer its operators.
+	query, wrap := cfg.Harden(s.stats)
 	observe := middleware.CountStatus(s.stats.RecordStatus)
-	var queryStages []middleware.Middleware
-	queryStages = append(queryStages, observe)
-	if cfg.MaxInFlight > 0 {
-		queryStages = append(queryStages,
-			middleware.Shed(cfg.MaxInFlight, cfg.ShedRetryAfter, s.stats.InFlightGauge(), s.stats.RecordShed))
-	}
-	queryStages = append(queryStages, middleware.BodyLimit(cfg.MaxBodyBytes, s.stats.RecordTooLarge))
-	if cfg.RequestTimeout > 0 {
-		queryStages = append(queryStages, middleware.Deadline(cfg.RequestTimeout))
-	}
-	query := func(h http.HandlerFunc) http.Handler { return middleware.Chain(h, queryStages...) }
-
 	s.mux = http.NewServeMux()
-	s.mux.Handle("/v1/neighbors", query(func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, EpNeighbors) }))
-	s.mux.Handle("/v1/topk", query(func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, EpTopK) }))
-	s.mux.Handle("/v1/recommend", query(func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, EpRecommend) }))
+	MountQueries(s.mux, query, s.serveSingle, s.serveBatch)
 	s.mux.Handle("/v1/upsert", query(s.serveUpsert))
 	s.mux.HandleFunc("/healthz", s.serveHealthz)
 	s.mux.HandleFunc("/statsz", s.serveStatsz)
@@ -237,19 +174,7 @@ func New(ix *c2knn.Index, cfg Config) (*Server, error) {
 		s.mux.Handle("/admin/panic", middleware.Chain(http.HandlerFunc(s.servePanic), observe))
 		s.mux.Handle("/admin/delay", query(s.serveDelay))
 	}
-
-	// Global stack, outermost first: request IDs tag everything;
-	// optional access logging sees final statuses; recovery sits inside
-	// the loggers so a panic-turned-500 is logged like any response.
-	global := []middleware.Middleware{middleware.RequestID()}
-	if cfg.AccessLogf != nil {
-		global = append(global, middleware.AccessLog(cfg.AccessLogf))
-	}
-	global = append(global, middleware.Recover(cfg.Logf, func() {
-		s.stats.RecordPanic()
-		s.stats.RecordStatus(http.StatusInternalServerError)
-	}))
-	s.handler = middleware.Chain(s.mux, global...)
+	s.handler = wrap(s.mux)
 	return s, nil
 }
 
@@ -355,84 +280,62 @@ func ReloadErrorKind(err error) string {
 }
 
 // ---- request/response wire shapes ----
+//
+// Both serving roles speak these: the router decodes shard answers
+// into them only to merge a migrating user's rows and to write the
+// empty fills of degraded answers; everywhere else it moves the
+// shard's bytes verbatim.
 
-type batchRequest struct {
+// BatchRequest is the body of a batched query: k for neighbors and
+// topk, n for recommend; an omitted count takes the default.
+type BatchRequest struct {
 	Users []int32 `json:"users"`
 	K     int     `json:"k,omitempty"`
 	N     int     `json:"n,omitempty"`
 }
 
-type neighborsResult struct {
+// NeighborsResult is one user's /v1/neighbors answer: adjacency ids
+// and similarities, best first.
+type NeighborsResult struct {
 	User int32     `json:"user"`
 	IDs  []int32   `json:"ids"`
 	Sims []float32 `json:"sims"`
 }
 
-type neighborJSON struct {
+// Neighbor is one (id, similarity) pair of a /v1/topk answer.
+type Neighbor struct {
 	ID  int32   `json:"id"`
 	Sim float64 `json:"sim"`
 }
 
-type topkResult struct {
-	User      int32          `json:"user"`
-	Neighbors []neighborJSON `json:"neighbors"`
+// TopKResult is one user's /v1/topk answer.
+type TopKResult struct {
+	User      int32      `json:"user"`
+	Neighbors []Neighbor `json:"neighbors"`
 }
 
-type recommendResult struct {
+// RecommendResult is one user's /v1/recommend answer.
+type RecommendResult struct {
 	User  int32   `json:"user"`
 	Items []int32 `json:"items"`
 }
 
-type batchResponse[T any] struct {
+// BatchResponse is the envelope of a batched answer: one result per
+// requested user, in request order.
+type BatchResponse[T any] struct {
 	Results []T `json:"results"`
 }
 
-type errorResponse struct {
+// ErrorResponse is the body of a refused request.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
 // ---- handlers ----
 
-func (s *Server) badRequest(w http.ResponseWriter, msg string) {
-	s.stats.RecordBadRequest()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	json.NewEncoder(w).Encode(errorResponse{Error: msg})
-}
-
 func writeJSONBytes(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-}
-
-// parseCount parses a k/n query parameter, applying def when absent and
-// the configured bound.
-func (s *Server) parseCount(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("must be a positive integer, got %q", raw)
-	}
-	if v > s.cfg.MaxResults {
-		return 0, fmt.Errorf("exceeds the maximum of %d", s.cfg.MaxResults)
-	}
-	return v, nil
-}
-
-// serveQuery handles both request forms of a query endpoint: GET with
-// ?user= (single) and POST with a JSON {"users":[...]} body (batched).
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep Endpoint) {
-	switch r.Method {
-	case http.MethodGet:
-		s.serveSingle(w, r, ep)
-	case http.MethodPost:
-		s.serveBatch(w, r, ep)
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "use GET for single queries, POST for batches", http.StatusMethodNotAllowed)
-	}
 }
 
 // defaultCount returns the default k/n for ep: the served graph's k
@@ -509,15 +412,14 @@ func (s *Server) answer(ctx context.Context, ep Endpoint, u int32, batch []int32
 func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, ep Endpoint) {
 	start := time.Now()
 	q := r.URL.Query()
-	user64, err := strconv.ParseInt(q.Get("user"), 10, 32)
+	u, err := ParseUser(q)
 	if err != nil {
-		s.badRequest(w, "user must be a 32-bit integer")
+		BadRequest(w, s.stats, err.Error())
 		return
 	}
-	u := int32(user64)
-	count, err := s.parseCount(q.Get(countParam(ep)), s.defaultCount(ep))
+	count, err := s.cfg.ParseCount(q, ep, s.defaultCount(ep))
 	if err != nil {
-		s.badRequest(w, countParam(ep)+" "+err.Error())
+		BadRequest(w, s.stats, err.Error())
 		return
 	}
 	body, hit, err := s.answer(r.Context(), ep, u, nil, count)
@@ -531,16 +433,12 @@ func (s *Server) serveSingle(w http.ResponseWriter, r *http.Request, ep Endpoint
 }
 
 // answerError maps an answer failure onto the wire: an expired
-// per-request deadline is 503 (the hardening contract — an overloaded
-// or stalled server refuses rather than hangs), a client that went
-// away gets nothing, and anything else is an internal error.
+// per-request deadline is 503, a client that went away gets nothing,
+// and anything else is an internal error.
 func (s *Server) answerError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		s.stats.RecordTimeout()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(errorResponse{Error: "request deadline expired"})
+		DeadlineExpired(w, s.stats)
 	case errors.Is(err, context.Canceled):
 		// Client disconnected; nothing useful to write.
 	default:
@@ -548,66 +446,19 @@ func (s *Server) answerError(w http.ResponseWriter, r *http.Request, err error) 
 	}
 }
 
-// tooLarge answers 413 for a body over the configured cap.
-func (s *Server) tooLarge(w http.ResponseWriter) {
-	s.stats.RecordTooLarge()
-	w.Header().Set("Connection", "close")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusRequestEntityTooLarge)
-	json.NewEncoder(w).Encode(errorResponse{
-		Error: fmt.Sprintf("request body exceeds the %d-byte limit", s.cfg.MaxBodyBytes),
-	})
-}
-
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, ep Endpoint) {
 	start := time.Now()
-	var req batchRequest
-	// The body arrives through the BodyLimit stage's MaxBytesReader, so
-	// an over-cap body surfaces here as *http.MaxBytesError — a 413,
-	// distinct from malformed JSON's 400. (Direct callers without the
-	// middleware stack are unlimited; Handler() is the hardened path.)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.tooLarge(w)
-			return
-		}
-		s.badRequest(w, "invalid JSON body: "+err.Error())
+	users, count, ok := s.cfg.DecodeBatch(w, r, s.stats, ep, s.defaultCount(ep))
+	if !ok {
 		return
 	}
-	if len(req.Users) == 0 {
-		s.badRequest(w, `"users" must be a non-empty array`)
-		return
-	}
-	if len(req.Users) > s.cfg.MaxBatch {
-		s.badRequest(w, fmt.Sprintf("batch of %d users exceeds the maximum of %d", len(req.Users), s.cfg.MaxBatch))
-		return
-	}
-	count := req.K
-	if ep == EpRecommend {
-		count = req.N
-	}
-	if count == 0 {
-		count = s.defaultCount(ep)
-	}
-	if count < 0 || count > s.cfg.MaxResults {
-		s.badRequest(w, fmt.Sprintf("%s must be in [1, %d]", countParam(ep), s.cfg.MaxResults))
-		return
-	}
-	body, hit, err := s.answer(r.Context(), ep, 0, req.Users, count)
+	body, hit, err := s.answer(r.Context(), ep, 0, users, count)
 	if err != nil {
 		s.answerError(w, r, err)
 		return
 	}
-	s.stats.RecordQuery(ep, time.Since(start), len(req.Users), true, hit)
+	s.stats.RecordQuery(ep, time.Since(start), len(users), true, hit)
 	writeJSONBytes(w, body)
-}
-
-func countParam(ep Endpoint) string {
-	if ep == EpRecommend {
-		return "n"
-	}
-	return "k"
 }
 
 // appendKeyHeader starts a cache key: endpoint, batch marker, snapshot
@@ -640,44 +491,44 @@ func marshalSingle(ix *c2knn.Index, ep Endpoint, u int32, count int) ([]byte, er
 	switch ep {
 	case EpNeighbors:
 		ids, sims := neighborsAt(ix, u, count)
-		return json.Marshal(neighborsResult{User: u, IDs: emptyNotNil(ids), Sims: emptyNotNilF(sims)})
+		return json.Marshal(NeighborsResult{User: u, IDs: emptyNotNil(ids), Sims: emptyNotNilF(sims)})
 	case EpTopK:
 		return json.Marshal(topkToJSON(u, ix.TopK(u, count)))
 	default:
-		return json.Marshal(recommendResult{User: u, Items: emptyNotNil(ix.Recommend(u, count))})
+		return json.Marshal(RecommendResult{User: u, Items: emptyNotNil(ix.Recommend(u, count))})
 	}
 }
 
 func marshalBatch(ix *c2knn.Index, ep Endpoint, users []int32, count int) ([]byte, error) {
 	switch ep {
 	case EpNeighbors:
-		res := make([]neighborsResult, len(users))
+		res := make([]NeighborsResult, len(users))
 		for i, u := range users {
 			ids, sims := neighborsAt(ix, u, count)
-			res[i] = neighborsResult{User: u, IDs: emptyNotNil(ids), Sims: emptyNotNilF(sims)}
+			res[i] = NeighborsResult{User: u, IDs: emptyNotNil(ids), Sims: emptyNotNilF(sims)}
 		}
-		return json.Marshal(batchResponse[neighborsResult]{Results: res})
+		return json.Marshal(BatchResponse[NeighborsResult]{Results: res})
 	case EpTopK:
 		tops := ix.TopKBatch(users, count)
-		res := make([]topkResult, len(users))
+		res := make([]TopKResult, len(users))
 		for i, u := range users {
 			res[i] = topkToJSON(u, tops[i])
 		}
-		return json.Marshal(batchResponse[topkResult]{Results: res})
+		return json.Marshal(BatchResponse[TopKResult]{Results: res})
 	default:
 		recs := ix.RecommendBatch(users, count)
-		res := make([]recommendResult, len(users))
+		res := make([]RecommendResult, len(users))
 		for i, u := range users {
-			res[i] = recommendResult{User: u, Items: emptyNotNil(recs[i])}
+			res[i] = RecommendResult{User: u, Items: emptyNotNil(recs[i])}
 		}
-		return json.Marshal(batchResponse[recommendResult]{Results: res})
+		return json.Marshal(BatchResponse[RecommendResult]{Results: res})
 	}
 }
 
-func topkToJSON(u int32, nbs []c2knn.Neighbor) topkResult {
-	out := topkResult{User: u, Neighbors: make([]neighborJSON, len(nbs))}
+func topkToJSON(u int32, nbs []c2knn.Neighbor) TopKResult {
+	out := TopKResult{User: u, Neighbors: make([]Neighbor, len(nbs))}
 	for i, nb := range nbs {
-		out.Neighbors[i] = neighborJSON{ID: nb.ID, Sim: nb.Sim}
+		out.Neighbors[i] = Neighbor{ID: nb.ID, Sim: nb.Sim}
 	}
 	return out
 }
@@ -701,7 +552,9 @@ func emptyNotNilF(s []float32) []float32 {
 
 // ---- health, stats, admin ----
 
-type healthResponse struct {
+// HealthResponse is the /healthz body; the router's health poll reads
+// it from every replica.
+type HealthResponse struct {
 	Status string `json:"status"`
 	Users  int    `json:"users"`
 	K      int    `json:"k"`
@@ -710,12 +563,12 @@ type healthResponse struct {
 	// router's health poll reads DeltaSeq to detect writes landing on a
 	// replica that should be read-only (delta skew).
 	DeltaSeq uint64       `json:"delta_seq,omitempty"`
-	Delta    *deltaHealth `json:"delta,omitempty"`
+	Delta    *DeltaHealth `json:"delta,omitempty"`
 }
 
-// deltaHealth is the freshness block of /healthz: how much absorbed-
+// DeltaHealth is the freshness block of /healthz: how much absorbed-
 // but-not-compacted state the daemon holds.
-type deltaHealth struct {
+type DeltaHealth struct {
 	Depth  int     `json:"depth"`
 	Users  int     `json:"users"`
 	AgeSec float64 `json:"age_sec"`
@@ -723,15 +576,14 @@ type deltaHealth struct {
 
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.st.Load()
-	h := healthResponse{
+	h := HealthResponse{
 		Status: "ok", Users: st.ix.NumUsers(), K: st.ix.K(), Epoch: st.epoch,
 	}
 	if ds, ok := st.ix.DeltaStats(); ok {
 		h.DeltaSeq = ds.Seq
-		h.Delta = &deltaHealth{Depth: ds.Depth, Users: ds.Users, AgeSec: ds.AgeSec}
+		h.Delta = &DeltaHealth{Depth: ds.Depth, Users: ds.Users, AgeSec: ds.AgeSec}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) serveStatsz(w http.ResponseWriter, r *http.Request) {
@@ -749,8 +601,7 @@ func (s *Server) serveStatsz(w http.ResponseWriter, r *http.Request) {
 			AgeSec: ds.AgeSec, Seq: ds.Seq, Marker: ds.Marker,
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 type reloadResponse struct {
@@ -803,15 +654,14 @@ func (s *Server) servePanic(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveDelay(w http.ResponseWriter, r *http.Request) {
 	d, err := time.ParseDuration(r.URL.Query().Get("d"))
 	if err != nil || d < 0 || d > time.Minute {
-		s.badRequest(w, "d must be a duration in (0, 1m]")
+		BadRequest(w, s.stats, "d must be a duration in (0, 1m]")
 		return
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]string{"status": "slept", "d": d.String()})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "slept", "d": d.String()})
 	case <-r.Context().Done():
 		s.answerError(w, r, r.Context().Err())
 	}

@@ -107,13 +107,13 @@ func TestServerSingleEndpointsMatchIndex(t *testing.T) {
 	ix := testIndex(t, 1)
 	_, ts := newTestServer(t, ix, Config{})
 	for u := int32(0); u < int32(ix.NumUsers()); u += 7 {
-		var rec recommendResult
+		var rec RecommendResult
 		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=10", ts.URL, u), &rec)
 		if want := ix.Recommend(u, 10); !slices.Equal(rec.Items, emptyNotNil(want)) {
 			t.Fatalf("user %d: HTTP items %v, Index.Recommend %v", u, rec.Items, want)
 		}
 
-		var nb neighborsResult
+		var nb NeighborsResult
 		getJSON(t, fmt.Sprintf("%s/v1/neighbors?user=%d", ts.URL, u), &nb)
 		ids, sims := ix.Neighbors(u)
 		if !slices.Equal(nb.IDs, emptyNotNil(ids)) || len(nb.Sims) != len(sims) {
@@ -125,7 +125,7 @@ func TestServerSingleEndpointsMatchIndex(t *testing.T) {
 			}
 		}
 
-		var tk topkResult
+		var tk TopKResult
 		getJSON(t, fmt.Sprintf("%s/v1/topk?user=%d&k=3", ts.URL, u), &tk)
 		want := ix.TopK(u, 3)
 		if len(tk.Neighbors) != len(want) {
@@ -138,7 +138,7 @@ func TestServerSingleEndpointsMatchIndex(t *testing.T) {
 		}
 	}
 	// Out-of-range users: empty results, not errors.
-	var rec recommendResult
+	var rec RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=999999&n=10", &rec)
 	if len(rec.Items) != 0 {
 		t.Fatalf("out-of-range user got items %v", rec.Items)
@@ -154,13 +154,13 @@ func TestServerNeighborsHonorsK(t *testing.T) {
 	if len(ids) < 3 {
 		t.Skip("user 3 has too few neighbors for a truncation check")
 	}
-	var nb neighborsResult
+	var nb NeighborsResult
 	getJSON(t, ts.URL+"/v1/neighbors?user=3&k=2", &nb)
 	if !slices.Equal(nb.IDs, ids[:2]) || !slices.Equal(nb.Sims, sims[:2]) {
 		t.Fatalf("k=2 returned (%v, %v), want the 2-prefix of (%v, %v)", nb.IDs, nb.Sims, ids, sims)
 	}
-	var batch batchResponse[neighborsResult]
-	if code := postJSON(t, ts.URL+"/v1/neighbors", batchRequest{Users: []int32{3}, K: 2}, &batch); code != 200 {
+	var batch BatchResponse[NeighborsResult]
+	if code := postJSON(t, ts.URL+"/v1/neighbors", BatchRequest{Users: []int32{3}, K: 2}, &batch); code != 200 {
 		t.Fatalf("batch status %d", code)
 	}
 	if !slices.Equal(batch.Results[0].IDs, ids[:2]) {
@@ -172,8 +172,8 @@ func TestServerBatchMatchesSerial(t *testing.T) {
 	ix := testIndex(t, 1)
 	_, ts := newTestServer(t, ix, Config{})
 	users := []int32{0, 5, 3, 3, int32(ix.NumUsers()) + 4, 11, -2, 1}
-	var rec batchResponse[recommendResult]
-	if code := postJSON(t, ts.URL+"/v1/recommend", batchRequest{Users: users, N: 12}, &rec); code != 200 {
+	var rec BatchResponse[RecommendResult]
+	if code := postJSON(t, ts.URL+"/v1/recommend", BatchRequest{Users: users, N: 12}, &rec); code != 200 {
 		t.Fatalf("batch recommend status %d", code)
 	}
 	if len(rec.Results) != len(users) {
@@ -188,8 +188,8 @@ func TestServerBatchMatchesSerial(t *testing.T) {
 		}
 	}
 
-	var tk batchResponse[topkResult]
-	if code := postJSON(t, ts.URL+"/v1/topk", batchRequest{Users: users, K: 4}, &tk); code != 200 {
+	var tk BatchResponse[TopKResult]
+	if code := postJSON(t, ts.URL+"/v1/topk", BatchRequest{Users: users, K: 4}, &tk); code != 200 {
 		t.Fatalf("batch topk status %d", code)
 	}
 	for i, u := range users {
@@ -199,8 +199,8 @@ func TestServerBatchMatchesSerial(t *testing.T) {
 		}
 	}
 
-	var nb batchResponse[neighborsResult]
-	if code := postJSON(t, ts.URL+"/v1/neighbors", batchRequest{Users: users}, &nb); code != 200 {
+	var nb BatchResponse[NeighborsResult]
+	if code := postJSON(t, ts.URL+"/v1/neighbors", BatchRequest{Users: users}, &nb); code != 200 {
 		t.Fatalf("batch neighbors status %d", code)
 	}
 	for i, u := range users {
@@ -213,7 +213,7 @@ func TestServerBatchMatchesSerial(t *testing.T) {
 
 func TestServerBadRequests(t *testing.T) {
 	ix := testIndex(t, 1)
-	_, ts := newTestServer(t, ix, Config{MaxBatch: 4})
+	_, ts := newTestServer(t, ix, Config{Front: Front{MaxBatch: 4}})
 	for _, url := range []string{
 		"/v1/recommend",             // missing user
 		"/v1/recommend?user=abc",    // non-numeric
@@ -230,10 +230,10 @@ func TestServerBadRequests(t *testing.T) {
 			t.Errorf("GET %s: status %d, want 400", url, resp.StatusCode)
 		}
 	}
-	if code := postJSON(t, ts.URL+"/v1/recommend", batchRequest{Users: []int32{1, 2, 3, 4, 5}}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/v1/recommend", BatchRequest{Users: []int32{1, 2, 3, 4, 5}}, nil); code != 400 {
 		t.Errorf("over-limit batch: status %d, want 400", code)
 	}
-	if code := postJSON(t, ts.URL+"/v1/recommend", batchRequest{}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/v1/recommend", BatchRequest{}, nil); code != 400 {
 		t.Errorf("empty batch: status %d, want 400", code)
 	}
 	resp, err := http.Post(ts.URL+"/v1/recommend", "application/json", bytes.NewReader([]byte("{not json")))
@@ -266,13 +266,13 @@ func TestServerBadRequests(t *testing.T) {
 func TestServerHealthzStatsz(t *testing.T) {
 	ix := testIndex(t, 1)
 	_, ts := newTestServer(t, ix, Config{})
-	var h healthResponse
+	var h HealthResponse
 	getJSON(t, ts.URL+"/healthz", &h)
 	if h.Status != "ok" || h.Users != ix.NumUsers() || h.K != ix.K() || h.Epoch != 1 {
 		t.Fatalf("healthz = %+v", h)
 	}
 	// Same query twice: second must be a cache hit.
-	var rec recommendResult
+	var rec RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=5", &rec)
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=5", &rec)
 	var st Snapshot
@@ -323,7 +323,7 @@ func TestServerReloadAndErrorKinds(t *testing.T) {
 
 	// Warm the cache, then reload: the swap must flush the dead epoch's
 	// entries rather than leave them squatting on the budgets.
-	var warm recommendResult
+	var warm RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=2&n=5", &warm)
 	if s.cache.Len() != 1 {
 		t.Fatalf("cache holds %d entries after one query, want 1", s.cache.Len())
@@ -381,7 +381,7 @@ func TestServerReloadAndErrorKinds(t *testing.T) {
 	if s.Epoch() != 2 {
 		t.Fatalf("failed reloads changed the epoch to %d", s.Epoch())
 	}
-	var rec recommendResult
+	var rec RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=5", &rec)
 	if want := emptyNotNil(ix.Recommend(1, 5)); !slices.Equal(rec.Items, want) {
 		t.Fatalf("serving diverged after failed reloads")
@@ -430,7 +430,7 @@ func TestServerHotSwapUnderLoad(t *testing.T) {
 					errs <- err
 					return
 				}
-				var rec recommendResult
+				var rec RecommendResult
 				err = json.NewDecoder(resp.Body).Decode(&rec)
 				resp.Body.Close()
 				if err != nil {
@@ -460,7 +460,7 @@ func TestServerHotSwapUnderLoad(t *testing.T) {
 	// Post-swap: responses must be the new index's, even for queries the
 	// old epoch cached.
 	for u := 0; u < users; u++ {
-		var rec recommendResult
+		var rec RecommendResult
 		getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", ts.URL, u, nRec), &rec)
 		if !slices.Equal(rec.Items, wantNew[u]) {
 			t.Fatalf("user %d: post-swap response is not the new index's", u)
@@ -541,7 +541,7 @@ func TestServerSwapDrainsMappedEpoch(t *testing.T) {
 	}
 	s, ts := newTestServer(t, mmIx, Config{})
 
-	var before recommendResult
+	var before RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=5&n=5", &before)
 
 	next := testIndex(t, 2)
@@ -549,7 +549,7 @@ func TestServerSwapDrainsMappedEpoch(t *testing.T) {
 	if mmIx.Retain() {
 		t.Fatal("retired mapped epoch still accepts retains after the swap closed it")
 	}
-	var after recommendResult
+	var after RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=5&n=5", &after)
 	want := emptyNotNil(next.Recommend(5, 5))
 	if !slices.Equal(after.Items, want) {

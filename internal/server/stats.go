@@ -285,10 +285,6 @@ func (st *Stats) RecordCompactionFailure(msg string) {
 	st.compactErrMu.Unlock()
 }
 
-// InFlightGauge exposes the live in-flight gauge the shed stage
-// maintains.
-func (st *Stats) InFlightGauge() *atomic.Int64 { return &st.inFlight }
-
 // knownStatusCodes are the statuses the daemon emits on its query and
 // admin surfaces; anything else lands in the trailing "other" slot.
 // /metrics exports these as c2_responses_total{code="..."}.
@@ -318,10 +314,6 @@ func (st *Stats) RecordReloadFailure(kind, msg string) {
 	st.lastReloadKind, st.lastReloadErr = kind, msg
 	st.reloadErrMu.Unlock()
 }
-
-// Hist exposes the request-latency histogram (for /metrics and for
-// tiers that stack their own accounting on a Stats).
-func (st *Stats) Hist() *LatencyHist { return &st.lat }
 
 // percentile is kept as a shorthand over the histogram.
 func (st *Stats) percentile(p float64) float64 { return st.lat.Percentile(p) }

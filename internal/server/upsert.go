@@ -51,20 +51,14 @@ type upsertResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// refusalResponse is the typed 403 body of the write surface: kind
+// Refusal is the typed 403 body of the write surface: kind
 // "read-only" means this replica never accepts writes (find the
-// writable daemon), "disabled" means the served index has no delta
-// overlay (start the daemon with -upserts, on a snapshot that carries
-// fingerprints).
-type refusalResponse struct {
+// writable daemon; the router always answers so), "disabled" means the
+// served index has no delta overlay (start the daemon with -upserts,
+// on a snapshot that carries fingerprints).
+type Refusal struct {
 	Error string `json:"error"`
 	Kind  string `json:"kind"`
-}
-
-func (s *Server) refuseWrite(w http.ResponseWriter, kind, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusForbidden)
-	json.NewEncoder(w).Encode(refusalResponse{Error: msg, Kind: kind})
 }
 
 // serveUpsert handles POST /v1/upsert. Writes serialize on the
@@ -77,17 +71,11 @@ func (s *Server) serveUpsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.ReadOnly {
-		s.refuseWrite(w, "read-only", "this replica is read-only; send writes to the writable daemon")
+		Refuse(w, "read-only", "this replica is read-only; send writes to the writable daemon")
 		return
 	}
 	var req upsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.tooLarge(w)
-			return
-		}
-		s.badRequest(w, "invalid JSON body: "+err.Error())
+	if !s.cfg.decodeJSON(w, r, s.stats, &req) {
 		return
 	}
 	batch := req.Upserts != nil
@@ -96,11 +84,11 @@ func (s *Server) serveUpsert(w http.ResponseWriter, r *http.Request) {
 		entries = []upsertEntry{req.upsertEntry}
 	}
 	if len(entries) == 0 {
-		s.badRequest(w, `"upserts" must be a non-empty array`)
+		BadRequest(w, s.stats, `"upserts" must be a non-empty array`)
 		return
 	}
 	if len(entries) > s.cfg.MaxBatch {
-		s.badRequest(w, fmt.Sprintf("batch of %d upserts exceeds the maximum of %d", len(entries), s.cfg.MaxBatch))
+		BadRequest(w, s.stats, fmt.Sprintf("batch of %d upserts exceeds the maximum of %d", len(entries), s.cfg.MaxBatch))
 		return
 	}
 
@@ -123,7 +111,7 @@ func (s *Server) serveUpsert(w http.ResponseWriter, r *http.Request) {
 	}
 	defer st.ix.Release()
 	if !st.ix.Upserts() {
-		s.refuseWrite(w, "disabled", "upserts are not enabled on this daemon (start with -upserts)")
+		Refuse(w, "disabled", "upserts are not enabled on this daemon (start with -upserts)")
 		return
 	}
 
@@ -142,13 +130,13 @@ func (s *Server) serveUpsert(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if !batch {
 		if results[0].Error != "" {
-			s.badRequest(w, results[0].Error)
+			BadRequest(w, s.stats, results[0].Error)
 			return
 		}
 		json.NewEncoder(w).Encode(results[0])
 		return
 	}
-	json.NewEncoder(w).Encode(batchResponse[upsertResult]{Results: results})
+	json.NewEncoder(w).Encode(BatchResponse[upsertResult]{Results: results})
 }
 
 // CompactResult reports one completed compaction swap.
@@ -227,21 +215,19 @@ func (s *Server) serveCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.ReadOnly {
-		s.refuseWrite(w, "read-only", "this replica is read-only; compact on the writable daemon")
+		Refuse(w, "read-only", "this replica is read-only; compact on the writable daemon")
 		return
 	}
 	res, err := s.CompactNow()
-	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
 		if errors.Is(err, c2knn.ErrUpsertsDisabled) {
-			s.refuseWrite(w, "disabled", "upserts are not enabled on this daemon (start with -upserts)")
+			Refuse(w, "disabled", "upserts are not enabled on this daemon (start with -upserts)")
 			return
 		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 		return
 	}
-	json.NewEncoder(w).Encode(res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // StartCompactor launches the background compaction loop: every period

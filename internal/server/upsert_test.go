@@ -64,7 +64,7 @@ func TestServerUpsertEndpoint(t *testing.T) {
 
 	// The write is immediately queryable — and the cache cannot serve a
 	// pre-upsert body for it, since the delta sequence is in every key.
-	var nb neighborsResult
+	var nb NeighborsResult
 	getJSON(t, fmt.Sprintf("%s/v1/neighbors?user=%d", ts.URL, res.User), &nb)
 	if len(nb.IDs) == 0 {
 		t.Fatal("new user has no neighbors served")
@@ -77,7 +77,7 @@ func TestServerUpsertEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("batch upsert status %d: %s", code, body)
 	}
-	var batch batchResponse[upsertResult]
+	var batch BatchResponse[upsertResult]
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestServerUpsertEndpoint(t *testing.T) {
 	}
 
 	// Observability: healthz exposes the cursor, statsz the counters.
-	var h healthResponse
+	var h HealthResponse
 	getJSON(t, ts.URL+"/healthz", &h)
 	if h.Users != baseUsers+2 || h.DeltaSeq != 3 || h.Delta == nil || h.Delta.Depth != 3 || h.Delta.Users != 2 {
 		t.Fatalf("healthz after upserts: %+v (delta %+v)", h, h.Delta)
@@ -129,7 +129,7 @@ func TestServerUpsertRefusals(t *testing.T) {
 		if code != http.StatusForbidden {
 			t.Fatalf("POST %s on read-only: status %d, want 403", ep, code)
 		}
-		var ref refusalResponse
+		var ref Refusal
 		if err := json.Unmarshal(body, &ref); err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestServerUpsertRefusals(t *testing.T) {
 	// A daemon without -upserts refuses with kind "disabled".
 	_, ts2 := newTestServer(t, testIndex(t, 2), Config{})
 	code, body := postBody(t, ts2.URL+"/v1/upsert", `{"items":[1]}`)
-	var ref refusalResponse
+	var ref Refusal
 	if err := json.Unmarshal(body, &ref); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestServerUpsertInvalidatesCache(t *testing.T) {
 
 	// Prime the cache with user 1's recommendations, twice (second is a
 	// hit).
-	var before recommendResult
+	var before RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=50", &before)
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=50", &before)
 
@@ -177,7 +177,7 @@ func TestServerUpsertInvalidatesCache(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("upsert status %d: %s", code, body)
 	}
-	var after recommendResult
+	var after RecommendResult
 	getJSON(t, ts.URL+"/v1/recommend?user=1&n=50", &after)
 	if slices.Contains(after.Items, target) {
 		t.Fatalf("item %d still recommended to user 1 after being added to its profile (stale cache)", target)
@@ -231,7 +231,7 @@ func TestServerCompactionUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			var nb neighborsResult
+			var nb NeighborsResult
 			getJSON(t, ts.URL+"/v1/neighbors?user=1", &nb)
 			if len(nb.IDs) == 0 {
 				errs <- fmt.Errorf("reader: user 1 lost its neighbors mid-compaction")
@@ -275,7 +275,7 @@ func TestServerCompactionUnderLoad(t *testing.T) {
 	if res.Users != baseUsers+writers*inserts {
 		t.Fatalf("after final compact: %d users, want %d", res.Users, baseUsers+writers*inserts)
 	}
-	var h healthResponse
+	var h HealthResponse
 	getJSON(t, ts.URL+"/healthz", &h)
 	if h.Delta == nil || h.Delta.Depth != 0 || h.Delta.Users != 0 {
 		t.Fatalf("delta not drained after final compact: %+v", h.Delta)
@@ -322,7 +322,7 @@ func TestServerCompactorBackgroundLoop(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var h healthResponse
+		var h HealthResponse
 		getJSON(t, ts.URL+"/healthz", &h)
 		if h.Delta != nil && h.Delta.Depth < 2 && h.Users == baseUsers+6 {
 			break
