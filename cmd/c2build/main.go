@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"time"
 
+	"c2knn"
 	"c2knn/internal/bruteforce"
 	"c2knn/internal/core"
 	"c2knn/internal/dataset"
@@ -49,7 +50,7 @@ func main() {
 		gfbits  = flag.Int("gfbits", 1024, "GoldFinger width (ignored with -raw)")
 		raw     = flag.Bool("raw", false, "use exact Jaccard instead of GoldFinger")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
-		seed    = flag.Int64("seed", 42, "random seed")
+		seed    = flag.Int64("seed", c2knn.DefaultSeed, "random seed")
 		shards  = flag.Int("shards", 0, "with -snap: also partition the build into this many per-shard snapshots plus a manifest")
 		buckets = flag.Int("shard-buckets", frh.DefaultShardBuckets, "shard-key bucket count recorded in the manifest")
 	)

@@ -122,7 +122,7 @@ func main() {
 
 		upserts      = flag.Bool("upserts", false, "enable the write path: POST /v1/upsert absorbs profiles into a delta overlay, /admin/compact folds it back into -snap")
 		readOnly     = flag.Bool("read-only", false, "refuse /v1/upsert and /admin/compact with 403 (read replicas; routers always refuse)")
-		upsertSeed   = flag.Int64("upsert-seed", 0, "FastRandomHash family seed for upsert placement (match the build's -seed)")
+		upsertSeed   = flag.Int64("upsert-seed", c2knn.DefaultSeed, "FastRandomHash family seed for upsert placement (match the build's -seed)")
 		compactEvery = flag.Duration("compact-every", 5*time.Second, "background compactor check period (0 disables the background loop)")
 		compactDepth = flag.Int("compact-depth", 1024, "compact once this many upserts are pending (0 disables the depth trigger)")
 		compactAge   = flag.Duration("compact-age", 30*time.Second, "compact once the oldest pending upsert is this old (0 disables the age trigger)")

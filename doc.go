@@ -319,6 +319,13 @@
 // See EXPERIMENTS.md ("Incremental maintenance") for measured
 // latencies and the recall-parity gate.
 //
+// Durability: an acknowledged upsert lives only in the overlay's
+// memory until a compaction folds it into a snapshot on disk. There is
+// no write-ahead log, so a SIGKILL, an OOM kill or a power loss drops
+// every upsert acknowledged since the last compaction. A graceful
+// SIGTERM does not compact either; POST /admin/compact before a planned
+// stop keeps the acknowledged writes.
+//
 // The package root re-exports the stable surface of the internal
 // packages; see the examples directory for complete programs and
 // cmd/c2bench for the experiment harness.

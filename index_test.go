@@ -239,6 +239,19 @@ func TestIndexNonPositiveN(t *testing.T) {
 	}
 }
 
+// TestEnableUpsertsRejectsBadFRH: an out-of-range hash parameter is an
+// error naming the field, and the index stays read-only.
+func TestEnableUpsertsRejectsBadFRH(t *testing.T) {
+	ix := buildTestIndex(t)
+	err := ix.EnableUpserts(c2knn.UpsertConfig{B: 1 << 16})
+	if err == nil || !strings.Contains(err.Error(), "B=65536") {
+		t.Fatalf("EnableUpserts(B=65536) = %v, want an error naming B", err)
+	}
+	if ix.Upserts() {
+		t.Error("a refused EnableUpserts left an overlay attached")
+	}
+}
+
 func TestNewIndexValidates(t *testing.T) {
 	d, err := c2knn.Generate("ml1M", 0.05)
 	if err != nil {

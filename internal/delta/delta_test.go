@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"c2knn/internal/core"
 	"c2knn/internal/dataset"
+	"c2knn/internal/frh"
 	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
 	"c2knn/internal/sets"
@@ -90,6 +92,33 @@ func TestAttachValidation(t *testing.T) {
 	short := &dataset.Dataset{Name: "short", NumItems: d.NumItems, Profiles: d.Profiles[:len(d.Profiles)-1]}
 	if _, err := Attach(frozen, short, gf, Config{}); err == nil {
 		t.Error("Attach accepted inconsistent user counts")
+	}
+	for _, tc := range []struct {
+		frh   frh.Options
+		field string
+	}{
+		{frh.Options{B: 1 << 16}, "B=65536"},
+		{frh.Options{B: -1}, "B=-1"},
+		{frh.Options{T: -1}, "T=-1"},
+	} {
+		if _, err := Attach(frozen, d, gf, Config{FRH: tc.frh}); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Attach with %+v: error %v, want one naming %s", tc.frh, err, tc.field)
+		}
+	}
+}
+
+// BenchmarkAttach times attaching an overlay to an ml1M-sized base at
+// the paper's B and T. The graph has empty rows: Attach only checks its
+// shape, so building a real one would only slow the set-up.
+func BenchmarkAttach(b *testing.B) {
+	d := synth.Generate(synth.ML1M())
+	gf := goldfinger.MustNew(d, goldfinger.DefaultBits, testGFSeed)
+	frozen := knng.New(d.NumUsers(), 10).Freeze()
+	b.ReportMetric(float64(d.NumRatings()), "ratings")
+	for b.Loop() {
+		if _, err := Attach(frozen, d, gf, Config{GFSeed: testGFSeed}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -12,9 +12,19 @@
 // H\η_C(u) = min{h(i) : i ∈ P_u, h(i) > η_C}. Users with no item hashed
 // above η_C (in particular single-item users) and users who would land
 // alone in their new cluster remain in C.
+//
+// Hashing is one pass over the ratings for all t configurations. The
+// Hasher stores the item hashes item-major, eight configurations to a
+// 16-byte row, so a user's coarse hashes in a group of eight are the
+// lane-wise minimum of its profile's rows: one VPMINUW per rating on
+// amd64 with a vector similarity kernel active, a Go loop otherwise.
+// Each configuration then counting-sorts its column into its B buckets.
+// Build, Stream and the delta overlay's Attach all bucket through this
+// pass; only the recursive splitting walks profiles per configuration.
 package frh
 
 import (
+	"runtime"
 	"sort"
 
 	"c2knn/internal/dataset"
@@ -35,11 +45,12 @@ type Options struct {
 	MaxSize int
 	// Seed selects the family of generative hash functions.
 	Seed int64
-	// Parallelism bounds how many configurations are clustered
-	// concurrently: the t configurations are independent, so Build and
-	// Stream fan them out by default (0 = one goroutine per
-	// configuration). 1 reproduces the serial pre-pipeline behaviour;
-	// the resulting clusters are identical either way.
+	// Parallelism bounds the goroutines of a clustering run. The
+	// one-pass hashing splits users over GOMAXPROCS goroutines, and the
+	// t independent configurations are bucketed and split concurrently,
+	// one goroutine each; a positive Parallelism caps both (0 = no
+	// cap). 1 reproduces the serial pre-pipeline behaviour; the
+	// resulting clusters are identical either way.
 	Parallelism int
 }
 
@@ -90,16 +101,28 @@ type Stats struct {
 	PerFn []int
 }
 
-// Hasher precomputes, for each configuration, the hash of every item, so
-// user hashes are simple scans of profile-indexed tables.
+// lanes is the number of configurations one table row carries: eight
+// uint16 hashes fill one 16-byte vector register.
+const lanes = 8
+
+// Hasher precomputes the hash of every item under every configuration
+// in one item-major table. Configurations are packed eight to a group:
+// rows[g][item] holds h_{8g}(item), …, h_{8g+7}(item) in eight uint16
+// lanes, and the lanes of the last group past T are padded with 0xFFFF.
+// A user's hashes under all eight configurations of a group are then
+// the lane-wise minimum of its profile's rows — one 16-byte load and
+// one VPMINUW per rating on amd64 — so hashAll walks the ratings once
+// per group instead of once per configuration. ItemHash,
+// UserHashAbove and the overlay's *Any variants read single lanes of
+// the same table.
 type Hasher struct {
-	b      int
-	t      int
-	tables [][]uint16 // tables[fn][item] ∈ [1, b]
-	seeds  []uint32   // per-configuration seeds, for items beyond the tables
+	b     int
+	t     int
+	rows  [][][lanes]uint16 // rows[fn/lanes][item][fn%lanes] ∈ [1, b]
+	seeds []uint32          // per-configuration seeds, for items beyond the table
 }
 
-// NewHasher builds the per-item hash tables for a dataset. b must be at
+// NewHasher builds the item hash table for a dataset. b must be at
 // most 65535 (values are stored in uint16; the paper's default is 4096).
 func NewHasher(numItems int32, o Options) *Hasher {
 	o.setDefaults()
@@ -107,15 +130,26 @@ func NewHasher(numItems int32, o Options) *Hasher {
 		panic("frh: B must fit in 16 bits")
 	}
 	fam := jenkins.NewFamily(o.T, o.Seed)
-	h := &Hasher{b: o.B, t: o.T, tables: make([][]uint16, o.T), seeds: make([]uint32, o.T)}
-	for fn := 0; fn < o.T; fn++ {
-		tab := make([]uint16, numItems)
-		seed := fam.Seed(fn)
-		h.seeds[fn] = seed
-		for it := int32(0); it < numItems; it++ {
-			tab[it] = uint16(jenkins.Hash32(uint32(it), seed)%uint32(o.B)) + 1
+	h := &Hasher{b: o.B, t: o.T, rows: make([][][lanes]uint16, (o.T+lanes-1)/lanes), seeds: make([]uint32, o.T)}
+	for fn := range h.seeds {
+		h.seeds[fn] = fam.Seed(fn)
+	}
+	b := uint32(o.B)
+	for g := range h.rows {
+		tab := make([][lanes]uint16, numItems)
+		for lane := range lanes {
+			fn := g*lanes + lane
+			if fn >= o.T {
+				for it := range tab {
+					tab[it][lane] = 0xffff
+				}
+				continue
+			}
+			for it := range tab {
+				tab[it][lane] = uint16(jenkins.Hash32(uint32(it), h.seeds[fn])%b) + 1
+			}
 		}
-		h.tables[fn] = tab
+		h.rows[g] = tab
 	}
 	return h
 }
@@ -126,16 +160,17 @@ func NewHasher(numItems int32, o Options) *Hasher {
 // the build never saw; both ranges use the same seeded hash, so the two
 // paths agree wherever they overlap.
 func (h *Hasher) itemHashAny(fn int, item int32) uint32 {
-	if tab := h.tables[fn]; int(item) < len(tab) {
-		return uint32(tab[item])
+	if tab := h.rows[fn/lanes]; int(item) < len(tab) {
+		return uint32(tab[item][fn%lanes])
 	}
 	return jenkins.Hash32(uint32(item), h.seeds[fn])%uint32(h.b) + 1
 }
 
-// UserHashAny is UserHash for profiles that may carry item ids beyond
-// the precomputed tables (incremental upserts with new items). On
-// profiles inside the build universe it returns exactly UserHash's
-// value.
+// UserHashAny returns H_fn(u) = min over the profile's item hashes for
+// profiles that may carry item ids beyond the precomputed table
+// (incremental upserts with new items). On profiles inside the build
+// universe it returns exactly the hash the one-pass bucketing files the
+// user under. Empty profiles report ok=false.
 func (h *Hasher) UserHashAny(fn int, profile []int32) (uint32, bool) {
 	if len(profile) == 0 {
 		return 0, false
@@ -150,7 +185,7 @@ func (h *Hasher) UserHashAny(fn int, profile []int32) (uint32, bool) {
 }
 
 // UserHashAboveAny is UserHashAbove for profiles that may carry item
-// ids beyond the precomputed tables; see UserHashAny.
+// ids beyond the precomputed table; see UserHashAny.
 func (h *Hasher) UserHashAboveAny(fn int, profile []int32, eta uint32) (uint32, bool) {
 	best := uint32(0)
 	for _, it := range profile {
@@ -170,38 +205,110 @@ func (h *Hasher) T() int { return h.t }
 
 // ItemHash returns h_fn(item) ∈ [1, B].
 func (h *Hasher) ItemHash(fn int, item int32) uint32 {
-	return uint32(h.tables[fn][item])
-}
-
-// UserHash returns H_fn(u) = min over the profile's item hashes. Empty
-// profiles report ok=false.
-func (h *Hasher) UserHash(fn int, profile []int32) (uint32, bool) {
-	if len(profile) == 0 {
-		return 0, false
-	}
-	tab := h.tables[fn]
-	best := tab[profile[0]]
-	for _, it := range profile[1:] {
-		if v := tab[it]; v < best {
-			best = v
-		}
-	}
-	return uint32(best), true
+	return uint32(h.rows[fn/lanes][item][fn%lanes])
 }
 
 // UserHashAbove returns H\η(u) = min{h(i) : h(i) > η}, the splitting hash
 // of §II-D. ok is false when no item hashes above η (such users remain in
 // the cluster being split).
 func (h *Hasher) UserHashAbove(fn int, profile []int32, eta uint32) (uint32, bool) {
-	tab := h.tables[fn]
+	tab, lane := h.rows[fn/lanes], fn%lanes
 	best := uint32(0)
 	for _, it := range profile {
-		v := uint32(tab[it])
+		v := uint32(tab[it][lane])
 		if v > eta && (best == 0 || v < best) {
 			best = v
 		}
 	}
 	return best, best != 0
+}
+
+// hashAll returns every user's hash under every configuration, computed
+// in one pass over the ratings: all[g*n+u][lane] = H_{8g+lane}(u) for
+// the n = len(profiles) users. An empty profile gets an all-zero row
+// (zero is no hash value, so no bucket takes it). Users are split into
+// contiguous ranges over up to GOMAXPROCS goroutines, bounded by
+// parallelism when positive.
+func (h *Hasher) hashAll(profiles [][]int32, parallelism int) [][lanes]uint16 {
+	n := len(profiles)
+	all := make([][lanes]uint16, len(h.rows)*n)
+	parts := runtime.GOMAXPROCS(0)
+	if parallelism > 0 {
+		parts = min(parts, parallelism)
+	}
+	parts = max(min(parts, n), 1)
+	schedule.Run(parts, schedule.FIFO(parts), func(_, part int) {
+		lo, hi := part*n/parts, (part+1)*n/parts
+		for g, tab := range h.rows {
+			out := all[g*n : (g+1)*n]
+			for u := lo; u < hi; u++ {
+				if p := profiles[u]; len(p) > 0 {
+					minRows(tab, p, &out[u])
+				}
+			}
+		}
+	})
+	return all
+}
+
+// minRowsGo sets *out to the lane-wise minimum of tab's rows for the
+// non-empty items: the portable form of minRows. The accumulator lives
+// in eight 32-bit scalars: the compiler keeps an array in memory, and
+// 16-bit conditional moves stall on partial registers.
+func minRowsGo(tab [][lanes]uint16, items []int32, out *[lanes]uint16) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := uint32(0xffff), uint32(0xffff), uint32(0xffff), uint32(0xffff),
+		uint32(0xffff), uint32(0xffff), uint32(0xffff), uint32(0xffff)
+	for _, it := range items {
+		r := &tab[it]
+		a0, a1, a2, a3 = min(a0, uint32(r[0])), min(a1, uint32(r[1])), min(a2, uint32(r[2])), min(a3, uint32(r[3]))
+		a4, a5, a6, a7 = min(a4, uint32(r[4])), min(a5, uint32(r[5])), min(a6, uint32(r[6])), min(a7, uint32(r[7]))
+	}
+	*out = [lanes]uint16{uint16(a0), uint16(a1), uint16(a2), uint16(a3), uint16(a4), uint16(a5), uint16(a6), uint16(a7)}
+}
+
+// bucketsFn counting-sorts configuration fn's column of hashAll's
+// output into its coarse buckets: buckets[idx] lists, in increasing id
+// order, the users whose H_fn is idx ∈ [1, B]; index 0 is unused and
+// empty buckets are nil. The buckets are carved from one slab, each
+// with a full slice expression, so an append to one bucket reallocates
+// it instead of overwriting its neighbour.
+func (h *Hasher) bucketsFn(all [][lanes]uint16, n, fn int) [][]int32 {
+	col, lane := all[fn/lanes*n:(fn/lanes+1)*n], fn%lanes
+	counts := make([]int32, h.b+1) // counts[0]: empty profiles
+	for u := range col {
+		counts[col[u][lane]]++
+	}
+	slab := make([]int32, n-int(counts[0]))
+	buckets := make([][]int32, h.b+1)
+	off := int32(0)
+	for idx := 1; idx <= h.b; idx++ {
+		if c := counts[idx]; c > 0 {
+			buckets[idx] = slab[off : off : off+c]
+			off += c
+		}
+	}
+	for u := range col {
+		if idx := col[u][lane]; idx != 0 {
+			buckets[idx] = append(buckets[idx], int32(u))
+		}
+	}
+	return buckets
+}
+
+// Buckets hashes every profile under all t configurations in one pass
+// and returns each configuration's coarse buckets: buckets[fn][idx]
+// lists, in increasing id order, the users whose H_fn is idx ∈ [1, B].
+// Index 0 is unused, and users with an empty profile are in no bucket.
+// Appending to a bucket never writes into another one. parallelism
+// bounds the goroutines as Options.Parallelism does.
+func (h *Hasher) Buckets(profiles [][]int32, parallelism int) [][][]int32 {
+	all := h.hashAll(profiles, parallelism)
+	buckets := make([][][]int32, h.t)
+	ForEachFn(h.t, parallelism, func(fn int) Stats {
+		buckets[fn] = h.bucketsFn(all, len(profiles), fn)
+		return Stats{}
+	})
+	return buckets
 }
 
 // Build runs the full clustering of d: t configurations of b clusters
@@ -224,18 +331,17 @@ func Build(d *dataset.Dataset, o Options) ([]Cluster, Stats) {
 // Options.Parallelism); the returned slice is always in the same
 // deterministic configuration-major order.
 func BuildWithHasher(d *dataset.Dataset, h *Hasher, o Options) ([]Cluster, Stats) {
-	o.setDefaults()
 	perFn := make([][]Cluster, h.t)
-	fnStats := ForEachFn(h.t, o.Parallelism, func(fn int) Stats {
-		return buildFn(d, h, o, fn, func(c Cluster) {
-			perFn[fn] = append(perFn[fn], c)
-		})
+	// Each configuration emits from its own goroutine only, so every
+	// perFn slot has one writer.
+	stats := StreamWithHasher(d, h, o, func(c Cluster) {
+		perFn[c.Fn] = append(perFn[c.Fn], c)
 	})
 	var clusters []Cluster
 	for fn := range perFn {
 		clusters = append(clusters, perFn[fn]...)
 	}
-	return clusters, MergeStats(fnStats)
+	return clusters, stats
 }
 
 // Stream clusters d like Build but emits each cluster as soon as it is
@@ -253,11 +359,14 @@ func Stream(d *dataset.Dataset, o Options, emit func(Cluster)) Stats {
 	return StreamWithHasher(d, h, o, emit)
 }
 
-// StreamWithHasher is Stream with a caller-provided Hasher.
+// StreamWithHasher is Stream with a caller-provided Hasher. Every
+// user's t hashes come from one shared pass over the ratings; the
+// configurations then bucket, split and emit concurrently.
 func StreamWithHasher(d *dataset.Dataset, h *Hasher, o Options, emit func(Cluster)) Stats {
 	o.setDefaults()
+	all := h.hashAll(d.Profiles, o.Parallelism)
 	fnStats := ForEachFn(h.t, o.Parallelism, func(fn int) Stats {
-		return buildFn(d, h, o, fn, emit)
+		return buildFn(d, h, o, fn, h.bucketsFn(all, d.NumUsers(), fn), emit)
 	})
 	return MergeStats(fnStats)
 }
@@ -277,21 +386,13 @@ func ForEachFn(t, parallelism int, build func(fn int) Stats) []Stats {
 	return fnStats
 }
 
-// buildFn clusters one configuration, invoking emit for every finalized
-// cluster in a deterministic order (buckets by increasing index, split
-// children depth-first by increasing split hash). The returned Stats
-// describe this configuration only; PerFn is left nil for the caller to
-// assemble.
-func buildFn(d *dataset.Dataset, h *Hasher, o Options, fn int, emit func(Cluster)) Stats {
+// buildFn splits configuration fn's coarse buckets and invokes emit for
+// every finalized cluster in a deterministic order (buckets by
+// increasing index, split children depth-first by increasing split
+// hash). The returned Stats describe this configuration only; PerFn is
+// left nil for the caller to assemble.
+func buildFn(d *dataset.Dataset, h *Hasher, o Options, fn int, buckets [][]int32, emit func(Cluster)) Stats {
 	var stats Stats
-	buckets := make([][]int32, h.b+1) // index 0 unused; hashes ∈ [1, b]
-	for u, p := range d.Profiles {
-		idx, ok := h.UserHash(fn, p)
-		if !ok {
-			continue // empty profile: see Build
-		}
-		buckets[idx] = append(buckets[idx], int32(u))
-	}
 	for idx, users := range buckets {
 		if len(users) == 0 {
 			continue

@@ -15,6 +15,12 @@ import (
 // unless UpsertConfig says otherwise.
 const DefaultGFSeed uint32 = 0x60fd
 
+// DefaultSeed is the FastRandomHash family seed the commands default
+// to: c2build -seed builds with it and c2serve -upsert-seed places
+// upserts with it, so a default build-then-serve places every upsert
+// through the very hash family that clustered the snapshot.
+const DefaultSeed int64 = 42
+
 // ErrUpsertsDisabled is returned by the write-path methods of an Index
 // whose delta overlay is not enabled (EnableUpserts was never called,
 // or the overlay moved to a successor index after a compaction).
@@ -27,7 +33,9 @@ var ErrUpsertsDisabled = errors.New("c2knn: upserts are not enabled on this inde
 type UpsertConfig struct {
 	// B, T, MaxClusterSize and Seed configure the FastRandomHash family
 	// used to place incoming profiles (defaults: the paper's B=4096,
-	// T=8, N=2000 with seed 0).
+	// T=8, N=2000 with seed 0; c2serve passes DefaultSeed unless
+	// -upsert-seed says otherwise). EnableUpserts refuses B outside
+	// [1, 65535] and T below 1.
 	B, T, MaxClusterSize int
 	Seed                 int64
 	// GFSeed is the fingerprint item-hash seed (default DefaultGFSeed,
