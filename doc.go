@@ -296,8 +296,9 @@
 // A frozen index can absorb new users and profile updates without a
 // rebuild. Index.EnableUpserts attaches a delta overlay
 // (internal/delta) on top of the frozen base: Index.Upsert
-// fingerprints the incoming profile, places it through the same
-// FastRandomHash cluster descent the builder used, and re-solves only
+// fingerprints the incoming profile, places it with the builder's own
+// FastRandomHash split step into the very clusters a rebuild would put
+// it in (given the build's clustering parameters), and re-solves only
 // the touched clusters with the blocked similarity kernels, patching
 // reverse edges under strict improvement. Reads merge base + delta
 // through an immutable copy-on-write view swapped by atomic pointer —

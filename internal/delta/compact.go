@@ -95,7 +95,9 @@ func (o *Overlay) Compact() (*Compacted, error) {
 // users the new base absorbed become base users under their existing
 // ids; survivors keep theirs, so ids are stable across any number of
 // compactions. Readers switch atomically: a view loaded before Rebase
-// keeps serving the old base consistently until dropped.
+// keeps serving the old base consistently until dropped. The writer's
+// coarse buckets need no change: every user is already filed under its
+// current profile, which the new base holds for each absorbed user.
 //
 // The overlay must be detached from the retiring index once its new
 // serving index is installed; a reader that resolves the retired index
@@ -153,7 +155,7 @@ func (o *Overlay) Rebase(graph *knng.Frozen, train *dataset.Dataset, gf *goldfin
 		}
 	}
 
-	next := &View{
+	o.view.Store(&View{
 		graph:    graph,
 		train:    train,
 		gf:       gf,
@@ -164,31 +166,7 @@ func (o *Overlay) Rebase(graph *knng.Frozen, train *dataset.Dataset, gf *goldfin
 		rows:     rows,
 		profiles: profiles,
 		sigs:     sigs,
-	}
-
-	// Writer-side re-filing: absorbed delta users join the base buckets
-	// under their current profiles; the delta coarse maps are rebuilt
-	// from the survivors (they are small by construction — compaction is
-	// what keeps them small).
-	for fn := 0; fn < o.cfg.FRH.T; fn++ {
-		o.deltaCoarse[fn] = make(map[uint32][]int32)
-	}
-	for id := cur.baseN; id < cur.numUsers; id++ {
-		p := next.Profile(id)
-		for fn := 0; fn < o.cfg.FRH.T; fn++ {
-			idx, ok := o.hasher.UserHashAny(fn, p)
-			if !ok {
-				continue
-			}
-			if id < newBaseN {
-				o.buckets[fn][idx] = append(o.buckets[fn][idx], id)
-			} else {
-				o.deltaCoarse[fn][idx] = append(o.deltaCoarse[fn][idx], id)
-			}
-		}
-	}
-
-	o.view.Store(next)
+	})
 	if marker > o.marker {
 		o.marker = marker
 	}

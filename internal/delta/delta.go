@@ -9,8 +9,12 @@
 // FastRandomHash buckets are exactly the locality handle needed — a new
 // profile hashes to one bucket per configuration, so only those
 // clusters' members can be its neighbors under the C² approximation.
-// An upsert therefore costs t localized cluster re-solves (a few
-// thousand SIMD AND-popcounts), not a build.
+// An upsert therefore costs t localized cluster re-solves, not a build:
+// BenchmarkUpsert, streaming 1,024 users into an ml10M lookalike at the
+// paper's B, T and N, scores 4,050 candidates per upsert at 6.2–7.9 ms
+// per upsert (medians of two sets of 6 and 10 runs on a 2-vCPU x86-64
+// VM, avx512 arm). About 60 % of that CPU is placement, which
+// re-partitions each oversized bucket.
 //
 // Structure, from the reader inward:
 //
@@ -22,14 +26,15 @@
 //     a lock; every access after that is a map probe or a base-array
 //     view, so the merged read path allocates nothing.
 //   - Overlay owns the writer state: the FRH hasher, the per-
-//     configuration coarse bucket membership of every base user, and
-//     the sequence counter. Attach fills the bucket membership with one
-//     pass over the base ratings for all t configurations
-//     (frh.Hasher.Buckets). That is the overlay's only work linear in
-//     the ratings: 1.5 ms on an ml1M lookalike and 8.2 ms on ml10M (see
-//     Attach). Upsert runs under a single writer mutex, builds fresh
-//     copies of the patch maps (copy-on-write — bounded by the
-//     compaction depth), and publishes a new View atomically.
+//     configuration coarse bucket membership of every user, base and
+//     delta, under its current profile, and the sequence counter.
+//     Attach fills the bucket membership with one pass over the base
+//     ratings for all t configurations (frh.Hasher.Buckets). That is
+//     the overlay's only work linear in the ratings: 1.5 ms on an ml1M
+//     lookalike and 8.2 ms on ml10M (see Attach). Upsert runs under a
+//     single writer mutex, builds fresh copies of the patch maps
+//     (copy-on-write — bounded by the compaction depth), and publishes
+//     a new View atomically.
 //     Concurrent readers keep whichever View they loaded; a View, once
 //     published, is never mutated.
 //   - Compact folds base + delta into fresh build artifacts (validated
@@ -45,16 +50,16 @@
 //  1. The merged profile is hashed with every configuration's
 //     generative function (items the build never saw hash through the
 //     same seeded family).
-//  2. Within each configuration the coarse bucket is narrowed by the
-//     recursive splitting rule (§II-D) — the upserted profile descends
-//     the same η-filtered partition the build used, so the candidate
-//     set is the cluster the user would have joined, not the whole
-//     bucket.
-//  3. Candidates from all configurations (plus delta users sharing a
-//     bucket and, for profile updates, the user's current neighbors)
-//     are deduplicated and scored with the blocked AND-popcount kernel
-//     against base and delta fingerprints; the best K become the user's
-//     row.
+//  2. The user is re-filed under its new coarse buckets, and within
+//     each configuration frh.Hasher.Place narrows its bucket by the
+//     recursive splitting rule (§II-D), through the same partition
+//     routine the builder splits with. The candidate set is the cluster
+//     a build over every user's current profile would put the user in,
+//     not the whole bucket.
+//  3. Candidates from all configurations (plus, for profile updates,
+//     the user's current neighbors) are deduplicated and scored with
+//     the AND-popcount kernel against base and delta fingerprints; the
+//     best K become the user's row.
 //  4. The edge is symmetrized locally: each new neighbor's row is
 //     patched (copy, insert, truncate to K) when the new user beats its
 //     worst retained edge — the same strict-improvement rule the
@@ -87,9 +92,10 @@ import (
 
 // Config parameterizes an overlay. The FRH options should match the
 // parameters the base graph was built with: any consistent family
-// yields correct (locality-preserving) placement, but matching the
-// build's B/T/MaxSize/Seed makes the candidate clusters the very ones
-// the builder solved.
+// yields correct (locality-preserving) placement, but with the build's
+// B/T/MaxSize/Seed every upsert is placed in exactly the cluster the
+// builder puts it in over the current profiles; TestDescendMatchesBuilder
+// pins this.
 type Config struct {
 	// K is the neighborhood bound; zero takes the base graph's K, any
 	// other value must equal it (rows merge edge-for-edge).
@@ -125,10 +131,9 @@ type Overlay struct {
 
 	mu          sync.Mutex
 	hasher      *frh.Hasher
-	buckets     [][][]int32          // [fn][idx] → base users coarsely hashing to idx
-	deltaCoarse []map[uint32][]int32 // [fn][idx] → delta users coarsely hashing to idx
-	seq         uint64               // last assigned upsert sequence number
-	marker      uint64               // highest sequence number absorbed by compaction
+	buckets     [][][]int32 // [fn][idx] → every user, base or delta, whose current profile hashes to idx
+	seq         uint64      // last assigned upsert sequence number
+	marker      uint64      // highest sequence number absorbed by compaction
 	upserts     uint64
 	compactions uint64
 	pending     time.Time // arrival of the oldest un-compacted upsert (zero: none)
@@ -224,16 +229,12 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, cfg 
 		cfg.now = time.Now
 	}
 	o := &Overlay{
-		cfg:         cfg,
-		bits:        gf.Bits(),
-		words:       gf.Bits() / 64,
-		hasher:      frh.NewHasher(train.NumItems, cfg.FRH),
-		deltaCoarse: make([]map[uint32][]int32, cfg.FRH.T),
+		cfg:    cfg,
+		bits:   gf.Bits(),
+		words:  gf.Bits() / 64,
+		hasher: frh.NewHasher(train.NumItems, cfg.FRH),
 	}
 	o.buckets = o.hasher.Buckets(train.Profiles, cfg.FRH.Parallelism)
-	for fn := range o.deltaCoarse {
-		o.deltaCoarse[fn] = make(map[uint32][]int32)
-	}
 	o.view.Store(&View{
 		graph:    graph,
 		train:    train,
@@ -317,17 +318,20 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 	sig := make([]uint64, o.words)
 	ones := goldfinger.Summarize(norm, o.bits, o.cfg.GFSeed, sig)
 
-	// Localize: the clusters this profile hashes into, across every
-	// configuration, plus same-bucket delta users and (for updates) the
-	// current neighbors. Sorted + deduplicated for a deterministic solve.
+	// Localize: file u under its new profile, then take the cluster the
+	// builder would put u in within each configuration, plus (for
+	// updates) the current neighbors. Sorted + deduplicated for a
+	// deterministic solve.
+	o.moveBuckets(u, oldProfile, norm)
+	profile := func(v int32) []int32 {
+		if v == u {
+			return norm
+		}
+		return cur.Profile(v)
+	}
 	cand := o.cand[:0]
 	for fn := 0; fn < o.cfg.FRH.T; fn++ {
-		idx, ok := o.hasher.UserHashAny(fn, norm)
-		if !ok {
-			continue
-		}
-		cand = append(cand, o.descend(cur, fn, idx, norm)...)
-		cand = append(cand, o.deltaCoarse[fn][idx]...)
+		cand = append(cand, o.place(fn, u, profile)...)
 	}
 	if !created {
 		ids, _ := cur.Neighbors(u)
@@ -412,17 +416,6 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 		next.numUsers++
 	}
 	o.view.Store(next)
-
-	// Writer-side bucket maintenance (readers never see these).
-	if created {
-		for fn := 0; fn < o.cfg.FRH.T; fn++ {
-			if idx, ok := o.hasher.UserHashAny(fn, norm); ok {
-				o.deltaCoarse[fn][idx] = append(o.deltaCoarse[fn][idx], u)
-			}
-		}
-	} else {
-		o.moveBuckets(u, oldProfile, norm, u < cur.baseN)
-	}
 	o.seq = seq
 	o.upserts++
 	if o.pending.IsZero() {
@@ -431,67 +424,29 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 	return Result{User: u, Seq: seq, Created: created, Candidates: scored, Patched: patched}, nil
 }
 
-// descend narrows a coarse bucket to the final cluster the profile
-// would have joined, replaying the recursive splitting rule (§II-D) on
-// the bucket's current members: at each level the members partition by
-// their hash above η, the profile follows its own hash — or the
-// remainder when no item hashes above η, exactly as the builder leaves
-// such users in C. Singleton children return to the remainder, also
-// mirroring the builder.
-func (o *Overlay) descend(cur *View, fn int, idx uint32, profile []int32) []int32 {
-	members := o.buckets[fn][idx]
-	if o.cfg.FRH.MaxSize < 0 {
-		return members
-	}
-	eta := idx
-	for len(members) > o.cfg.FRH.MaxSize {
-		target, ok := o.hasher.UserHashAboveAny(fn, profile, eta)
-		var child, remainder []int32
-		for _, v := range members {
-			hv, vok := o.hasher.UserHashAboveAny(fn, cur.Profile(v), eta)
-			switch {
-			case !vok:
-				remainder = append(remainder, v)
-			case ok && hv == target:
-				child = append(child, v)
-			}
-		}
-		if !ok || len(child) == 0 {
-			// The profile stays in (or returns as a singleton to) the
-			// remainder cluster, which is final.
-			return remainder
-		}
-		members, eta = child, target
-	}
-	return members
+// place returns the final cluster u belongs to in configuration fn, as
+// the builder would split u's coarse bucket over every filed user's
+// current profile. profile must return u's new profile, and u must
+// already be filed under it.
+func (o *Overlay) place(fn int, u int32, profile func(int32) []int32) []int32 {
+	idx, _ := o.hasher.UserHash(fn, profile(u))
+	return o.hasher.Place(fn, idx, o.buckets[fn][idx], u, o.cfg.FRH.MaxSize, profile)
 }
 
-// moveBuckets re-files a user whose profile changed: its coarse bucket
-// in a configuration may have moved (the min-hash can only decrease or
-// stay when items are added to the tables' range, but new items beyond
-// them hash anywhere). base selects which side (base buckets vs delta
-// coarse map) the user is filed on.
-func (o *Overlay) moveBuckets(u int32, oldProfile, newProfile []int32, base bool) {
+// moveBuckets re-files u from the coarse buckets of its old profile (nil
+// for a new user) to those of its new one, in every configuration where
+// the two differ.
+func (o *Overlay) moveBuckets(u int32, oldProfile, newProfile []int32) {
 	for fn := 0; fn < o.cfg.FRH.T; fn++ {
-		oldIdx, oldOK := o.hasher.UserHashAny(fn, oldProfile)
-		newIdx, newOK := o.hasher.UserHashAny(fn, newProfile)
-		if oldOK == newOK && oldIdx == newIdx {
+		oldIdx, oldOK := o.hasher.UserHash(fn, oldProfile)
+		newIdx, _ := o.hasher.UserHash(fn, newProfile)
+		if oldOK && oldIdx == newIdx {
 			continue
 		}
 		if oldOK {
-			if base {
-				o.buckets[fn][oldIdx] = removeID(o.buckets[fn][oldIdx], u)
-			} else {
-				o.deltaCoarse[fn][oldIdx] = removeID(o.deltaCoarse[fn][oldIdx], u)
-			}
+			o.buckets[fn][oldIdx] = removeID(o.buckets[fn][oldIdx], u)
 		}
-		if newOK {
-			if base {
-				o.buckets[fn][newIdx] = append(o.buckets[fn][newIdx], u)
-			} else {
-				o.deltaCoarse[fn][newIdx] = append(o.deltaCoarse[fn][newIdx], u)
-			}
-		}
+		o.buckets[fn][newIdx] = append(o.buckets[fn][newIdx], u)
 	}
 }
 

@@ -3,6 +3,7 @@ package delta
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -120,6 +121,33 @@ func BenchmarkAttach(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkUpsert times inserting the last 1,024 users of an ml10M
+// lookalike into an overlay over the rest, at the paper's B, T and N
+// with seed 42: placement plus the localized re-solve. The graph has
+// empty rows, as in BenchmarkAttach. Each op adds one to the overlay's
+// depth and the ops cycle through the tail, so -benchtime=1024x streams
+// it exactly once.
+func BenchmarkUpsert(b *testing.B) {
+	const tail = 1024
+	d := synth.Generate(synth.ML10M())
+	base := &dataset.Dataset{Name: d.Name, NumItems: d.NumItems, Profiles: d.Profiles[:d.NumUsers()-tail]}
+	gf := goldfinger.MustNew(base, goldfinger.DefaultBits, testGFSeed)
+	ov, err := Attach(knng.New(base.NumUsers(), 30).Freeze(), base, gf, Config{GFSeed: testGFSeed, FRH: frh.Options{Seed: 42}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops, candidates := 0, 0
+	for b.Loop() {
+		r, err := ov.Upsert(-1, d.Profiles[base.NumUsers()+ops%tail])
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops++
+		candidates += r.Candidates
+	}
+	b.ReportMetric(float64(candidates)/float64(ops), "candidates/op")
 }
 
 func TestUpsertErrors(t *testing.T) {
@@ -611,25 +639,72 @@ func TestMergedReadAllocs(t *testing.T) {
 	}
 }
 
-// TestDescendMatchesBuilder places a base user's own profile and checks
-// the descent lands in a cluster containing that user — the overlay
-// replays the builder's partition, so a member must find itself.
+// TestDescendMatchesBuilder: for every user and every configuration,
+// the overlay places the user in exactly the cluster frh.BuildWithHasher
+// puts it in over the same users and profiles. It checks a base whose
+// buckets split, the same base after a seeded stream of inserts and
+// updates (some carrying items beyond the base universe), and the
+// result of Compact + Rebase. The builder's hasher spans the merged item
+// universe; it hashes every item as the overlay's does.
 func TestDescendMatchesBuilder(t *testing.T) {
-	ov, d := testOverlay(t, 0.02)
-	v := ov.View()
-	for _, u := range []int32{0, 5, 50, int32(d.NumUsers() - 1)} {
-		p := d.Profiles[u]
-		found := false
-		for fn := 0; fn < ov.cfg.FRH.T && !found; fn++ {
-			idx, ok := ov.hasher.UserHashAny(fn, p)
-			if !ok {
-				continue
-			}
-			members := ov.descend(v, fn, idx, p)
-			found = slices.Contains(members, u)
+	frozen, d, gf := testBase(t, 0.05)
+	opts := frh.Options{B: frh.DefaultB, T: frh.DefaultT, MaxSize: 40, Seed: 42}
+	ov, err := Attach(frozen, d, gf, Config{GFSeed: testGFSeed, FRH: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		v := ov.View()
+		merged := &dataset.Dataset{NumItems: v.NumItems(), Profiles: make([][]int32, v.NumUsers())}
+		for u := range merged.Profiles {
+			merged.Profiles[u] = v.Profile(int32(u))
 		}
-		if !found {
-			t.Errorf("user %d does not descend into any cluster containing itself", u)
+		clusters, stats := frh.BuildWithHasher(merged, frh.NewHasher(merged.NumItems, opts), opts)
+		if stats.Splits == 0 {
+			t.Fatalf("%s: no bucket was split, so the check exercises no splitting", stage)
+		}
+		want := make([][]int32, opts.T*v.NumUsers())
+		for _, c := range clusters {
+			for _, u := range c.Users {
+				want[c.Fn*v.NumUsers()+int(u)] = c.Users
+			}
+		}
+		for fn := 0; fn < opts.T; fn++ {
+			for u := range merged.Profiles {
+				got := slices.Sorted(slices.Values(ov.place(fn, int32(u), v.Profile)))
+				if w := slices.Sorted(slices.Values(want[fn*v.NumUsers()+u])); !slices.Equal(got, w) {
+					t.Fatalf("%s: fn %d user %d placed in a %d-user cluster, builder's has %d users",
+						stage, fn, u, len(got), len(w))
+				}
+			}
 		}
 	}
+	check("base")
+
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 96; i++ {
+		p := slices.Clone(d.Profiles[rng.Intn(d.NumUsers())])
+		if i%3 == 0 {
+			p = append(p, d.NumItems+int32(rng.Intn(64)))
+		}
+		user := int32(-1)
+		if i%2 == 1 {
+			user = int32(rng.Intn(ov.View().NumUsers()))
+			p = p[:1+rng.Intn(len(p))]
+		}
+		if _, err := ov.Upsert(user, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("stream")
+
+	c, err := ov.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.Rebase(c.Graph, c.Train, c.GoldFinger, c.Marker); err != nil {
+		t.Fatal(err)
+	}
+	check("rebase")
 }

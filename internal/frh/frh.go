@@ -21,10 +21,17 @@
 // Each configuration then counting-sorts its column into its B buckets.
 // Build, Stream and the delta overlay's Attach all bucket through this
 // pass; only the recursive splitting walks profiles per configuration.
+//
+// One routine, partition, applies a level of the splitting rule. Build
+// recurses over it to emit every cluster; Place follows one user's
+// branch of it, which is how the delta overlay finds the cluster an
+// upserted profile belongs to. Both therefore agree on every user's
+// cluster by construction.
 package frh
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 
 	"c2knn/internal/dataset"
@@ -112,9 +119,9 @@ const lanes = 8
 // A user's hashes under all eight configurations of a group are then
 // the lane-wise minimum of its profile's rows — one 16-byte load and
 // one VPMINUW per rating on amd64 — so hashAll walks the ratings once
-// per group instead of once per configuration. ItemHash,
-// UserHashAbove and the overlay's *Any variants read single lanes of
-// the same table.
+// per group instead of once per configuration. ItemHash, UserHash and
+// UserHashAbove read single lanes of the same table, and hash items
+// beyond it directly with the same per-configuration seeds.
 type Hasher struct {
 	b     int
 	t     int
@@ -154,58 +161,36 @@ func NewHasher(numItems int32, o Options) *Hasher {
 	return h
 }
 
-// itemHashAny returns h_fn(item) for any non-negative item id: a table
-// lookup inside the precomputed universe, a direct hash beyond it.
-// Profiles arriving through the delta-overlay path may reference items
-// the build never saw; both ranges use the same seeded hash, so the two
-// paths agree wherever they overlap.
-func (h *Hasher) itemHashAny(fn int, item int32) uint32 {
-	if tab := h.rows[fn/lanes]; int(item) < len(tab) {
-		return uint32(tab[item][fn%lanes])
-	}
-	return jenkins.Hash32(uint32(item), h.seeds[fn])%uint32(h.b) + 1
-}
-
-// UserHashAny returns H_fn(u) = min over the profile's item hashes for
-// profiles that may carry item ids beyond the precomputed table
-// (incremental upserts with new items). On profiles inside the build
-// universe it returns exactly the hash the one-pass bucketing files the
-// user under. Empty profiles report ok=false.
-func (h *Hasher) UserHashAny(fn int, profile []int32) (uint32, bool) {
-	if len(profile) == 0 {
-		return 0, false
-	}
-	best := h.itemHashAny(fn, profile[0])
-	for _, it := range profile[1:] {
-		if v := h.itemHashAny(fn, it); v < best {
-			best = v
-		}
-	}
-	return best, true
-}
-
-// UserHashAboveAny is UserHashAbove for profiles that may carry item
-// ids beyond the precomputed table; see UserHashAny.
-func (h *Hasher) UserHashAboveAny(fn int, profile []int32, eta uint32) (uint32, bool) {
-	best := uint32(0)
-	for _, it := range profile {
-		v := h.itemHashAny(fn, it)
-		if v > eta && (best == 0 || v < best) {
-			best = v
-		}
-	}
-	return best, best != 0
-}
-
 // B returns the number of clusters per configuration.
 func (h *Hasher) B() int { return h.b }
 
 // T returns the number of configurations.
 func (h *Hasher) T() int { return h.t }
 
-// ItemHash returns h_fn(item) ∈ [1, B].
+// ItemHash returns h_fn(item) ∈ [1, B] for any non-negative item id: a
+// table lookup inside the precomputed universe, a direct hash beyond it.
+// Profiles upserted into the delta overlay may carry items the build
+// never saw; both ranges use the same seeded hash, so a Hasher over a
+// larger item universe returns the same value for every item.
 func (h *Hasher) ItemHash(fn int, item int32) uint32 {
-	return uint32(h.rows[fn/lanes][item][fn%lanes])
+	if tab := h.rows[fn/lanes]; int(item) < len(tab) {
+		return uint32(tab[item][fn%lanes])
+	}
+	return jenkins.Hash32(uint32(item), h.seeds[fn])%uint32(h.b) + 1
+}
+
+// UserHash returns H_fn(u) = min over the profile's item hashes: the
+// coarse bucket the one-pass bucketing files the user under. Empty
+// profiles report ok=false.
+func (h *Hasher) UserHash(fn int, profile []int32) (uint32, bool) {
+	if len(profile) == 0 {
+		return 0, false
+	}
+	best := h.ItemHash(fn, profile[0])
+	for _, it := range profile[1:] {
+		best = min(best, h.ItemHash(fn, it))
+	}
+	return best, true
 }
 
 // UserHashAbove returns H\η(u) = min{h(i) : h(i) > η}, the splitting hash
@@ -215,7 +200,14 @@ func (h *Hasher) UserHashAbove(fn int, profile []int32, eta uint32) (uint32, boo
 	tab, lane := h.rows[fn/lanes], fn%lanes
 	best := uint32(0)
 	for _, it := range profile {
-		v := uint32(tab[it][lane])
+		// The table read is ItemHash inlined: the builder's splits walk
+		// every profile of an oversized bucket through this loop.
+		var v uint32
+		if int(it) < len(tab) {
+			v = uint32(tab[it][lane])
+		} else {
+			v = h.ItemHash(fn, it)
+		}
 		if v > eta && (best == 0 || v < best) {
 			best = v
 		}
@@ -393,11 +385,12 @@ func ForEachFn(t, parallelism int, build func(fn int) Stats) []Stats {
 // left nil for the caller to assemble.
 func buildFn(d *dataset.Dataset, h *Hasher, o Options, fn int, buckets [][]int32, emit func(Cluster)) Stats {
 	var stats Stats
+	profile := func(u int32) []int32 { return d.Profiles[u] }
 	for idx, users := range buckets {
 		if len(users) == 0 {
 			continue
 		}
-		final := splitRecursive(d, h, &stats, o, fn, Cluster{Fn: fn, Index: uint32(idx), Users: users}, 0)
+		final := splitRecursive(h, profile, &stats, o, Cluster{Fn: fn, Index: uint32(idx), Users: users}, 0)
 		for _, c := range final {
 			if len(c.Users) > stats.MaxCluster {
 				stats.MaxCluster = len(c.Users)
@@ -427,54 +420,81 @@ func MergeStats(fnStats []Stats) Stats {
 	return merged
 }
 
-// splitRecursive applies the recursive splitting rule to c and returns the
-// final clusters it decomposes into. The remainder cluster — users with no
-// item hashed above c.Index plus users returned from singleton children —
-// keeps c's index and is final: re-splitting it with the same η would
-// reproduce the same partition and never terminate, which is why the paper
-// leaves those users in C.
-func splitRecursive(d *dataset.Dataset, h *Hasher, stats *Stats, o Options, fn int, c Cluster, depth int) []Cluster {
-	if o.MaxSize < 0 || len(c.Users) <= o.MaxSize {
-		if depth > stats.Depth {
-			stats.Depth = depth
-		}
-		return []Cluster{c}
-	}
-	stats.Splits++
-	children := make(map[uint32][]int32)
-	var remainder []int32
-	for _, u := range c.Users {
-		idx, ok := h.UserHashAbove(fn, d.Profiles[u], c.Index)
+// partition applies one level of the splitting rule (§II-D) to the users
+// of a cluster with index eta in configuration fn: users group by H\η.
+// Groups of at least two users are returned as children in increasing
+// index order, each listing its users in input order. The remainder
+// holds the users with no item hashed above η, in input order, followed
+// by the users of singleton groups in index order: both stay in C.
+func (h *Hasher) partition(fn int, users []int32, eta uint32, profile func(int32) []int32) (children []Cluster, remainder []int32) {
+	groups := make(map[uint32][]int32)
+	for _, u := range users {
+		idx, ok := h.UserHashAbove(fn, profile(u), eta)
 		if !ok {
 			remainder = append(remainder, u)
 			continue
 		}
-		children[idx] = append(children[idx], u)
+		groups[idx] = append(groups[idx], u)
 	}
-	// Iterate children in index order: map iteration order would make
-	// the cluster list differ between identical runs.
-	indices := make([]uint32, 0, len(children))
-	for idx := range children {
+	// Visit groups in index order: map iteration order would make the
+	// cluster list differ between identical runs.
+	indices := make([]uint32, 0, len(groups))
+	for idx := range groups {
 		indices = append(indices, idx)
 	}
-	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
-	var out []Cluster
+	slices.Sort(indices)
 	for _, idx := range indices {
-		users := children[idx]
-		if len(users) == 1 {
-			// Singleton children return to C (§II-D).
-			remainder = append(remainder, users[0])
-			continue
+		if g := groups[idx]; len(g) == 1 {
+			remainder = append(remainder, g[0])
+		} else {
+			children = append(children, Cluster{Fn: fn, Index: idx, Users: g})
 		}
-		out = append(out, splitRecursive(d, h, stats, o, fn, Cluster{Fn: fn, Index: idx, Users: users}, depth+1)...)
+	}
+	return children, remainder
+}
+
+// splitRecursive applies the recursive splitting rule to c and returns the
+// final clusters it decomposes into: each child's clusters depth-first, in
+// index order, then the remainder. The remainder cluster keeps c's index
+// and is final: re-splitting it with the same η would reproduce the same
+// partition and never terminate, which is why the paper leaves those
+// users in C.
+func splitRecursive(h *Hasher, profile func(int32) []int32, stats *Stats, o Options, c Cluster, depth int) []Cluster {
+	if o.MaxSize < 0 || len(c.Users) <= o.MaxSize {
+		stats.Depth = max(stats.Depth, depth)
+		return []Cluster{c}
+	}
+	stats.Splits++
+	children, remainder := h.partition(c.Fn, c.Users, c.Index, profile)
+	var out []Cluster
+	for _, child := range children {
+		out = append(out, splitRecursive(h, profile, stats, o, child, depth+1)...)
 	}
 	if len(remainder) > 0 {
-		if depth > stats.Depth {
-			stats.Depth = depth
-		}
-		out = append(out, Cluster{Fn: fn, Index: c.Index, Users: remainder})
+		stats.Depth = max(stats.Depth, depth)
+		out = append(out, Cluster{Fn: c.Fn, Index: c.Index, Users: remainder})
 	}
 	return out
+}
+
+// Place returns the final cluster user u belongs to in configuration fn:
+// the cluster Build emits for u over the same users and profiles. members
+// is u's coarse bucket idx, u included, and profile returns each member's
+// current profile. maxSize is the splitting threshold N (negative
+// disables splitting). Place follows only u's branch of the split, so it
+// hashes each level's members once. The result may alias members.
+func (h *Hasher) Place(fn int, idx uint32, members []int32, u int32, maxSize int, profile func(int32) []int32) []int32 {
+	for maxSize >= 0 && len(members) > maxSize {
+		children, remainder := h.partition(fn, members, idx, profile)
+		// With no item above η, target is 0, which no child index is.
+		target, _ := h.UserHashAbove(fn, profile(u), idx)
+		i := slices.IndexFunc(children, func(c Cluster) bool { return c.Index == target })
+		if i < 0 {
+			return remainder
+		}
+		members, idx = children[i].Users, children[i].Index
+	}
+	return members
 }
 
 // Sizes returns the sizes of the given clusters.

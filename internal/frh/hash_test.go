@@ -11,20 +11,6 @@ import (
 	"c2knn/internal/synth"
 )
 
-// UserHash is the per-configuration reference for the one-pass
-// hashing: H_fn(u) = min over the profile's item hashes, one walk of
-// the profile per configuration. Empty profiles report ok=false.
-func (h *Hasher) UserHash(fn int, profile []int32) (uint32, bool) {
-	if len(profile) == 0 {
-		return 0, false
-	}
-	best := h.ItemHash(fn, profile[0])
-	for _, it := range profile[1:] {
-		best = min(best, h.ItemHash(fn, it))
-	}
-	return best, true
-}
-
 // refBuild is the per-configuration reference for BuildWithHasher: each
 // configuration walks every profile through UserHash, appends users to
 // their bucket in id order, then splits the buckets in index order.
@@ -39,9 +25,10 @@ func refBuild(d *dataset.Dataset, h *Hasher, o Options) []Cluster {
 			}
 		}
 		var stats Stats
+		profile := func(u int32) []int32 { return d.Profiles[u] }
 		for idx, users := range buckets {
 			if len(users) > 0 {
-				out = append(out, splitRecursive(d, h, &stats, o, fn, Cluster{Fn: fn, Index: uint32(idx), Users: users}, 0)...)
+				out = append(out, splitRecursive(h, profile, &stats, o, Cluster{Fn: fn, Index: uint32(idx), Users: users}, 0)...)
 			}
 		}
 	}

@@ -67,13 +67,6 @@ func Build(n int, p similarity.Provider, o Options) (*knng.Graph, Result) {
 	return g, res
 }
 
-// Refine runs Hyrec's iteration on an already-initialized graph; C² does
-// not use this directly but it supports warm-started experiments.
-func Refine(g *knng.Graph, p similarity.Provider, o Options) Result {
-	o.setDefaults()
-	return refine(g, p, o)
-}
-
 // denseSet deduplicates candidate ids over a dense 0..n-1 universe
 // using epoch stamps: mark[v] == epoch means v is already present this
 // round, so begin resets the set in O(1). It replaces the per-user

@@ -32,22 +32,6 @@ func Hash32(key, seed uint32) uint32 {
 	return c
 }
 
-// OneAtATime is Jenkins' classic one-at-a-time hash over the bytes of a
-// 32-bit key, seeded. Slower than Hash32; kept as an alternative family
-// member and exercised by the avalanche tests.
-func OneAtATime(key, seed uint32) uint32 {
-	h := seed
-	for i := 0; i < 4; i++ {
-		h += key >> (8 * i) & 0xff
-		h += h << 10
-		h ^= h >> 6
-	}
-	h += h << 3
-	h ^= h >> 11
-	h += h << 15
-	return h
-}
-
 func rot(x uint32, k uint) uint32 { return x<<k | x>>(32-k) }
 
 // Family is a set of t independent seeded hash functions sharing the

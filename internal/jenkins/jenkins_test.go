@@ -27,7 +27,6 @@ func TestHash32Avalanche(t *testing.T) {
 		fn   func(uint32, uint32) uint32
 	}{
 		{"Hash32", Hash32},
-		{"OneAtATime", OneAtATime},
 	} {
 		t.Run(hash.name, func(t *testing.T) {
 			totalFlips := 0
@@ -122,14 +121,6 @@ func BenchmarkHash32(b *testing.B) {
 	var acc uint32
 	for i := 0; i < b.N; i++ {
 		acc += Hash32(uint32(i), 7)
-	}
-	_ = acc
-}
-
-func BenchmarkOneAtATime(b *testing.B) {
-	var acc uint32
-	for i := 0; i < b.N; i++ {
-		acc += OneAtATime(uint32(i), 7)
 	}
 	_ = acc
 }

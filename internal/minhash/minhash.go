@@ -89,19 +89,3 @@ func (m *Family) Buckets(fn int, profiles [][]int32) []Bucket {
 	}
 	return out
 }
-
-// EstimateJaccard estimates J(a, b) as the fraction of matching signature
-// positions — the classic MinHash estimator, exercised by tests to check
-// the family behaves min-wise independently enough.
-func EstimateJaccard(sigA, sigB []uint32) float64 {
-	if len(sigA) == 0 || len(sigA) != len(sigB) {
-		return 0
-	}
-	match := 0
-	for i := range sigA {
-		if sigA[i] == sigB[i] {
-			match++
-		}
-	}
-	return float64(match) / float64(len(sigA))
-}

@@ -70,22 +70,17 @@ func TestMinHashEstimatesJaccard(t *testing.T) {
 		}
 		a, b = sets.Normalize(a), sets.Normalize(b)
 		j := float64(shared) / float64(shared+2*only)
-		est := EstimateJaccard(f.Signature(a), f.Signature(b))
+		sigA, sigB := f.Signature(a), f.Signature(b)
+		match := 0
+		for i := range sigA {
+			if sigA[i] == sigB[i] {
+				match++
+			}
+		}
+		est := float64(match) / fns
 		if math.Abs(est-j) > 0.08 {
 			t.Errorf("trial %d: estimate %.3f vs exact %.3f (|Δ| > 0.08)", trial, est, j)
 		}
-	}
-}
-
-func TestEstimateJaccardEdgeCases(t *testing.T) {
-	if EstimateJaccard(nil, nil) != 0 {
-		t.Error("empty signatures should estimate 0")
-	}
-	if EstimateJaccard([]uint32{1}, []uint32{1, 2}) != 0 {
-		t.Error("mismatched lengths should estimate 0")
-	}
-	if EstimateJaccard([]uint32{5, 6}, []uint32{5, 6}) != 1 {
-		t.Error("identical signatures should estimate 1")
 	}
 }
 

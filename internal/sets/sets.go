@@ -82,30 +82,6 @@ func gallopCount(short, long []int32) int {
 	return n
 }
 
-// UnionCount returns |a ∪ b|.
-func UnionCount(a, b []int32) int {
-	return len(a) + len(b) - IntersectCount(a, b)
-}
-
-// Intersect returns a newly allocated sorted slice holding a ∩ b.
-func Intersect(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // Union returns a newly allocated sorted slice holding a ∪ b.
 func Union(a, b []int32) []int32 {
 	out := make([]int32, 0, len(a)+len(b))

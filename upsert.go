@@ -28,8 +28,10 @@ var ErrUpsertsDisabled = errors.New("c2knn: upserts are not enabled on this inde
 
 // UpsertConfig parameterizes EnableUpserts. The clustering fields
 // should match the parameters the snapshot was built with — placement
-// stays correct under any consistent configuration, but matching the
-// build's makes an upsert re-solve the very clusters the builder did.
+// stays correct under any consistent configuration, but with the
+// build's B, T, MaxClusterSize and Seed every upsert lands in exactly
+// the cluster a build over the current profiles would put it in
+// (internal/delta's TestDescendMatchesBuilder pins this).
 type UpsertConfig struct {
 	// B, T, MaxClusterSize and Seed configure the FastRandomHash family
 	// used to place incoming profiles (defaults: the paper's B=4096,
