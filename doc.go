@@ -155,10 +155,12 @@
 // of the data through the page cache. What a mapped load still pays
 // for is verification — a CRC-32C over every payload byte and a bounds
 // check of every neighbor id and item — and it does that in one pass
-// on all cores: each worker checksums a 256 KiB chunk and, where the
-// chunk holds ids or items, takes their maximum while the chunk is
-// still in cache; the chunk checksums combine into each section's CRC,
-// and nothing is decoded until every CRC matches. The mode is selected
+// on all cores: each worker checksums a 256 KiB chunk (with a
+// VPCLMULQDQ fold kernel under the avx512 arm on CPUs that have it,
+// hash/crc32 otherwise) and, where the chunk holds ids or items, takes
+// their maximum while the chunk is still in cache; the chunk checksums
+// combine into each section's CRC, and nothing is decoded until every
+// CRC matches. The mode is selected
 // by the C2_LOAD environment variable or LoadIndexMode ("auto" maps
 // when the file and platform allow and copy-decodes otherwise; "copy"
 // and "mmap" force a path). Mapped indexes report Mapped() and follow the

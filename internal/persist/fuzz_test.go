@@ -2,6 +2,8 @@ package persist
 
 import (
 	"bytes"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 )
 
@@ -51,6 +53,26 @@ func FuzzDecode(f *testing.F) {
 		again, err := Decode(bytes.NewReader(buf.Bytes()))
 		if err != nil || again == nil {
 			t.Fatalf("re-decode of a re-encoded snapshot failed: %v", err)
+		}
+	})
+}
+
+// FuzzCRC32C drives arbitrary bytes, start offsets and initial values
+// through crcUpdate, which must equal crc32.Update under the active
+// kernel arm. The seeds straddle the fold kernel's 512-byte entry and
+// 256-byte step.
+func FuzzCRC32C(f *testing.F) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 255, 511, 512, 513, 767, 768, 1024, 4099} {
+		b := make([]byte, n)
+		rng.Read(b)
+		f.Add(b, uint8(n), rng.Uint32())
+	}
+	f.Fuzz(func(t *testing.T, data []byte, off uint8, init uint32) {
+		b := make([]byte, len(data)+63)[off%64:][:len(data)]
+		copy(b, data)
+		if got, want := crcUpdate(init, b), crc32.Update(init, crcTable, b); got != want {
+			t.Fatalf("len %d off %d init %#08x: crcUpdate %#08x, want %#08x", len(b), off%64, init, got, want)
 		}
 	})
 }

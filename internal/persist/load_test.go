@@ -13,6 +13,10 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"c2knn/internal/dataset"
+	"c2knn/internal/goldfinger"
+	"c2knn/internal/knng"
 )
 
 // alignedCopy copies b into a buffer whose base address is 64-byte
@@ -355,6 +359,61 @@ func TestV1Rejected(t *testing.T) {
 		snap, err := LoadFileMode(path, mode)
 		check("LoadFileMode("+mode.String()+")", snap, err)
 	}
+}
+
+// pinnedSnapshot is the fixed snapshot behind testdata/v2-tiny.c2: a
+// graph, a dataset and fingerprints, each payload over 512 bytes so the
+// checksum's fold kernel runs on every section where it is active.
+func pinnedSnapshot(tb testing.TB) *Snapshot {
+	tb.Helper()
+	const n, k, perUser, items = 48, 6, 9, 200
+	offsets := make([]int64, n+1)
+	var ids []int32
+	var sims []float32
+	for u := 0; u < n; u++ {
+		for j := 1; j <= k; j++ {
+			ids = append(ids, int32((u+j*5)%n))
+			sims = append(sims, 1-float32(j)/8)
+		}
+		offsets[u+1] = int64(len(ids))
+	}
+	g, err := knng.NewFrozen(k, offsets, ids, sims)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	profiles := make([][]int32, n)
+	for u := range profiles {
+		for j := 0; j < perUser; j++ {
+			profiles[u] = append(profiles[u], int32((u*13+j*29)%items))
+		}
+	}
+	d := dataset.New("v2-tiny", profiles, items)
+	return &Snapshot{Graph: g, Train: d, GoldFinger: goldfinger.MustNew(d, 128, 0x60fd)}
+}
+
+// TestV2Pinned pins the version-2 format bytes: Encode of
+// pinnedSnapshot must equal testdata/v2-tiny.c2 byte for byte, and both
+// load paths must accept the file and return that snapshot. The file
+// was written before the CRC fold kernel existed, so it also pins the
+// kernel's checksums to hash/crc32's.
+func TestV2Pinned(t *testing.T) {
+	want := pinnedSnapshot(t)
+	path := filepath.Join("testdata", "v2-tiny.c2")
+	fixture, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeBytes(t, want); !bytes.Equal(got, fixture) {
+		t.Fatalf("Encode of pinnedSnapshot (%d bytes) differs from %s (%d bytes)", len(got), path, len(fixture))
+	}
+	cp, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	sameSnapshotBits(t, cp, want)
+	m := mapOrSkip(t, path)
+	defer m.Close()
+	sameSnapshotBits(t, m, want)
 }
 
 // --- satellite regressions ---

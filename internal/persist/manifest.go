@@ -250,18 +250,27 @@ func ReadManifestFile(path string) (*Manifest, error) {
 }
 
 // FileCRC32C returns the CRC-32C of a file's full contents — the value
-// recorded per shard in a manifest.
+// recorded per shard in a manifest. It reads 1 MiB blocks and streams
+// them through crcUpdate, the snapshot checksum's kernel.
 func FileCRC32C(path string) (uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	h := crc32.New(crcTable)
-	if _, err := io.Copy(h, f); err != nil {
-		return 0, err
+	buf := make([]byte, 1<<20)
+	var crc uint32
+	for {
+		n, err := io.ReadFull(f, buf)
+		crc = crcUpdate(crc, buf[:n])
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return crc, nil
+		default:
+			return 0, err
+		}
 	}
-	return h.Sum32(), nil
 }
 
 // MaskFrozen returns a copy of f keeping only the adjacency rows of

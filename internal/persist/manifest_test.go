@@ -3,6 +3,8 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -250,5 +252,23 @@ func TestFileCRC32C(t *testing.T) {
 	}
 	if c1 == c2 {
 		t.Fatal("CRC did not change with content")
+	}
+
+	// Empty, exactly one read block, and several blocks with a short
+	// last one: the streamed CRC must equal one crc32.Checksum over the
+	// file's bytes.
+	data := make([]byte, 3<<20+12345)
+	rand.New(rand.NewSource(41)).Read(data)
+	for _, n := range []int{0, 1 << 20, len(data)} {
+		if err := os.WriteFile(p, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := FileCRC32C(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := crc32.Checksum(data[:n], crcTable); got != want {
+			t.Fatalf("%d-byte file: FileCRC32C %#08x, want %#08x", n, got, want)
+		}
 	}
 }

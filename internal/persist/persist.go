@@ -81,9 +81,10 @@
 //
 // The two paths order the same checks differently. Decode, the copy
 // path and the oracle, runs serially and section by section: read the
-// payload, check its CRC, decode it, bounds-check its ids and items
-// with the plain Go loop. decodeAll, behind MapFile, verifies the whole
-// image in one pass on GOMAXPROCS workers before decoding anything:
+// payload, check its CRC with hash/crc32, decode it, bounds-check its
+// ids and items with the plain Go loop. decodeAll, behind MapFile,
+// verifies the whole image in one pass on GOMAXPROCS workers before
+// decoding anything:
 //
 //  1. Walk the framing: header, section headers, zero padding, lengths
 //     against the file size, no trailing bytes. For the graph and
@@ -91,10 +92,11 @@
 //     decoders' own plausibility and exact-size checks, only to locate
 //     the neighbor-id and item slabs.
 //  2. Cut every payload into 256 KiB chunks. A worker CRC-32Cs its
-//     chunk and, where the chunk overlaps one of those slabs,
-//     max-reduces the overlap (compared unsigned, so negative ids
-//     count as huge) while it is still in cache — with an AVX2 kernel
-//     when a vector similarity kernel is active, the Go loop otherwise.
+//     chunk (see "Checksum kernel" below) and, where the chunk
+//     overlaps one of those slabs, max-reduces the overlap (compared
+//     unsigned, so negative ids count as huge) while it is still in
+//     cache — with an AVX2 kernel when a vector similarity kernel is
+//     active, the Go loop otherwise.
 //     Chunk CRCs combine into each section's CRC (zlib's
 //     crc32_combine), chunk maxima into each slab's maximum.
 //  3. Once every section's CRC matches, decode the sections
@@ -105,7 +107,27 @@
 // A file with faults in several sections may therefore report a
 // different first error on each path; the two paths accept exactly the
 // same files. Encode checksums through the same chunked pass, so writes
-// use every core too, and the bytes written do not change.
+// use every core and the checksum kernel too, and the bytes written do
+// not change.
+//
+// # Checksum kernel
+//
+// The chunked pass, and with it MapFile, LoadIndex, Server.Reload, the
+// compaction swap and Encode, CRC-32Cs through crcUpdate, as does
+// FileCRC32C. On amd64, when the avx512 similarity kernel is active on
+// a CPU with VPCLMULQDQ and SSE4.2 (similarity.VectorCLMUL), crcUpdate
+// hands every whole 256-byte block of an input of at least 512 bytes to
+// a fold kernel: four zmm registers fold 256 bytes per step with
+// carry-less multiplies, and two CRC32 instructions finish the last 128
+// bits. Its multipliers come from the CRC-combine code's multmodp and
+// x8nmodp. The tail, short inputs, C2_KERNEL=scalar or avx2, CPUs
+// without the feature and other architectures use hash/crc32. Decode
+// deliberately keeps calling hash/crc32 directly, so every test that
+// compares the copy path with the mapped path
+// (TestMapFileMatchesReadFile, the bit-flip and corrupt-file tests,
+// FuzzDecode) also checks the kernel against the standard library;
+// testdata/v2-tiny.c2, written before the kernel existed, pins the
+// bytes.
 //
 // # Snapshot files must be replaced, never edited in place
 //

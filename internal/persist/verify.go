@@ -2,12 +2,14 @@ package persist
 
 // The one-pass verifier. decodeAll cuts every section payload into
 // chunkSize pieces and hands them to GOMAXPROCS workers. A worker
-// CRC-32Cs its chunk and, where the chunk overlaps a slab whose values
-// the decoder bounds-checks (the graph's neighbor ids, the dataset's
-// items), max-reduces that overlap while the CRC has just pulled it into
-// cache. Each section's chunk CRCs are then stitched together with
-// crc32Combine, and each slab's chunk maxima reduced to one value the
-// decoder compares against its limit. Encode's writeSection uses the
+// CRC-32Cs its chunk (crcUpdate: the VPCLMULQDQ fold kernel where
+// similarity.VectorCLMUL allows it, hash/crc32 otherwise) and, where
+// the chunk overlaps a slab whose values the decoder bounds-checks (the
+// graph's neighbor ids, the dataset's items), max-reduces that overlap
+// while the CRC has just pulled it into cache. Each section's chunk
+// CRCs are then stitched together with crc32Combine, and each slab's
+// chunk maxima reduced to one value the decoder compares against its
+// limit. Encode's writeSection uses the
 // same pass, without slabs, to checksum on all cores.
 
 import (
@@ -71,7 +73,7 @@ func scan(spans []span) {
 	parallel(len(chunks), func(j int) {
 		c := &chunks[j]
 		sp := &spans[c.span]
-		c.crc = crc32.Checksum(sp.b[c.lo:c.hi], crcTable)
+		c.crc = crcUpdate(0, sp.b[c.lo:c.hi])
 		if sl := sp.slab; sl != nil {
 			if lo, hi := max(c.lo, sl.lo), min(c.hi, sl.hi); lo < hi {
 				c.max = maxU32(unsafe.Slice((*int32)(unsafe.Pointer(&sp.b[lo])), (hi-lo)/4))

@@ -76,6 +76,10 @@ var (
 	// useFused routes BitSimRow's 16-word runs through simRun16, the
 	// fused count+divide kernel. Only the amd64 avx512 arm has one.
 	useFused bool
+
+	// useCLMUL is VectorCLMUL's answer: the avx512 arm is active and
+	// the probe found VPCLMULQDQ and SSE4.2.
+	useCLMUL bool
 )
 
 func init() {
@@ -99,9 +103,20 @@ func KernelName() string { return kernelName }
 // name.
 func Vectorized() bool { return useVector }
 
+// VectorCLMUL reports whether the avx512 arm is active on a CPU that
+// also has VPCLMULQDQ (512-bit carry-less multiplies) and SSE4.2: the
+// condition for persist's CRC-32C fold kernel, whose every instruction
+// is covered by these and the avx512 arm's own probe. It is false under
+// every other arm and off amd64, so C2_KERNEL=scalar or avx2 runs
+// hash/crc32 end to end.
+func VectorCLMUL() bool { return useCLMUL }
+
 // Kernels lists the kernels SelectKernel accepts on this build and CPU:
 // "scalar" first, then the vector arms best first.
-func Kernels() []string { return append([]string{"scalar"}, vectorNames()...) }
+func Kernels() []string {
+	vec, _ := probe()
+	return append([]string{"scalar"}, vec...)
+}
 
 // SelectKernel activates the named count kernel and returns the name of
 // the kernel actually in effect. "" and "auto" pick the best kernel the
@@ -116,7 +131,7 @@ func Kernels() []string { return append([]string{"scalar"}, vectorNames()...) }
 // correctness no-op anyway; the restriction exists for the race
 // detector, not for readers.
 func SelectKernel(pref string) (string, error) {
-	vec := vectorNames()
+	vec, clmul := probe()
 	name := "scalar"
 	switch {
 	case pref == "" || pref == "auto":
@@ -126,11 +141,12 @@ func SelectKernel(pref string) (string, error) {
 	case pref == "scalar" || slices.Contains(vec, pref):
 		name = pref
 	default:
-		kernelName, useVector, useFused = "scalar", false, false
+		kernelName, useVector, useFused, useCLMUL = "scalar", false, false, false
 		return kernelName, fmt.Errorf("kernel %q not available on this CPU (have %s)",
 			pref, strings.Join(Kernels(), ", "))
 	}
 	kernelName, useVector, useFused = name, name != "scalar", name == "avx512"
+	useCLMUL = useFused && clmul
 	return kernelName, nil
 }
 

@@ -39,7 +39,8 @@ func countRunNAVX2(counts *int32, a *uint64, slab *uint64, n, words int)
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// vectorNames reports the vector kernels this CPU can run, best first.
+// probe reports the vector kernels this CPU can run, best first, and
+// whether it can also run persist's CRC-32C fold kernel.
 //
 // "avx2" needs the full chain: OSXSAVE enabled, AVX and POPCNT in CPUID
 // leaf 1 ECX (POPCNT serves the generic kernel's scalar tail and is
@@ -50,30 +51,34 @@ func xgetbv0() (eax, edx uint32)
 // bit 31), AVX512_VPOPCNTDQ (ECX bit 14), and the OS saving opmask and
 // both halves of the ZMM state (XCR0 bits 5–7; with bits 1–2 the mask
 // 0xE6).
-func vectorNames() []string {
+//
+// The CRC fold needs "avx512" plus VPCLMULQDQ (leaf 7 ECX bit 10), the
+// 512-bit carry-less multiply it folds with, and SSE4.2 (leaf 1 ECX bit
+// 20), whose CRC32 instruction finishes the fold.
+func probe() (names []string, clmul bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return nil
+		return nil, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx, popcnt = 1 << 27, 1 << 28, 1 << 23
+	const osxsave, avx, popcnt, sse42 = 1 << 27, 1 << 28, 1 << 23, 1 << 20
 	if ecx1&osxsave == 0 || ecx1&avx == 0 || ecx1&popcnt == 0 {
-		return nil
+		return nil, false
 	}
 	xcr0, _ := xgetbv0()
 	if xcr0&0x6 != 0x6 { // XMM and YMM state OS-enabled
-		return nil
+		return nil, false
 	}
 	_, ebx7, ecx7, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	if ebx7&avx2 == 0 {
-		return nil
+		return nil, false
 	}
-	const avx512f, avx512vl, vpopcntdq = 1 << 16, 1 << 31, 1 << 14
+	const avx512f, avx512vl, vpopcntdq, vpclmulqdq = 1 << 16, 1 << 31, 1 << 14, 1 << 10
 	if ebx7&avx512f != 0 && ebx7&avx512vl != 0 && ecx7&vpopcntdq != 0 && xcr0&0xE6 == 0xE6 {
-		return []string{"avx512", "avx2"}
+		return []string{"avx512", "avx2"}, ecx7&vpclmulqdq != 0 && ecx1&sse42 != 0
 	}
-	return []string{"avx2"}
+	return []string{"avx2"}, false
 }
 
 // simRun16 is BitSimRow's fused path for the avx512 arm: len(dst) rows

@@ -20,10 +20,10 @@ func countRun16NEON(counts *int32, a *uint64, slab *uint64, n int)
 //go:noescape
 func countRunNNEON(counts *int32, a *uint64, slab *uint64, n, words int)
 
-// vectorNames reports "neon" unconditionally: AdvSIMD is baseline in
-// ARMv8-A, which is the floor for Go's arm64 port — there is nothing
-// to probe.
-func vectorNames() []string { return []string{"neon"} }
+// probe reports "neon" unconditionally: AdvSIMD is baseline in ARMv8-A,
+// which is the floor for Go's arm64 port — there is nothing to probe.
+// There is no CRC fold kernel on arm64.
+func probe() (names []string, clmul bool) { return []string{"neon"}, false }
 
 // simRun16 is unreachable on arm64 (only the amd64 avx512 arm fuses
 // the divide); it exists so kernel.go compiles unconditionally.

@@ -6,7 +6,7 @@ package similarity
 // so useVector and useFused are never set and the hooks below are
 // unreachable — they exist so kernel.go compiles unconditionally.
 
-func vectorNames() []string { return nil }
+func probe() (names []string, clmul bool) { return nil, false }
 
 func simRun16(dst []float64, a []uint64, aOnes int, slab []uint64, ones []int32) {
 	panic("similarity: no fused count+divide kernel on this port")

@@ -174,6 +174,11 @@ func TestSelectKernel(t *testing.T) {
 		t.Fatalf("auto selected %q, want the best of %v", name, avail)
 	}
 	t.Logf("auto selected kernel %s (available: %s)", name, strings.Join(avail, ", "))
+	fold := "inactive, hash/crc32 only"
+	if VectorCLMUL() {
+		fold = "active"
+	}
+	t.Logf("persist CRC-32C fold kernel (avx512 + VPCLMULQDQ): %s", fold)
 
 	for _, want := range avail {
 		name, err := SelectKernel(want)
@@ -182,6 +187,9 @@ func TestSelectKernel(t *testing.T) {
 		}
 		if Vectorized() != (want != "scalar") {
 			t.Fatalf("kernel %s: Vectorized() = %v", want, Vectorized())
+		}
+		if VectorCLMUL() && want != "avx512" {
+			t.Fatalf("kernel %s: VectorCLMUL() = true outside the avx512 arm", want)
 		}
 	}
 
