@@ -305,7 +305,8 @@
 // reverse edges under strict improvement. Reads merge base + delta
 // through an immutable copy-on-write view swapped by atomic pointer —
 // lock-free, allocation-free, and epoch-consistent with concurrent
-// writers. Delta user ids extend the base contiguously and stay
+// writers; a read-only index answers through the same view type with
+// no patches. Delta user ids extend the base contiguously and stay
 // stable across compactions.
 //
 // The daemon exposes the write path as POST /v1/upsert (single or

@@ -40,16 +40,19 @@ func Freeze(g *Graph) *FrozenGraph { return g.Freeze() }
 // Index is the serving bundle of the §V-B application: a frozen KNN
 // graph, the training dataset its recommendations score against, and
 // (optionally) the GoldFinger fingerprints the graph was built with.
-// All methods are safe for concurrent use — the graph and dataset are
-// immutable and per-query scratch is pooled — so one Index can serve
-// any number of request goroutines. Build one with NewIndex, persist
-// it with Save, and load it in milliseconds with LoadIndex: the
-// build/serve split that lets one expensive graph construction serve
-// many processes.
+// Every query reads through one delta.View: the overlay's current view
+// when upserts are enabled, otherwise a base view with no patches, so
+// read-only and writable indexes share one read path. All methods are
+// safe for concurrent use — views are immutable and per-query scratch
+// is pooled — so one Index can serve any number of request goroutines.
+// Build one with NewIndex, persist it with Save, and load it in
+// milliseconds with LoadIndex: the build/serve split that lets one
+// expensive graph construction serve many processes.
 type Index struct {
 	graph   *knng.Frozen
 	train   *dataset.Dataset
 	gf      *goldfinger.Set
+	base    *delta.View // the artifacts above, unpatched
 	scorers sync.Pool
 
 	// mapping is non-nil when the artifacts above are views over a
@@ -59,8 +62,8 @@ type Index struct {
 	closed  atomic.Bool
 
 	// overlay is the optional delta layer for incrementally maintained
-	// indexes (see EnableUpserts); nil on plain read-only indexes, where
-	// the query paths pay one pointer load for its absence.
+	// indexes (see EnableUpserts); nil on plain read-only indexes,
+	// which serve base.
 	overlay atomic.Pointer[delta.Overlay]
 }
 
@@ -79,7 +82,7 @@ func NewIndex(g *Graph, train *Dataset, sim Similarity) (*Index, error) {
 }
 
 func newFrozenIndex(f *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set) (*Index, error) {
-	ix := &Index{graph: f, train: train, gf: gf}
+	ix := &Index{graph: f, train: train, gf: gf, base: delta.NewView(f, train, gf)}
 	ix.scorers.New = func() any { return recommend.NewScorer(train.NumItems) }
 	return ix, nil
 }
@@ -207,14 +210,18 @@ func (ix *Index) Save(path string) error {
 	})
 }
 
+// view returns the View a query reads: the overlay's current one when
+// upserts are enabled, the base view otherwise.
+func (ix *Index) view() *delta.View {
+	if ov := ix.overlay.Load(); ov != nil {
+		return ov.View()
+	}
+	return ix.base
+}
+
 // NumUsers returns the number of users the index serves, including
 // delta users absorbed through Upsert.
-func (ix *Index) NumUsers() int {
-	if ov := ix.overlay.Load(); ov != nil {
-		return ov.View().NumUsers()
-	}
-	return ix.graph.NumUsers()
-}
+func (ix *Index) NumUsers() int { return ix.view().NumUsers() }
 
 // K returns the neighborhood bound the graph was built with.
 func (ix *Index) K() int { return ix.graph.K }
@@ -234,58 +241,33 @@ func (ix *Index) Similarity() Similarity {
 	return ix.gf
 }
 
-// valid reports whether u is a user this index serves. The Index
-// methods are the request-facing surface, so an out-of-range id — a
-// malformed or stale request — yields an empty result rather than an
-// index-out-of-range panic taking down the serving process. (The
-// underlying FrozenGraph stays unguarded: internal callers iterate
-// known-valid ids on hot paths.)
-func (ix *Index) valid(u int32) bool {
-	return u >= 0 && int(u) < ix.graph.NumUsers()
-}
-
 // Neighbors returns views of u's neighbor ids and similarities, sorted
-// by decreasing similarity, or empty views when u is out of range.
-// Zero allocations; the slices alias index storage and must not be
-// mutated. With upserts enabled the row is the merged base + delta
-// view — patched and delta users resolve to their overlay rows, still
-// allocation-free.
+// by decreasing similarity, or empty views when u is out of range — a
+// malformed or stale request gets an empty answer, not a panic. Zero
+// allocations; the slices alias index storage and must not be mutated.
+// The row comes from the index's one view, so with upserts enabled
+// patched and delta users resolve to their overlay rows.
 func (ix *Index) Neighbors(u int32) (ids []int32, sims []float32) {
-	if ov := ix.overlay.Load(); ov != nil {
-		return ov.View().Neighbors(u)
-	}
-	if !ix.valid(u) {
-		return nil, nil
-	}
-	return ix.graph.Neighbors(u)
+	return ix.view().Neighbors(u)
 }
 
 // TopK returns u's best min(k, degree) neighbors as Neighbor values,
 // or nil when u is out of range.
 func (ix *Index) TopK(u int32, k int) []Neighbor {
-	if ov := ix.overlay.Load(); ov != nil {
-		return topKView(ov.View(), u, k, nil)
-	}
-	if !ix.valid(u) {
-		return nil
-	}
-	return ix.graph.TopK(u, k, nil)
+	return topK(ix.view(), u, k, nil)
 }
 
-// topKView is Frozen.TopK over a merged overlay view.
-func topKView(v *delta.View, u int32, k int, dst []Neighbor) []Neighbor {
+// topK appends u's best min(k, degree) neighbors in v to dst.
+func topK(v *delta.View, u int32, k int, dst []Neighbor) []Neighbor {
 	ids, sims := v.Neighbors(u)
-	if k > len(ids) {
-		k = len(ids)
-	}
-	for i := 0; i < k; i++ {
+	for i := range min(k, len(ids)) {
 		dst = append(dst, Neighbor{ID: ids[i], Sim: float64(sims[i])})
 	}
 	return dst
 }
 
 // Recommend returns up to n items for user u by user-based
-// collaborative filtering over the frozen graph: items in neighbors'
+// collaborative filtering over the index's view: items in neighbors'
 // training profiles (but not u's own), scored by the sum of the
 // recommending neighbors' similarities, ties broken by ascending item
 // id. Out-of-range users and n ≤ 0 get nil. A query costs one pass
@@ -294,21 +276,12 @@ func topKView(v *delta.View, u int32, k int, dst []Neighbor) []Neighbor {
 // pooled per calling goroutine, so steady-state cost is the returned
 // slice only.
 func (ix *Index) Recommend(u int32, n int) []int32 {
-	if ov := ix.overlay.Load(); ov != nil {
-		v := ov.View()
-		if !v.Valid(u) {
-			return nil
-		}
-		sc := ix.scorers.Get().(*recommend.Scorer)
-		out := sc.RecommendSource(v, u, n, nil)
-		ix.scorers.Put(sc)
-		return out
-	}
-	if !ix.valid(u) {
+	v := ix.view()
+	if !v.Valid(u) {
 		return nil
 	}
 	sc := ix.scorers.Get().(*recommend.Scorer)
-	out := sc.Recommend(ix.train, ix.graph, u, n, nil)
+	out := sc.RecommendSource(v, u, n, nil)
 	ix.scorers.Put(sc)
 	return out
 }
@@ -323,39 +296,19 @@ func (ix *Index) TopKBatch(users []int32, k int) [][]Neighbor {
 	if k <= 0 {
 		return out
 	}
-	if ov := ix.overlay.Load(); ov != nil {
-		v := ov.View()
-		var buf []Neighbor
-		for i, u := range users {
-			start := len(buf)
-			buf = topKView(v, u, k, buf)
-			if len(buf) > start {
-				out[i] = buf[start:len(buf):len(buf)]
-			} else if v.Valid(u) {
-				out[i] = []Neighbor{}
-			}
-		}
-		return out
-	}
+	v := ix.view()
 	total := 0
 	for _, u := range users {
-		if !ix.valid(u) {
-			continue
-		}
-		if d := ix.graph.Degree(u); d < k {
-			total += d
-		} else {
-			total += k
-		}
+		ids, _ := v.Neighbors(u)
+		total += min(k, len(ids))
 	}
 	buf := make([]Neighbor, 0, total)
 	for i, u := range users {
-		if !ix.valid(u) {
-			continue
+		if v.Valid(u) {
+			start := len(buf)
+			buf = topK(v, u, k, buf)
+			out[i] = buf[start:len(buf):len(buf)]
 		}
-		start := len(buf)
-		buf = ix.graph.TopK(u, k, buf)
-		out[i] = buf[start:len(buf):len(buf)]
 	}
 	return out
 }
@@ -367,21 +320,14 @@ func (ix *Index) TopKBatch(users []int32, k int) [][]Neighbor {
 // nil entries. The per-user results are identical to calling Recommend
 // user by user.
 func (ix *Index) RecommendBatch(users []int32, n int) [][]int32 {
+	v := ix.view()
 	sc := ix.scorers.Get().(*recommend.Scorer)
-	if ov := ix.overlay.Load(); ov != nil {
-		v := ov.View()
-		out := make([][]int32, 0, len(users))
-		for _, u := range users {
-			if !v.Valid(u) {
-				out = append(out, nil)
-				continue
-			}
-			out = append(out, sc.RecommendSource(v, u, n, nil))
+	out := make([][]int32, len(users))
+	for i, u := range users {
+		if v.Valid(u) {
+			out[i] = sc.RecommendSource(v, u, n, nil)
 		}
-		ix.scorers.Put(sc)
-		return out
 	}
-	out := sc.RecommendBatch(ix.train, ix.graph, users, n, make([][]int32, 0, len(users)))
 	ix.scorers.Put(sc)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -235,6 +236,70 @@ func TestIndexNonPositiveN(t *testing.T) {
 					t.Errorf("%s: RecommendBatch(n=%d)[%d] = %v, want empty", name, n, i, rec)
 				}
 			}
+		}
+	}
+}
+
+// TestIndexReadOnlyMatchesOverlay: enabling upserts changes no answer
+// until an upsert lands. The read-only index and the same index with an
+// empty overlay answer all six query methods identically on
+// out-of-range ids, duplicates, non-positive n and k, and k beyond the
+// graph's K. reflect.DeepEqual tells a nil entry from an empty one, so
+// the two must agree on those too.
+func TestIndexReadOnlyMatchesOverlay(t *testing.T) {
+	ix := buildTestIndex(t)
+	n := int32(ix.NumUsers())
+	users := []int32{-1, 0, 3, 3, 7, n - 1, n, n + 5, -1}
+	counts := []int{-3, 0, 1, 5, ix.K(), ix.K() + 7}
+	type answers struct {
+		NumUsers  int
+		IDs       [][]int32
+		Sims      [][]float32
+		TopK      [][]c2knn.Neighbor
+		Recommend [][]int32
+		TopKBatch [][][]c2knn.Neighbor
+		RecBatch  [][][]int32
+	}
+	collect := func() answers {
+		var a answers
+		a.NumUsers = ix.NumUsers()
+		for _, u := range users {
+			ids, sims := ix.Neighbors(u)
+			a.IDs = append(a.IDs, ids)
+			a.Sims = append(a.Sims, sims)
+			for _, c := range counts {
+				a.TopK = append(a.TopK, ix.TopK(u, c))
+				a.Recommend = append(a.Recommend, ix.Recommend(u, c))
+			}
+		}
+		for _, c := range counts {
+			a.TopKBatch = append(a.TopKBatch, ix.TopKBatch(users, c))
+			a.RecBatch = append(a.RecBatch, ix.RecommendBatch(users, c))
+		}
+		return a
+	}
+	before := collect()
+	if before.IDs[0] != nil || before.TopKBatch[3][0] != nil || before.TopKBatch[3][1] == nil {
+		t.Fatal("read-only answers lack the nil entries (out of range) and non-nil ones (valid users) this test compares")
+	}
+	if err := ix.EnableUpserts(c2knn.UpsertConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	after := collect()
+	for _, f := range []struct {
+		name          string
+		before, after any
+	}{
+		{"NumUsers", before.NumUsers, after.NumUsers},
+		{"Neighbors ids", before.IDs, after.IDs},
+		{"Neighbors sims", before.Sims, after.Sims},
+		{"TopK", before.TopK, after.TopK},
+		{"Recommend", before.Recommend, after.Recommend},
+		{"TopKBatch", before.TopKBatch, after.TopKBatch},
+		{"RecommendBatch", before.RecBatch, after.RecBatch},
+	} {
+		if !reflect.DeepEqual(f.before, f.after) {
+			t.Errorf("%s differs once upserts are enabled:\nread-only %v\noverlay   %v", f.name, f.before, f.after)
 		}
 	}
 }

@@ -90,8 +90,8 @@ func (o *Overlay) Compact() (*Compacted, error) {
 
 // Rebase re-anchors the overlay on freshly compacted base artifacts
 // (typically a just-loaded snapshot written from Compact's output):
-// every patch with a sequence number at or below marker is dropped —
-// the new base contains it — and later patches survive verbatim. Delta
+// every record with a sequence number at or below marker is dropped —
+// the new base contains it — and later records survive verbatim. Delta
 // users the new base absorbed become base users under their existing
 // ids; survivors keep theirs, so ids are stable across any number of
 // compactions. Readers switch atomically: a view loaded before Rebase
@@ -127,30 +127,20 @@ func (o *Overlay) Rebase(graph *knng.Frozen, train *dataset.Dataset, gf *goldfin
 			graph.NumUsers(), newBaseN, gf.NumUsers())
 	}
 
-	rows := make(map[int32]rowEntry)
-	for k, e := range cur.rows {
-		if e.seq > marker {
-			rows[k] = e
-		}
-	}
-	profiles := make(map[int32]profEntry)
-	for k, e := range cur.profiles {
-		if e.seq > marker {
-			profiles[k] = e
-		}
-	}
-	sigs := make(map[int32]sigEntry)
-	for k, e := range cur.sigs {
-		if e.seq > marker {
-			sigs[k] = e
+	// A kept record's profile is newer than the marker or the new
+	// base's own (see patch).
+	patches := make(map[int32]*patch)
+	for k, p := range cur.patches {
+		if p.seq > marker {
+			patches[k] = p
 		}
 	}
 	// Every surviving delta user must have been created after the
 	// capture (ids are assigned contiguously, so absorbed ids are
-	// exactly [cur.baseN, newBaseN)); its profile entry therefore
-	// survived with it.
+	// exactly [cur.baseN, newBaseN)); its record, profile included,
+	// therefore survived with it.
 	for id := newBaseN; id < cur.numUsers; id++ {
-		if _, ok := profiles[id]; !ok {
+		if p := patches[id]; p == nil || p.items == nil {
 			return fmt.Errorf("delta: rebase would orphan delta user %d", id)
 		}
 	}
@@ -163,9 +153,7 @@ func (o *Overlay) Rebase(graph *knng.Frozen, train *dataset.Dataset, gf *goldfin
 		numUsers: cur.numUsers,
 		numItems: max(train.NumItems, cur.numItems),
 		seq:      cur.seq,
-		rows:     rows,
-		profiles: profiles,
-		sigs:     sigs,
+		patches:  patches,
 	})
 	if marker > o.marker {
 		o.marker = marker

@@ -20,11 +20,14 @@
 //
 //   - View is an immutable published snapshot of the overlay: the base
 //     artifacts (frozen graph, training profiles, fingerprints) plus
-//     three patch maps — materialized neighbor rows, profiles, and
-//     fingerprints — covering every user an upsert has touched. Readers
-//     load the current View with one atomic pointer read and never take
-//     a lock; every access after that is a map probe or a base-array
-//     view, so the merged read path allocates nothing.
+//     one map holding a patch record per user an upsert has touched —
+//     the materialized neighbor row and, where the user's profile
+//     changed, the profile and its fingerprint. Readers load the
+//     current View with one atomic pointer read and never take a lock;
+//     every access after that is a map probe or a base-array view, so
+//     the merged read path allocates nothing. A View with no records
+//     (NewView) is the base alone: read-only indexes serve through it
+//     too, so there is one read path whether or not upserts are on.
 //   - Overlay owns the writer state: the FRH hasher, the per-
 //     configuration coarse bucket membership of every user, base and
 //     delta, under its current profile, and the sequence counter.
@@ -32,17 +35,18 @@
 //     ratings for all t configurations (frh.Hasher.Buckets). That is
 //     the overlay's only work linear in the ratings: 1.5 ms on an ml1M
 //     lookalike and 8.2 ms on ml10M (see Attach). Upsert runs under a
-//     single writer mutex, builds fresh copies of the patch maps
-//     (copy-on-write — bounded by the compaction depth), and publishes
-//     a new View atomically.
+//     single writer mutex, copies the one record map (copy-on-write —
+//     bounded by the compaction depth), writes fresh records for the
+//     user and the neighbors whose rows it patches, and publishes a new
+//     View atomically.
 //     Concurrent readers keep whichever View they loaded; a View, once
 //     published, is never mutated.
 //   - Compact folds base + delta into fresh build artifacts (validated
 //     end to end) that the caller persists and hot-swaps; Rebase then
-//     re-anchors the overlay on the new artifacts, dropping every patch
-//     the snapshot absorbed (sequence numbers ≤ the compaction marker)
-//     and keeping patches that raced in during the fold. Delta user ids
-//     are assigned contiguously after the base ids and survive
+//     re-anchors the overlay on the new artifacts, dropping every
+//     record the snapshot absorbed (sequence numbers ≤ the compaction
+//     marker) and keeping records that raced in during the fold. Delta
+//     user ids are assigned contiguously after the base ids and survive
 //     compaction unchanged, so clients never observe an id remap.
 //
 // Placement and re-solve, per upsert:
@@ -235,17 +239,7 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, cfg 
 		hasher: frh.NewHasher(train.NumItems, cfg.FRH),
 	}
 	o.buckets = o.hasher.Buckets(train.Profiles, cfg.FRH.Parallelism)
-	o.view.Store(&View{
-		graph:    graph,
-		train:    train,
-		gf:       gf,
-		baseN:    int32(n),
-		numUsers: int32(n),
-		numItems: train.NumItems,
-		rows:     map[int32]rowEntry{},
-		profiles: map[int32]profEntry{},
-		sigs:     map[int32]sigEntry{},
-	})
+	o.view.Store(NewView(graph, train, gf))
 	return o, nil
 }
 
@@ -262,7 +256,7 @@ func (o *Overlay) Stats() Stats {
 	s := Stats{
 		Depth:       int(o.seq - o.marker),
 		Users:       int(v.numUsers - v.baseN),
-		PatchedRows: len(v.rows),
+		PatchedRows: len(v.patches),
 		Upserts:     o.upserts,
 		Compactions: o.compactions,
 		Seq:         o.seq,
@@ -372,50 +366,39 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 		rowSims[i] = float32(nb.Sim)
 	}
 
-	// Copy-on-write: fresh maps, then the new entries. Readers holding
-	// the previous view never observe any of this.
+	// Copy-on-write: a fresh map, then fresh records. Readers holding
+	// the previous view never observe any of this, and records already
+	// published stay as they are: a patched neighbor gets a new copy of
+	// its record.
 	seq := o.seq + 1
-	rows := make(map[int32]rowEntry, len(cur.rows)+1+len(rowIDs))
-	for k, e := range cur.rows {
-		rows[k] = e
+	patches := make(map[int32]*patch, len(cur.patches)+1+len(rowIDs))
+	for k, p := range cur.patches {
+		patches[k] = p
 	}
-	profiles := make(map[int32]profEntry, len(cur.profiles)+1)
-	for k, e := range cur.profiles {
-		profiles[k] = e
-	}
-	sigs := make(map[int32]sigEntry, len(cur.sigs)+1)
-	for k, e := range cur.sigs {
-		sigs[k] = e
-	}
-	rows[u] = rowEntry{ids: rowIDs, sims: rowSims, seq: seq}
-	profiles[u] = profEntry{items: norm, seq: seq}
-	sigs[u] = sigEntry{words: sig, ones: ones, seq: seq}
+	patches[u] = &patch{ids: rowIDs, sims: rowSims, items: norm, words: sig, ones: ones, seq: seq}
 
 	// Symmetrize locally: offer (u, sim) to each new neighbor's row.
 	patched := 0
 	for i, v := range rowIDs {
 		if ids, sims, ok := patchRow(cur, v, u, rowSims[i], o.cfg.K); ok {
-			rows[v] = rowEntry{ids: ids, sims: sims, seq: seq}
+			p := &patch{}
+			if old := cur.patches[v]; old != nil {
+				*p = *old
+			}
+			p.ids, p.sims, p.seq = ids, sims, seq
+			patches[v] = p
 			patched++
 		}
 	}
 
-	next := &View{
-		graph:    cur.graph,
-		train:    cur.train,
-		gf:       cur.gf,
-		baseN:    cur.baseN,
-		numUsers: cur.numUsers,
-		numItems: max(cur.numItems, norm[len(norm)-1]+1),
-		seq:      seq,
-		rows:     rows,
-		profiles: profiles,
-		sigs:     sigs,
-	}
+	next := *cur
+	next.numItems = max(cur.numItems, norm[len(norm)-1]+1)
+	next.seq = seq
+	next.patches = patches
 	if created {
 		next.numUsers++
 	}
-	o.view.Store(next)
+	o.view.Store(&next)
 	o.seq = seq
 	o.upserts++
 	if o.pending.IsZero() {

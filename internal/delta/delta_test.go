@@ -399,7 +399,7 @@ func TestCompactRoundTrip(t *testing.T) {
 	if s.Depth != 1 || s.Users != 1 || s.Compactions != 1 {
 		t.Fatalf("post-rebase stats: %+v", s)
 	}
-	for k, e := range v.rows {
+	for k, e := range v.patches {
 		if e.seq <= cmp.Marker {
 			t.Fatalf("row patch for %d at seq %d survived marker %d", k, e.seq, cmp.Marker)
 		}
@@ -426,6 +426,78 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatalf("upsert onto absorbed delta id: %v", err)
 	}
 	checkRow(t, ov.View(), late.User)
+}
+
+// TestRebaseKeepsRecordProfile: a record written after a compaction's
+// capture survives the Rebase whole, also when its user is one the
+// snapshot absorbed. Its row stays the patched one, while the profile
+// and fingerprint it carries are the snapshot's own; Stats counts it,
+// and the next compaction drops it.
+func TestRebaseKeepsRecordProfile(t *testing.T) {
+	ov, d := testOverlay(t, 0.02)
+	a, err := ov.Upsert(-1, d.Profiles[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := ov.Compact()
+	if err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	// b shares a's profile, so it enters a's row at similarity 1.
+	b, err := ov.Upsert(-1, d.Profiles[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, sims := ov.View().Neighbors(a.User)
+	if !slices.Contains(ids, b.User) {
+		t.Fatalf("upsert %d did not patch the row of %d: %v", b.User, a.User, ids)
+	}
+	wantIDs, wantSims := slices.Clone(ids), slices.Clone(sims)
+
+	if err := ov.Rebase(cmp.Graph, cmp.Train, cmp.GoldFinger, cmp.Marker); err != nil {
+		t.Fatalf("Rebase: %v", err)
+	}
+	v := ov.View()
+	if a.User >= int32(v.BaseUsers()) {
+		t.Fatalf("user %d not absorbed: base covers %d users", a.User, v.BaseUsers())
+	}
+	if p := v.patches[a.User]; p == nil || p.seq != b.Seq {
+		t.Fatalf("record of %d = %+v, want one at seq %d", a.User, p, b.Seq)
+	}
+	if got := v.Profile(a.User); !slices.Equal(got, cmp.Train.Profiles[a.User]) {
+		t.Fatalf("profile of %d = %v, compacted base holds %v", a.User, got, cmp.Train.Profiles[a.User])
+	}
+	words, ones := v.signature(a.User)
+	if !slices.Equal(words, cmp.GoldFinger.Signature(a.User)) || int(ones) != cmp.GoldFinger.Ones(a.User) {
+		t.Fatalf("signature of %d diverges from the compacted base", a.User)
+	}
+	gotIDs, gotSims := v.Neighbors(a.User)
+	if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotSims, wantSims) {
+		t.Fatalf("row of %d = %v, want the patched %v", a.User, gotIDs, wantIDs)
+	}
+	// Every kept record is b's: its own and the rows it patched.
+	if s := ov.Stats(); s.PatchedRows != len(v.patches) || s.PatchedRows != 1+b.Patched {
+		t.Fatalf("PatchedRows = %d, want %d records (b and the %d rows it patched)", s.PatchedRows, 1+b.Patched, b.Patched)
+	}
+
+	cmp2, err := ov.Compact()
+	if err != nil {
+		t.Fatalf("second Compact: %v", err)
+	}
+	if err := ov.Rebase(cmp2.Graph, cmp2.Train, cmp2.GoldFinger, cmp2.Marker); err != nil {
+		t.Fatalf("second Rebase: %v", err)
+	}
+	v = ov.View()
+	if p := v.patches[a.User]; p != nil {
+		t.Fatalf("record of %d survived the second compaction: %+v", a.User, p)
+	}
+	if s := ov.Stats(); s.PatchedRows != 0 {
+		t.Fatalf("PatchedRows = %d after draining the overlay, want 0", s.PatchedRows)
+	}
+	gotIDs, gotSims = v.Neighbors(a.User)
+	if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotSims, wantSims) {
+		t.Fatalf("row of %d = %v after the second compaction, want %v", a.User, gotIDs, wantIDs)
+	}
 }
 
 func TestRebaseValidation(t *testing.T) {

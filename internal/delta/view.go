@@ -7,11 +7,12 @@ import (
 )
 
 // View is one immutable published state of an overlay: the base
-// artifacts plus the patch maps of every user an upsert has touched.
-// All methods are read-only, lock-free and allocation-free, and a View
-// stays internally consistent forever — readers resolve one View per
-// request and see a single point in the upsert sequence, whatever
-// writers do meanwhile.
+// artifacts plus one patch record for every user an upsert has
+// touched. All methods are read-only, lock-free and allocation-free,
+// and a View stays internally consistent forever — readers resolve one
+// View per request and see a single point in the upsert sequence,
+// whatever writers do meanwhile. A View with no patches (NewView) is
+// simply the base, which is how a read-only index serves.
 type View struct {
 	graph *knng.Frozen
 	train *dataset.Dataset
@@ -22,31 +23,33 @@ type View struct {
 	numItems int32 // item-universe bound across base and delta profiles
 	seq      uint64
 
-	// rows holds materialized absolute neighbor rows for every patched
-	// base user and every delta user; profiles and sigs likewise. An
-	// entry's content supersedes the base arrays wholesale (it is a full
-	// row, not a diff), which is what makes compaction pruning safe: a
-	// stale entry is always a superset-in-time of the base content.
-	rows     map[int32]rowEntry
-	profiles map[int32]profEntry
-	sigs     map[int32]sigEntry
+	// patches holds the record of every patched base user and every
+	// delta user. Records are shared between views and never mutated.
+	patches map[int32]*patch
 }
 
-type rowEntry struct {
-	ids  []int32
-	sims []float32
-	seq  uint64
-}
-
-type profEntry struct {
+// patch is one user's record: a full row that supersedes the base row,
+// and the user's profile and fingerprint once an upsert changed them
+// (nil before: reads fall through to the base). seq is the upsert that
+// last wrote the row; every upsert of the user re-rows it, so a record
+// kept past a compaction marker carries a newer profile or the one the
+// compacted base holds.
+type patch struct {
+	ids   []int32
+	sims  []float32
 	items []int32
-	seq   uint64
-}
-
-type sigEntry struct {
 	words []uint64
 	ones  int32
 	seq   uint64
+}
+
+// NewView returns the view of the base artifacts with no patches: the
+// read path of an index without upserts and the first view of every
+// overlay. The artifacts must be mutually consistent (equal user
+// counts); gf may be nil when nothing will score against it.
+func NewView(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set) *View {
+	n := int32(train.NumUsers())
+	return &View{graph: graph, train: train, gf: gf, baseN: n, numUsers: n, numItems: train.NumItems}
 }
 
 // NumUsers returns the number of users served: base plus delta.
@@ -75,8 +78,8 @@ func (v *View) Neighbors(u int32) ([]int32, []float32) {
 	if !v.Valid(u) {
 		return nil, nil
 	}
-	if e, ok := v.rows[u]; ok {
-		return e.ids, e.sims
+	if p := v.patches[u]; p != nil {
+		return p.ids, p.sims
 	}
 	if u < v.baseN {
 		return v.graph.Neighbors(u)
@@ -90,8 +93,8 @@ func (v *View) Profile(u int32) []int32 {
 	if !v.Valid(u) {
 		return nil
 	}
-	if e, ok := v.profiles[u]; ok {
-		return e.items
+	if p := v.patches[u]; p != nil && p.items != nil {
+		return p.items
 	}
 	if u < v.baseN {
 		return v.train.Profiles[u]
@@ -100,11 +103,11 @@ func (v *View) Profile(u int32) []int32 {
 }
 
 // signature returns u's fingerprint words and popcount, preferring the
-// delta entry. Callers guarantee u is valid and fingerprinted (base
+// patch record. Callers guarantee u is valid and fingerprinted (base
 // users by construction, delta users by Upsert).
 func (v *View) signature(u int32) ([]uint64, int32) {
-	if e, ok := v.sigs[u]; ok {
-		return e.words, e.ones
+	if p := v.patches[u]; p != nil && p.words != nil {
+		return p.words, p.ones
 	}
 	return v.gf.Signature(u), int32(v.gf.Ones(u))
 }

@@ -125,35 +125,6 @@ func Quality(approx, exact *Graph, p similarity.Provider) float64 {
 	return approx.AvgSim(p) / denom
 }
 
-// Recall returns the average fraction of exact KNN edges recovered by
-// approx — a stricter metric than Quality, reported as a supplementary
-// diagnostic by the harness.
-func Recall(approx, exact *Graph) float64 {
-	if approx.NumUsers() == 0 {
-		return 0
-	}
-	total := 0.0
-	counted := 0
-	for u := range exact.Lists {
-		el := &exact.Lists[u]
-		if el.Len() == 0 {
-			continue
-		}
-		hits := 0
-		for _, nb := range el.H {
-			if approx.Lists[u].Contains(nb.ID) {
-				hits++
-			}
-		}
-		total += float64(hits) / float64(el.Len())
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
-}
-
 // Shared wraps a Graph with striped per-user locking so independent
 // workers can merge partial results concurrently (C² step 3: merging is
 // "performed at the granularity of individual users").

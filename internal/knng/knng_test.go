@@ -247,20 +247,6 @@ func TestQualityZeroDenominator(t *testing.T) {
 	}
 }
 
-func TestRecall(t *testing.T) {
-	exact := New(2, 2)
-	exact.Insert(0, 1, 0.9)
-	approx := New(2, 2)
-	approx.Insert(0, 1, 0.9)
-	if got := Recall(approx, exact); got != 1 {
-		t.Errorf("Recall = %v, want 1", got)
-	}
-	approx2 := New(2, 2)
-	if got := Recall(approx2, exact); got != 0 {
-		t.Errorf("Recall of empty approx = %v, want 0", got)
-	}
-}
-
 func TestAvgStoredSim(t *testing.T) {
 	g := New(2, 2)
 	g.Insert(0, 1, 0.4)

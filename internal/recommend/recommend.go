@@ -200,10 +200,10 @@ func (p frozenPair) Neighbors(u int32) ([]int32, []float32) { return p.g.Neighbo
 // RecommendSource is Recommend over a Source instead of a concrete
 // dataset + frozen pair — semantics (scores, exclusion, tie order) are
 // identical; only the storage the rows and profiles come from differs.
-// The serving path for upsert-enabled indexes: neighbor rows and
-// profiles resolve through the merged view, so recommendations reflect
-// absorbed upserts immediately. Appends to dst and returns the extended
-// slice; allocation-free when dst is recycled. n ≤ 0 appends nothing.
+// It is c2knn.Index's serving path: neighbor rows and profiles resolve
+// through the index's delta view, so recommendations reflect absorbed
+// upserts immediately. Appends to dst and returns the extended slice;
+// allocation-free when dst is recycled. n ≤ 0 appends nothing.
 func (s *Scorer) RecommendSource(src Source, u int32, n int, dst []int32) []int32 {
 	return recommendFrom(s, src, u, n, dst)
 }
@@ -312,25 +312,6 @@ func siftDown(h []scored, i int) {
 		h[i], h[w] = h[w], h[i]
 		i = w
 	}
-}
-
-// RecommendBatch recommends n items to every user of users, reusing
-// the scorer's dense scratch across the whole batch — the serving
-// batch path: one Scorer checkout amortizes over the batch instead of
-// hitting the pool once per user. Each result is appended to out as its
-// own freshly allocated slice (results outlive the scorer); users whose
-// id falls outside the training population yield a nil entry rather
-// than a panic, mirroring the request-facing tolerance of c2knn.Index.
-// The extended out is returned.
-func (s *Scorer) RecommendBatch(train *dataset.Dataset, g *knng.Frozen, users []int32, n int, out [][]int32) [][]int32 {
-	for _, u := range users {
-		if u < 0 || int(u) >= train.NumUsers() {
-			out = append(out, nil)
-			continue
-		}
-		out = append(out, s.Recommend(train, g, u, n, nil))
-	}
-	return out
 }
 
 // Recall returns |rec ∩ test| / |test|, or -1 when test is empty (the

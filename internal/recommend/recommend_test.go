@@ -396,39 +396,6 @@ func TestScorerGrowsToLargerUniverse(t *testing.T) {
 	}
 }
 
-// TestScorerRecommendBatchMatchesSerial: the batch path is the serial
-// path with amortized scratch — results must be identical per user, and
-// ids outside the population must yield nil, not panic.
-func TestScorerRecommendBatchMatchesSerial(t *testing.T) {
-	d := synth.Generate(synth.ML1M().Scale(0.03))
-	g := frozenTestGraph(d.NumUsers(), 8, 14)
-	f := g.Freeze()
-	users := []int32{0, 3, 3, 9, -5, int32(d.NumUsers()), 1}
-	sc := NewScorer(d.NumItems)
-	got := sc.RecommendBatch(d, f, users, 12, nil)
-	if len(got) != len(users) {
-		t.Fatalf("batch returned %d results for %d users", len(got), len(users))
-	}
-	ref := NewScorer(d.NumItems)
-	for i, u := range users {
-		if u < 0 || int(u) >= d.NumUsers() {
-			if got[i] != nil {
-				t.Fatalf("out-of-range user %d got %v, want nil", u, got[i])
-			}
-			continue
-		}
-		want := ref.Recommend(d, f, u, 12, nil)
-		if len(got[i]) != len(want) {
-			t.Fatalf("user %d: batch %d items, serial %d", u, len(got[i]), len(want))
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("user %d item %d: batch %d, serial %d", u, j, got[i][j], want[j])
-			}
-		}
-	}
-}
-
 func TestEvalRecallFrozenMatchesEvalRecall(t *testing.T) {
 	d := synth.Generate(synth.ML1M().Scale(0.03))
 	f := Split(d, 4, 6)[0]

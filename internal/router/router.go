@@ -295,43 +295,26 @@ func (rt *Router) serveSingle(w http.ResponseWriter, r *http.Request, ep server.
 	}
 }
 
-// serveSingleMerged fetches u's row from every owning shard (the
-// overlap window of a migration) and merges deterministically.
+// serveSingleMerged answers a single-user GET for a user in a
+// migration overlap through mergedUser, the batch path's merge, and
+// degrades the same way: the router's own deadline refuses, a missing
+// owner marks the answer partial.
 func (rt *Router) serveSingleMerged(w http.ResponseWriter, r *http.Request, ep server.Endpoint, u int32, owners []int, start time.Time) {
 	count, err := rt.cfg.ParseCount(r.URL.Query(), ep, 0)
 	if err != nil {
 		server.BadRequest(w, rt.stats.Stats, err.Error())
 		return
 	}
-	bodies := make([][]byte, 0, len(owners))
-	for _, o := range owners {
-		res, ferr := rt.fetch(r.Context(), rt.shards[o], http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, requestID(r))
-		if ferr != nil || res.status != http.StatusOK {
-			continue // merge what answered; partial if none did
-		}
-		bodies = append(bodies, res.body)
-	}
-	if len(bodies) == 0 {
+	body, degraded := rt.mergedUser(r.Context(), ep, u, owners, count, requestID(r))
+	if degraded {
 		if err := r.Context().Err(); err != nil && wroteContextError(w, r, err, rt.stats) {
 			return
 		}
 		rt.stats.RecordPartial()
-		rt.answerPartialSingle(w, ep, u, 1)
-		rt.stats.RecordQuery(ep, time.Since(start), 1, false, false)
-		return
-	}
-	out, err := mergeBodies(ep, u, bodies, count)
-	if err != nil {
-		rt.logf("router: merge for user %d: %v", u, err)
-		http.Error(w, "merge failure", http.StatusInternalServerError)
-		return
-	}
-	if len(bodies) < len(owners) {
-		rt.stats.RecordPartial()
 		w.Header().Set(HeaderPartial, "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(out)
+	w.Write(body)
 	rt.stats.RecordQuery(ep, time.Since(start), 1, false, false)
 }
 
@@ -497,8 +480,10 @@ func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, ep server.E
 	rt.stats.RecordQuery(ep, time.Since(start), len(users), true, false)
 }
 
-// mergedUser answers one overlap user for the batch path; degraded is
-// true when not every owner contributed.
+// mergedUser answers one overlap user, for the batch path and single
+// GETs alike; degraded is true when not every owner contributed, and
+// the body is the empty fill when none did or their answers would not
+// merge.
 func (rt *Router) mergedUser(ctx context.Context, ep server.Endpoint, u int32, owners []int, count int, rid string) (body []byte, degraded bool) {
 	var bodies [][]byte
 	for _, o := range owners {
@@ -513,6 +498,7 @@ func (rt *Router) mergedUser(ctx context.Context, ep server.Endpoint, u int32, o
 	}
 	out, err := mergeBodies(ep, u, bodies, count)
 	if err != nil {
+		rt.logf("router: merge for user %d: %v", u, err)
 		return emptyFill(ep, u), true
 	}
 	return out, len(bodies) < len(owners)

@@ -528,6 +528,72 @@ func TestOverlapMigration(t *testing.T) {
 	}
 }
 
+// TestOverlapSingleDegrades: a single GET for a user in a migration
+// overlap degrades as the batch path does. A bad count is a 400; with
+// one owner down the other's answer is served under the partial
+// header; with both down the empty fill is. Each degraded answer counts
+// one partial.
+func TestOverlapSingleDegrades(t *testing.T) {
+	ix := testIndex(t)
+	_, live := startShard(t, ix)
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "shard down", http.StatusInternalServerError)
+	}))
+	t.Cleanup(dead.Close)
+	half := uint32(frh.DefaultShardBuckets / 2)
+	overlap := func(first, second string) *Router {
+		return newRouter(t, Config{HedgeAfter: -1, UpstreamTimeout: 200 * time.Millisecond, Shards: []ShardSpec{
+			{ID: 0, Range: frh.BucketRange{Lo: 1, Hi: half + 200}, Replicas: []string{first}},
+			{ID: 1, Range: frh.BucketRange{Lo: half - 200, Hi: frh.DefaultShardBuckets}, Replicas: []string{second}},
+		}})
+	}
+	var u int32 = -1
+	for cand := int32(0); cand < int32(ix.NumUsers()); cand++ {
+		if key := frh.ShardKey(cand, frh.DefaultShardBuckets); key >= half-200 && key <= half+200 {
+			u = cand
+			break
+		}
+	}
+	if u < 0 {
+		t.Fatal("no user in the overlap window")
+	}
+
+	rt := overlap(live.URL, dead.URL)
+	if code, _, body := get(t, rt.Handler(), fmt.Sprintf("/v1/topk?user=%d&k=zero", u)); code != http.StatusBadRequest {
+		t.Fatalf("bad count: status %d, want 400: %s", code, body)
+	}
+	// No k: the shards' default applies, as on a direct GET.
+	path := fmt.Sprintf("/v1/neighbors?user=%d", u)
+	resp, err := http.Get(live.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	code, hdr, got := get(t, rt.Handler(), path)
+	if code != 200 || hdr.Get(HeaderPartial) != "1" {
+		t.Fatalf("one owner down: status %d partial=%q body=%s", code, hdr.Get(HeaderPartial), got)
+	}
+	if !bytes.Equal(bytes.TrimRight(got, "\n"), bytes.TrimRight(want, "\n")) {
+		t.Fatalf("one owner down: routed %s, want the live owner's %s", got, want)
+	}
+	if n := rt.Stats().partials.Load(); n != 1 {
+		t.Fatalf("partials = %d, want 1", n)
+	}
+
+	rtDead := overlap(dead.URL, dead.URL)
+	code, hdr, got = get(t, rtDead.Handler(), fmt.Sprintf("/v1/topk?user=%d&k=5", u))
+	if code != 200 || hdr.Get(HeaderPartial) != "1" {
+		t.Fatalf("no owner: status %d partial=%q body=%s", code, hdr.Get(HeaderPartial), got)
+	}
+	if want := fmt.Sprintf(`{"user":%d,"neighbors":[]}`, u); strings.TrimRight(string(got), "\n") != want {
+		t.Fatalf("no owner: body %s, want the empty fill %s", got, want)
+	}
+	if n := rtDead.Stats().partials.Load(); n != 1 {
+		t.Fatalf("partials = %d, want 1", n)
+	}
+}
+
 // TestRouterValidation: malformed requests are refused at the router
 // without touching any shard.
 func TestRouterValidation(t *testing.T) {

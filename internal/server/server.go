@@ -205,18 +205,25 @@ func (s *Server) Stats() *Stats { return s.stats }
 // served index in again is a no-op close-wise.
 func (s *Server) Swap(ix *c2knn.Index) {
 	s.reloadMu.Lock()
-	old := s.st.Load()
-	s.st.Store(&state{ix: ix, epoch: old.epoch + 1})
+	old := s.install(ix)
 	s.reloadMu.Unlock()
-	// Old-epoch entries are unreachable (the epoch is in every key);
-	// flush so they stop occupying the cache budgets too. A racing
-	// old-epoch Put landing after the flush is harmless: its key can no
-	// longer be asked for, and LRU evicts it like any cold entry.
-	s.cache.Flush()
-	s.stats.RecordSwap()
 	if old.ix != ix {
 		old.ix.Close()
 	}
+}
+
+// install serves ix under the next epoch and returns the displaced
+// state, which the caller retires. The caller holds reloadMu. The epoch
+// bump makes every cached result of earlier snapshots unreachable (the
+// epoch is in every key); the flush frees the budgets they held. A
+// racing old-epoch Put landing after the flush is harmless: its key can
+// no longer be asked for, and LRU evicts it like any cold entry.
+func (s *Server) install(ix *c2knn.Index) *state {
+	old := s.st.Load()
+	s.st.Store(&state{ix: ix, epoch: old.epoch + 1})
+	s.cache.Flush()
+	s.stats.RecordSwap()
+	return old
 }
 
 // Reload re-reads Config.SnapshotPath and swaps the result in. The old
@@ -252,10 +259,7 @@ func (s *Server) Reload() error {
 			return err
 		}
 	}
-	old := s.st.Load()
-	s.st.Store(&state{ix: ix, epoch: old.epoch + 1})
-	s.cache.Flush() // see Swap: free the budgets the dead epoch held
-	s.stats.RecordSwap()
+	old := s.install(ix)
 	s.stats.RecordLoad(loaded)
 	// The displaced index's mapping (if any) is released once its last
 	// in-flight request drains.

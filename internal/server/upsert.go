@@ -185,9 +185,7 @@ func (s *Server) CompactNow() (CompactResult, error) {
 		s.stats.RecordCompactionFailure(err.Error())
 		return CompactResult{}, err
 	}
-	s.st.Store(&state{ix: ix, epoch: old.epoch + 1})
-	s.cache.Flush()
-	s.stats.RecordSwap()
+	s.install(ix)
 	s.stats.RecordCompaction()
 	s.stats.RecordLoad(loaded)
 	// Readers still draining on the old index fall back to its plain
