@@ -51,10 +51,13 @@ type Localizer = similarity.Localizer
 type LocalSim = similarity.Local
 
 // BuildOptions parameterizes BuildC2; the zero value is the paper's
-// configuration (k=30, b=4096, t=8, N=2000, ρ=5, recursive splitting on,
+// configuration (k=30, b=4096, t=8, N=2000, recursive splitting on,
 // largest-first scheduling, hybrid local solver) with the pipelined
 // build enabled. Set DisablePipeline to restore the historical
-// cluster-everything-then-solve barrier.
+// cluster-everything-then-solve barrier. The paper's cost-model
+// constants are not options: every build switches to Hyrec at
+// |C| ≥ ρ·k² with ρ = 5, caps local Hyrec at ρ iterations and stops it
+// below δ·k·|C| updates with δ = 0.001.
 type BuildOptions = core.Options
 
 // C2Stats reports clustering and timing details of a BuildC2 run,
@@ -106,7 +109,7 @@ func Cosine(d *Dataset) Similarity { return similarity.NewCosine(d) }
 // fingerprint (a positive multiple of 64; the paper uses 1024) and
 // returns the resulting estimated-Jaccard similarity.
 func NewGoldFinger(d *Dataset, bits int) (Similarity, error) {
-	return goldfinger.New(d, bits, 0x60fd)
+	return goldfinger.New(d, bits, DefaultGFSeed)
 }
 
 // BuildC2 computes an approximate KNN graph of d with Cluster-and-

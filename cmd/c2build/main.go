@@ -70,7 +70,7 @@ func main() {
 	if *raw {
 		prov = similarity.NewJaccard(d)
 	} else {
-		gf, err = goldfinger.New(d, *gfbits, 0x60fd)
+		gf, err = goldfinger.New(d, *gfbits, c2knn.DefaultGFSeed)
 		if err != nil {
 			fatal(err)
 		}

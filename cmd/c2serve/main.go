@@ -107,8 +107,7 @@ func main() {
 		load    = flag.String("load", "auto", "snapshot load mode: auto (mmap when possible), mmap (require zero-copy), copy (decode to heap)")
 		addr    = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		pool    = flag.Int("pool", 0, "max concurrent queries (0 = 4x GOMAXPROCS)")
-		cache   = flag.Int("cache", 4096, "result cache entries (negative disables caching)")
-		shards  = flag.Int("shards", 16, "result cache shard count")
+		cache   = flag.Int("cache", 4096, "result cache entries, held in 16 shards under a 64 MiB payload cap (negative disables caching)")
 		batch   = flag.Int("batch", 1024, "max users per batched request (400 beyond)")
 		drainTO = flag.Duration("drain", 10*time.Second, "shutdown drain timeout")
 
@@ -203,7 +202,6 @@ func main() {
 		LoadMode:       loadMode,
 		MaxConcurrent:  *pool,
 		CacheEntries:   *cache,
-		CacheShards:    *shards,
 		FaultInjection: *faults,
 		Upserts:        *upserts,
 		ReadOnly:       *readOnly,

@@ -183,19 +183,20 @@
 // /v1/neighbors?user=U&k=K, /v1/topk?user=U&k=K and
 // /v1/recommend?user=U&n=N — and a batched POST taking
 // {"users":[...],"k":K} (or "n" for recommend) and returning
-// {"results":[...]} in request order. Batches are served by
+// {"results":[...]} in request order. k and n are capped at 1000; a
+// larger count answers 400. Batches are served by
 // Index.TopKBatch/Index.RecommendBatch, which reuse one pooled scoring
 // scratch across the whole batch. Out-of-range user ids yield empty
 // results, never errors: a stale client must not be able to 500 a
 // serving process.
 //
 // Inside the daemon, a bounded worker pool caps concurrent index work,
-// and a sharded LRU caches marshaled response bodies keyed on
-// (endpoint, snapshot epoch, params, users) — a cache hit writes bytes
-// straight to the wire and allocates nothing. /healthz reports
-// liveness plus the current snapshot epoch; /statsz reports qps
-// (sliding-window and lifetime), p50/p99 latency, per-endpoint counts
-// and the cache hit rate.
+// and a 16-shard LRU, capped at 64 MiB of payload, caches marshaled
+// response bodies keyed on (endpoint, snapshot epoch, params, users) —
+// a cache hit writes bytes straight to the wire and allocates nothing.
+// /healthz reports liveness plus the current snapshot epoch; /statsz
+// reports qps (sliding-window and lifetime), p50/p99 latency,
+// per-endpoint counts and the cache hit rate.
 //
 // Snapshots hot-swap with zero downtime: SIGHUP or POST /admin/reload
 // re-reads the snapshot file and atomically replaces the served index.
@@ -218,10 +219,10 @@
 // status accounting, admission control, a body-size cap, and a
 // per-request deadline. A handler panic becomes a logged 500 — request
 // ID and stack included — and the process keeps serving. Admission
-// control sheds load past -inflight concurrent requests with 429 +
-// Retry-After instead of queueing without bound; bodies past -max-body
-// answer 413; batches past -batch answer 400; work that outlives
-// -timeout answers 503. Health, stats and metrics probes bypass
+// control sheds load past -inflight concurrent requests with 429 and
+// Retry-After: 1 instead of queueing without bound; bodies past
+// -max-body answer 413; batches past -batch answer 400; work that
+// outlives -timeout answers 503. Health, stats and metrics probes bypass
 // shedding and deadlines so observability survives overload.
 //
 // Metrics are exposed in Prometheus text format on /metrics (and on
@@ -298,11 +299,12 @@
 // A frozen index can absorb new users and profile updates without a
 // rebuild. Index.EnableUpserts attaches a delta overlay
 // (internal/delta) on top of the frozen base: Index.Upsert
-// fingerprints the incoming profile, places it with the builder's own
-// FastRandomHash split step into the very clusters a rebuild would put
-// it in (given the build's clustering parameters), and re-solves only
-// the touched clusters with the blocked similarity kernels, patching
-// reverse edges under strict improvement. Reads merge base + delta
+// fingerprints the incoming profile with DefaultGFSeed, places it
+// with the builder's own FastRandomHash split step into the very
+// clusters a rebuild would put it in (given the build's clustering
+// parameters), and re-solves only the touched clusters with the
+// blocked similarity kernels, patching reverse edges under strict
+// improvement. Reads merge base + delta
 // through an immutable copy-on-write view swapped by atomic pointer —
 // lock-free, allocation-free, and epoch-consistent with concurrent
 // writers; a read-only index answers through the same view type with

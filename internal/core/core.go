@@ -53,6 +53,19 @@ import (
 	"c2knn/internal/similarity"
 )
 
+// The paper fixes both constants of C²'s cost model (§II-F) and never
+// varies them; its sensitivity study sweeps only b, t and N.
+const (
+	// Rho is the ρ of the brute-force/Hyrec switch: brute force is
+	// chosen when |C| < ρ·k². It also caps the local Hyrec iteration
+	// count.
+	Rho = 5
+	// Delta is the local Hyrec termination threshold: a cluster's
+	// refinement stops once an iteration makes fewer than δ·k·|C|
+	// updates.
+	Delta = 0.001
+)
+
 // LocalSolver selects how each cluster's partial KNN graph is computed.
 type LocalSolver int
 
@@ -102,9 +115,9 @@ func (s Scheduling) String() string {
 }
 
 // Options parameterizes a C² run. The zero value (after defaulting) is
-// the paper's configuration: k=30, b=4096, t=8, N=2000, ρ=5, hybrid local
+// the paper's configuration: k=30, b=4096, t=8, N=2000, hybrid local
 // solver, largest-first scheduling, recursive splitting on, pipelined
-// clustering.
+// clustering. ρ and δ are the constants Rho and Delta.
 type Options struct {
 	// K is the neighborhood size (default 30; K < 0 is treated as 0).
 	K int
@@ -115,12 +128,6 @@ type Options struct {
 	// MaxClusterSize is the recursive-splitting threshold N
 	// (default 2000). Ignored when DisableSplitting or UseMinHash is set.
 	MaxClusterSize int
-	// Rho is the ρ of the brute-force/Hyrec switch: brute force is chosen
-	// when |C| < ρ·k² (default 5). It also caps the local Hyrec
-	// iteration count, matching the cost model of §II-F.
-	Rho int
-	// Delta is the local Hyrec termination threshold (default 0.001).
-	Delta float64
 	// Workers sizes the cluster-processing pool (default 1).
 	Workers int
 	// Seed drives the hash family and local Hyrec initializations.
@@ -157,12 +164,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxClusterSize == 0 {
 		o.MaxClusterSize = frh.DefaultMaxSize
-	}
-	if o.Rho == 0 {
-		o.Rho = 5
-	}
-	if o.Delta == 0 {
-		o.Delta = 0.001
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -298,8 +299,8 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 			if useHyrec(o, len(job.users)) {
 				ws.hyreced++
 				lists = hyrec.LocalInto(&ws.loc, o.K, hyrec.Options{
-					Delta:   o.Delta,
-					MaxIter: o.Rho,
+					Delta:   Delta,
+					MaxIter: Rho,
 					Seed:    job.seed,
 				}, &ws.hy)
 			} else {
@@ -423,7 +424,7 @@ func useHyrec(o Options, size int) bool {
 	case SolverHyrec:
 		return true
 	default:
-		return size >= o.Rho*o.K*o.K
+		return size >= Rho*o.K*o.K
 	}
 }
 

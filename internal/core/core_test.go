@@ -203,10 +203,10 @@ func TestUseHyrecSwitch(t *testing.T) {
 	if useHyrec(o, o.K+1) {
 		t.Error("tiny cluster should brute force")
 	}
-	if useHyrec(o, o.Rho*o.K*o.K-1) {
+	if useHyrec(o, Rho*o.K*o.K-1) {
 		t.Error("below ρk² should brute force")
 	}
-	if !useHyrec(o, o.Rho*o.K*o.K) {
+	if !useHyrec(o, Rho*o.K*o.K) {
 		t.Error("at ρk² should use Hyrec")
 	}
 }

@@ -101,9 +101,6 @@ import (
 // builder puts it in over the current profiles; TestDescendMatchesBuilder
 // pins this.
 type Config struct {
-	// K is the neighborhood bound; zero takes the base graph's K, any
-	// other value must equal it (rows merge edge-for-edge).
-	K int
 	// FRH configures the generative hash family used for placement.
 	// Zero fields take the paper's defaults.
 	FRH frh.Options
@@ -113,13 +110,22 @@ type Config struct {
 	// incoming profiles, and a mismatched seed degrades placement
 	// quality, never safety.
 	GFSeed uint32
-	// MaxItems bounds accepted item ids: an upsert carrying an item id
-	// ≥ MaxItems is rejected. This caps the growth of every per-item
-	// structure (scorer scratch, compacted datasets). Zero defaults to
-	// twice the base item universe, with a 4096-id floor of headroom.
-	MaxItems int32
 	// now stubs time.Now in tests.
 	now func() time.Time
+}
+
+// config is a Config as Attach completes it: defaults filled in, K
+// taken from the base graph (rows merge edge-for-edge) and the item-id
+// bound derived from the base item universe.
+type config struct {
+	Config
+	// K is the base graph's neighborhood bound.
+	K int
+	// MaxItems bounds accepted item ids: an upsert carrying an item id
+	// ≥ MaxItems is rejected. This caps the growth of every per-item
+	// structure (scorer scratch, compacted datasets): twice the base
+	// item universe, with a 4096-id floor of headroom.
+	MaxItems int32
 }
 
 // Overlay is the mutable delta layer over one base snapshot. Reads go
@@ -127,7 +133,7 @@ type Config struct {
 // internal mutex. Safe for any number of concurrent readers alongside
 // one or more writers.
 type Overlay struct {
-	cfg   Config
+	cfg   config
 	bits  int // fingerprint width
 	words int // fingerprint words (bits/64)
 
@@ -202,12 +208,6 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, cfg 
 		return nil, fmt.Errorf("delta: inconsistent base: %d graph users, %d profiles, %d fingerprints",
 			graph.NumUsers(), n, gf.NumUsers())
 	}
-	if cfg.K == 0 {
-		cfg.K = graph.K
-	}
-	if cfg.K != graph.K {
-		return nil, fmt.Errorf("delta: k=%d does not match the base graph's k=%d", cfg.K, graph.K)
-	}
 	if cfg.FRH.B == 0 {
 		cfg.FRH.B = frh.DefaultB
 	}
@@ -223,17 +223,11 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, cfg 
 	if cfg.FRH.T < 1 {
 		return nil, fmt.Errorf("delta: FRH T=%d, need at least one configuration", cfg.FRH.T)
 	}
-	if cfg.MaxItems <= 0 {
-		cfg.MaxItems = train.NumItems + max(train.NumItems, 4096)
-	}
-	if cfg.MaxItems < train.NumItems {
-		return nil, fmt.Errorf("delta: MaxItems=%d below the base item universe %d", cfg.MaxItems, train.NumItems)
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
 	o := &Overlay{
-		cfg:    cfg,
+		cfg:    config{Config: cfg, K: graph.K, MaxItems: train.NumItems + max(train.NumItems, 4096)},
 		bits:   gf.Bits(),
 		words:  gf.Bits() / 64,
 		hasher: frh.NewHasher(train.NumItems, cfg.FRH),
@@ -270,10 +264,10 @@ func (o *Overlay) Stats() Stats {
 
 // Upsert absorbs one profile. user < 0 inserts a new user (the assigned
 // id is returned); an existing id merges items into that user's profile
-// and re-solves it. Items must be non-negative and below
-// Config.MaxItems. The absorbed write is visible to every View loaded
-// after Upsert returns. Safe for concurrent use with readers and other
-// upserters (writers serialize).
+// and re-solves it. Items must be non-negative and below the item-id
+// bound (config.MaxItems). The absorbed write is visible to every View
+// loaded after Upsert returns. Safe for concurrent use with readers and
+// other upserters (writers serialize).
 func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 	norm := sets.Normalize(slices.Clone(items))
 	if len(norm) == 0 {

@@ -84,12 +84,6 @@ func TestAttachValidation(t *testing.T) {
 	if _, err := Attach(frozen, d, nil, Config{}); err == nil {
 		t.Error("Attach accepted nil fingerprints")
 	}
-	if _, err := Attach(frozen, d, gf, Config{K: frozen.K + 1}); err == nil {
-		t.Error("Attach accepted a mismatched K")
-	}
-	if _, err := Attach(frozen, d, gf, Config{MaxItems: 1}); err == nil {
-		t.Error("Attach accepted MaxItems below the base universe")
-	}
 	short := &dataset.Dataset{Name: "short", NumItems: d.NumItems, Profiles: d.Profiles[:len(d.Profiles)-1]}
 	if _, err := Attach(frozen, short, gf, Config{}); err == nil {
 		t.Error("Attach accepted inconsistent user counts")

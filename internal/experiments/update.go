@@ -10,6 +10,7 @@ import (
 	"c2knn/internal/core"
 	"c2knn/internal/dataset"
 	"c2knn/internal/delta"
+	"c2knn/internal/frh"
 	"c2knn/internal/recommend"
 )
 
@@ -57,9 +58,9 @@ type UpdateSummary struct {
 // from-scratch build on fold 0's full training set is the quality
 // reference; the measured path rebuilds on the same set minus the last
 // users, streams exactly their profiles through Overlay.Upsert (timing
-// each), checks the merged read path allocates nothing, folds the
-// overlay with Compact, and evaluates both graphs on the same held-out
-// ratings.
+// each; the overlay places them with the build's own hash family),
+// checks the merged read path allocates nothing, folds the overlay with
+// Compact, and evaluates both graphs on the same held-out ratings.
 func (e *Env) Update() (*UpdateSummary, error) {
 	e.setDefaults()
 	const name = "ml1M"
@@ -105,6 +106,7 @@ func (e *Env) Update() (*UpdateSummary, error) {
 	}
 	gBase, _ := core.Build(base, gfBase, opts)
 	ov, err := delta.Attach(gBase.Freeze(), base, gfBase, delta.Config{
+		FRH:    frh.Options{B: b, T: t, MaxSize: mc, Seed: e.Seed},
 		GFSeed: uint32(e.Seed) + 0x60fd,
 	})
 	if err != nil {

@@ -392,9 +392,3 @@ func Local(ids []int32, k int, p similarity.Provider, o Options) []knng.List {
 	var s Scratch
 	return LocalInto(&loc, k, o, &s)
 }
-
-// SimBound returns the paper's bound on the number of similarities a
-// ρ-iteration Hyrec run computes on a population of size n: ρ·k²·n/2.
-func SimBound(n, k, rho int) int64 {
-	return int64(rho) * int64(k) * int64(k) * int64(n) / 2
-}

@@ -167,12 +167,6 @@ func TestWorkerCountStability(t *testing.T) {
 	}
 }
 
-func TestSimBound(t *testing.T) {
-	if got := SimBound(100, 30, 5); got != 5*30*30*100/2 {
-		t.Errorf("SimBound = %d", got)
-	}
-}
-
 func BenchmarkBuildRing500(b *testing.B) {
 	p := ringSim(500)
 	b.ResetTimer()

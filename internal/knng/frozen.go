@@ -259,31 +259,3 @@ func (f *Frozen) Neighbors(u int32) (ids []int32, sims []float32) {
 	lo, hi := f.Offsets[u], f.Offsets[u+1]
 	return f.IDs[lo:hi], f.Sims[lo:hi]
 }
-
-// TopK appends u's best min(k, Degree(u)) neighbors to dst as Neighbor
-// values and returns the extended slice; pass a recycled dst for
-// allocation-free use.
-func (f *Frozen) TopK(u int32, k int, dst []Neighbor) []Neighbor {
-	ids, sims := f.Neighbors(u)
-	if k > len(ids) {
-		k = len(ids)
-	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, Neighbor{ID: ids[i], Sim: float64(sims[i])})
-	}
-	return dst
-}
-
-// AvgStoredSim averages the similarities recorded on the edges over k×n
-// slots, mirroring Graph.AvgStoredSim (absent edges count as zero).
-func (f *Frozen) AvgStoredSim() float64 {
-	n := f.NumUsers()
-	if n == 0 || f.K == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, s := range f.Sims {
-		total += float64(s)
-	}
-	return total / float64(f.K*n)
-}

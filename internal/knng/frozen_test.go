@@ -84,29 +84,6 @@ func TestFrozenNeighborsZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-func TestFrozenTopK(t *testing.T) {
-	g := New(3, 3)
-	g.Insert(0, 1, 0.5)
-	g.Insert(0, 2, 0.9)
-	f := g.Freeze()
-	top := f.TopK(0, 1, nil)
-	if len(top) != 1 || top[0].ID != 2 || top[0].Sim != float64(float32(0.9)) {
-		t.Errorf("TopK(0,1) = %+v, want neighbor 2 at 0.9", top)
-	}
-	if got := f.TopK(0, 10, nil); len(got) != 2 {
-		t.Errorf("TopK beyond degree returned %d neighbors, want 2", len(got))
-	}
-}
-
-func TestFrozenAvgStoredSimMatchesGraph(t *testing.T) {
-	g := randomGraph(300, 8, 4)
-	f := g.Freeze()
-	got, want := f.AvgStoredSim(), g.AvgStoredSim()
-	if diff := got - want; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("AvgStoredSim: frozen %v, graph %v", got, want)
-	}
-}
-
 func TestNewFrozenValidates(t *testing.T) {
 	cases := []struct {
 		name    string

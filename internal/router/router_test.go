@@ -213,6 +213,29 @@ func TestRouterMetricsStable(t *testing.T) {
 	}
 }
 
+// TestRouterCountBoundary pins the k/n cap at its boundary on the
+// router's own parsing: 1000 is answered, 1001 is refused with 400, for
+// single and batched requests on every endpoint.
+func TestRouterCountBoundary(t *testing.T) {
+	ix := testIndex(t)
+	_, shardSrv := startShard(t, ix)
+	rt := newRouter(t, Config{
+		Shards: []ShardSpec{{ID: 0, Range: frh.BucketRange{Lo: 1, Hi: frh.DefaultShardBuckets}, Replicas: []string{shardSrv.URL}}},
+	})
+	for _, ep := range []struct{ name, param string }{{"neighbors", "k"}, {"topk", "k"}, {"recommend", "n"}} {
+		for _, tc := range []struct{ count, want int }{{1000, 200}, {1001, 400}} {
+			path := fmt.Sprintf("/v1/%s?user=1&%s=%d", ep.name, ep.param, tc.count)
+			if code, _, body := get(t, rt.Handler(), path); code != tc.want {
+				t.Errorf("GET %s: status %d, want %d (%s)", path, code, tc.want, body)
+			}
+			batch := fmt.Sprintf(`{"users":[1,2],%q:%d}`, ep.param, tc.count)
+			if code, _, body := post(t, rt.Handler(), "/v1/"+ep.name, batch); code != tc.want {
+				t.Errorf("POST /v1/%s %s: status %d, want %d (%s)", ep.name, batch, code, tc.want, body)
+			}
+		}
+	}
+}
+
 func get2(tb testing.TB, h http.Handler, path, body string) (int, http.Header, []byte) {
 	return post(tb, h, path, body)
 }

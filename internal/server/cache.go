@@ -38,6 +38,14 @@ type cacheEntry struct {
 
 func (e *cacheEntry) size() int64 { return int64(len(e.key) + len(e.val)) }
 
+// The Server's cache geometry: cacheShards lock domains sharing a
+// cacheMaxBytes payload budget (the entry count alone would not cap
+// memory, since batched response bodies can reach megabytes each).
+const (
+	cacheShards   = 16
+	cacheMaxBytes = 64 << 20
+)
+
 // NewCache returns a cache holding up to entries values and maxBytes of
 // key+value payload across shards lock domains (shards is rounded up
 // to a power of two; both budgets are divided evenly). Cached bodies
@@ -46,7 +54,7 @@ func (e *cacheEntry) size() int64 { return int64(len(e.key) + len(e.val)) }
 // effectively unbounded — the byte budget is what actually caps the
 // daemon's footprint, and a value too large for its shard's budget is
 // simply not cached. entries <= 0 returns nil: a disabled cache every
-// method tolerates. maxBytes <= 0 selects the default (64 MiB).
+// method tolerates. maxBytes <= 0 selects cacheMaxBytes (64 MiB).
 func NewCache(entries, shards int, maxBytes int64) *Cache {
 	if entries <= 0 {
 		return nil
@@ -55,7 +63,7 @@ func NewCache(entries, shards int, maxBytes int64) *Cache {
 		shards = 1
 	}
 	if maxBytes <= 0 {
-		maxBytes = 64 << 20
+		maxBytes = cacheMaxBytes
 	}
 	n := 1 << bits.Len(uint(shards-1)) // next power of two
 	perShard := (entries + n - 1) / n

@@ -12,6 +12,14 @@ import (
 	"c2knn/internal/server/middleware"
 )
 
+// Limits of the shared front that no deployment tunes.
+const (
+	// maxResults bounds k/n in a request.
+	maxResults = 1000
+	// shedRetryAfter is the Retry-After hint on shed responses.
+	shedRetryAfter = time.Second
+)
+
 // Front is the HTTP front both serving roles share — the shard daemon
 // (Server) and the scatter-gather router (internal/router): the request
 // limits and logging hooks, and through its methods the hardening chain
@@ -21,8 +29,6 @@ type Front struct {
 	// MaxBatch bounds the user count of one batched request
 	// (default 1024).
 	MaxBatch int
-	// MaxResults bounds k/n in a request (default 1000).
-	MaxResults int
 	// MaxBodyBytes bounds a request body (default 1 MiB); over-cap
 	// requests are refused with 413.
 	MaxBodyBytes int64
@@ -36,9 +42,6 @@ type Front struct {
 	// (default 64× the pool size SetDefaults is given; negative
 	// disables shedding).
 	MaxInFlight int
-	// ShedRetryAfter is the Retry-After hint on shed responses
-	// (default 1s).
-	ShedRetryAfter time.Duration
 	// Logf receives panic reports (with stacks and request IDs); nil
 	// discards them. cmd/c2serve passes log.Printf.
 	Logf func(format string, args ...any)
@@ -53,9 +56,6 @@ func (f *Front) SetDefaults(pool int) {
 	if f.MaxBatch <= 0 {
 		f.MaxBatch = 1024
 	}
-	if f.MaxResults <= 0 {
-		f.MaxResults = 1000
-	}
 	if f.MaxBodyBytes <= 0 {
 		f.MaxBodyBytes = 1 << 20
 	}
@@ -67,9 +67,6 @@ func (f *Front) SetDefaults(pool int) {
 		// limit queue briefly at the pool, which the request deadline
 		// bounds.
 		f.MaxInFlight = 64 * pool
-	}
-	if f.ShedRetryAfter <= 0 {
-		f.ShedRetryAfter = time.Second
 	}
 }
 
@@ -86,7 +83,7 @@ func (f *Front) SetDefaults(pool int) {
 func (f *Front) Harden(st *Stats) (query func(http.HandlerFunc) http.Handler, wrap func(http.Handler) http.Handler) {
 	stages := []middleware.Middleware{middleware.CountStatus(st.RecordStatus)}
 	if f.MaxInFlight > 0 {
-		stages = append(stages, middleware.Shed(f.MaxInFlight, f.ShedRetryAfter, &st.inFlight, st.RecordShed))
+		stages = append(stages, middleware.Shed(f.MaxInFlight, shedRetryAfter, &st.inFlight, st.RecordShed))
 	}
 	stages = append(stages, middleware.BodyLimit(f.MaxBodyBytes, st.RecordTooLarge))
 	if f.RequestTimeout > 0 {
@@ -142,7 +139,7 @@ func ParseUser(q url.Values) (int32, error) {
 }
 
 // ParseCount reads the k (n for recommend) of a single query: def when
-// absent, otherwise a positive integer up to MaxResults. A caller
+// absent, otherwise a positive integer up to maxResults. A caller
 // answers its error with BadRequest. The router passes def 0, leaving
 // the default to the shard.
 func (f *Front) ParseCount(q url.Values, ep Endpoint, def int) (int, error) {
@@ -154,15 +151,15 @@ func (f *Front) ParseCount(q url.Values, ep Endpoint, def int) (int, error) {
 	if err != nil || v <= 0 {
 		return 0, fmt.Errorf("%s must be a positive integer, got %q", countParam(ep), raw)
 	}
-	if v > f.MaxResults {
-		return 0, fmt.Errorf("%s exceeds the maximum of %d", countParam(ep), f.MaxResults)
+	if v > maxResults {
+		return 0, fmt.Errorf("%s exceeds the maximum of %d", countParam(ep), maxResults)
 	}
 	return v, nil
 }
 
 // DecodeBatch reads and validates a batched query's body: an over-cap
 // body is 413; malformed JSON, an empty or over-MaxBatch user list, and
-// a count outside [1, MaxResults] are 400. A missing count becomes def
+// a count outside [1, maxResults] are 400. A missing count becomes def
 // before the range check. On a refusal DecodeBatch has answered w and
 // returns ok false.
 func (f *Front) DecodeBatch(w http.ResponseWriter, r *http.Request, st *Stats, ep Endpoint, def int) (users []int32, count int, ok bool) {
@@ -185,8 +182,8 @@ func (f *Front) DecodeBatch(w http.ResponseWriter, r *http.Request, st *Stats, e
 	if count == 0 {
 		count = def
 	}
-	if count < 0 || count > f.MaxResults {
-		BadRequest(w, st, fmt.Sprintf("%s must be in [1, %d]", countParam(ep), f.MaxResults))
+	if count < 0 || count > maxResults {
+		BadRequest(w, st, fmt.Sprintf("%s must be in [1, %d]", countParam(ep), maxResults))
 		return nil, 0, false
 	}
 	return req.Users, count, true

@@ -64,13 +64,6 @@ type Config struct {
 	// CacheEntries sizes the result cache (default 4096; negative
 	// disables caching).
 	CacheEntries int
-	// CacheShards is the lock-domain count of the result cache
-	// (default 16, rounded up to a power of two).
-	CacheShards int
-	// CacheMaxBytes bounds the cache's total key+value payload
-	// (default 64 MiB) — the entry count alone would not cap memory,
-	// since batched response bodies can reach megabytes each.
-	CacheMaxBytes int64
 	// FaultInjection mounts /admin/panic (a handler that panics, to
 	// prove recovery) and /admin/delay?d= (a handler that sleeps, to
 	// provoke deadline expiry and occupy admission slots). For tests
@@ -86,8 +79,11 @@ type Config struct {
 	// carry across an explicit reload (compaction is the path that
 	// preserves them).
 	Upserts bool
-	// UpsertParams parameterizes the overlay when Upserts is set; the
-	// zero value matches c2build's defaults.
+	// UpsertParams parameterizes the overlay when Upserts is set. Its
+	// clustering fields should match the build's. The zero value places
+	// upserts with seed 0, BuildC2's default, not with c2build's
+	// default DefaultSeed (42); cmd/c2serve passes DefaultSeed unless
+	// -upsert-seed says otherwise.
 	UpsertParams c2knn.UpsertConfig
 	// ReadOnly marks this daemon a read replica: /v1/upsert and
 	// /admin/compact refuse with 403 and a typed body (kind
@@ -102,9 +98,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
 	}
 	c.Front.SetDefaults(c.MaxConcurrent)
 }
@@ -150,7 +143,7 @@ func New(ix *c2knn.Index, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		cache: NewCache(cfg.CacheEntries, cfg.CacheShards, cfg.CacheMaxBytes),
+		cache: NewCache(cfg.CacheEntries, cacheShards, cacheMaxBytes),
 		stats: NewStats(),
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
 	}

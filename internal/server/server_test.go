@@ -211,6 +211,34 @@ func TestServerBatchMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestServerCountBoundary pins the k/n cap at its boundary on every
+// query endpoint: 1000 is answered, 1001 is refused with 400, for
+// single and batched requests.
+func TestServerCountBoundary(t *testing.T) {
+	ix := testIndex(t, 1)
+	_, ts := newTestServer(t, ix, Config{})
+	for ep := Endpoint(0); ep < numEndpoints; ep++ {
+		for _, tc := range []struct{ count, want int }{{1000, 200}, {1001, 400}} {
+			url := fmt.Sprintf("%s/v1/%s?user=1&%s=%d", ts.URL, ep, countParam(ep), tc.count)
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("GET %s: status %d, want %d", url, resp.StatusCode, tc.want)
+			}
+			req := BatchRequest{Users: []int32{1, 2}, K: tc.count}
+			if ep == EpRecommend {
+				req = BatchRequest{Users: []int32{1, 2}, N: tc.count}
+			}
+			if code := postJSON(t, ts.URL+"/v1/"+ep.String(), req, nil); code != tc.want {
+				t.Errorf("POST /v1/%s with %s=%d: status %d, want %d", ep, countParam(ep), tc.count, code, tc.want)
+			}
+		}
+	}
+}
+
 func TestServerBadRequests(t *testing.T) {
 	ix := testIndex(t, 1)
 	_, ts := newTestServer(t, ix, Config{Front: Front{MaxBatch: 4}})

@@ -127,9 +127,6 @@ func (c *Counting) SimRow(u, v0, v1 int32, dst []float64) {
 // Count returns the number of Sim calls observed so far.
 func (c *Counting) Count() int64 { return c.n.Load() }
 
-// Reset zeroes the counter.
-func (c *Counting) Reset() { c.n.Store(0) }
-
 // Func adapts a plain function to the Provider interface; convenient in
 // tests.
 type Func func(u, v int32) float64

@@ -118,10 +118,6 @@ func TestCountingCountsConcurrently(t *testing.T) {
 	if got := j.Count(); got != 4*perWorker {
 		t.Errorf("Count = %d, want %d", got, 4*perWorker)
 	}
-	j.Reset()
-	if got := j.Count(); got != 0 {
-		t.Errorf("Count after Reset = %d, want 0", got)
-	}
 }
 
 func TestFuncAdapter(t *testing.T) {

@@ -9,10 +9,10 @@ import (
 	"c2knn/internal/persist"
 )
 
-// DefaultGFSeed is the GoldFinger item-hash seed NewGoldFinger builds
-// fingerprints with. Snapshots do not record the seed (fingerprints are
-// self-contained for scoring), so upsert-enabled indexes assume it
-// unless UpsertConfig says otherwise.
+// DefaultGFSeed is the GoldFinger item-hash seed NewGoldFinger and
+// c2build make fingerprints with. Snapshots do not record the seed
+// (fingerprints are self-contained for scoring), so upsert-enabled
+// indexes summarize incoming profiles with it too.
 const DefaultGFSeed uint32 = 0x60fd
 
 // DefaultSeed is the FastRandomHash family seed the commands default
@@ -31,7 +31,11 @@ var ErrUpsertsDisabled = errors.New("c2knn: upserts are not enabled on this inde
 // stays correct under any consistent configuration, but with the
 // build's B, T, MaxClusterSize and Seed every upsert lands in exactly
 // the cluster a build over the current profiles would put it in
-// (internal/delta's TestDescendMatchesBuilder pins this).
+// (internal/delta's TestDescendMatchesBuilder pins this). The rest is
+// fixed: incoming profiles are fingerprinted with DefaultGFSeed, the
+// only seed the public API makes fingerprints with, and an upsert
+// carrying an item id at or above NumItems + max(NumItems, 4096) of
+// the snapshot is refused.
 type UpsertConfig struct {
 	// B, T, MaxClusterSize and Seed configure the FastRandomHash family
 	// used to place incoming profiles (defaults: the paper's B=4096,
@@ -40,11 +44,6 @@ type UpsertConfig struct {
 	// [1, 65535] and T below 1.
 	B, T, MaxClusterSize int
 	Seed                 int64
-	// GFSeed is the fingerprint item-hash seed (default DefaultGFSeed,
-	// matching NewGoldFinger and c2build).
-	GFSeed uint32
-	// MaxItems bounds accepted item ids; see delta.Config.MaxItems.
-	MaxItems int32
 }
 
 // UpsertResult reports one absorbed upsert; see the delta package for
@@ -65,19 +64,14 @@ func (ix *Index) EnableUpserts(cfg UpsertConfig) error {
 	if ix.gf == nil {
 		return fmt.Errorf("c2knn: index carries no fingerprints; rebuild the snapshot with fingerprints to enable upserts")
 	}
-	if cfg.GFSeed == 0 {
-		cfg.GFSeed = DefaultGFSeed
-	}
 	ov, err := delta.Attach(ix.graph, ix.train, ix.gf, delta.Config{
-		K: ix.graph.K,
 		FRH: frh.Options{
 			B:       cfg.B,
 			T:       cfg.T,
 			MaxSize: cfg.MaxClusterSize,
 			Seed:    cfg.Seed,
 		},
-		GFSeed:   cfg.GFSeed,
-		MaxItems: cfg.MaxItems,
+		GFSeed: DefaultGFSeed,
 	})
 	if err != nil {
 		return err
