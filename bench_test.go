@@ -8,7 +8,6 @@ package c2knn_test
 import (
 	"testing"
 
-	"c2knn"
 	"c2knn/internal/core"
 	"c2knn/internal/experiments"
 	"c2knn/internal/frh"
@@ -247,22 +246,4 @@ func BenchmarkEstimatorGoldFinger1024(b *testing.B) {
 func BenchmarkEstimatorRawJaccard(b *testing.B) {
 	p := benchEnv.MustPrepare("ml10M")
 	benchEstimator(b, similarity.NewJaccard(p.Data), int32(p.Data.NumUsers()))
-}
-
-func BenchmarkEstimatorBBitMinHash(b *testing.B) {
-	p := benchEnv.MustPrepare("ml10M")
-	sim, err := c2knn.NewBBitMinHash(p.Data, 8, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEstimator(b, sim, int32(p.Data.NumUsers()))
-}
-
-func BenchmarkEstimatorBloom(b *testing.B) {
-	p := benchEnv.MustPrepare("ml10M")
-	sim, err := c2knn.NewBloomProfiles(p.Data, 1024, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEstimator(b, sim, int32(p.Data.NumUsers()))
 }

@@ -48,7 +48,9 @@
 // items, {"upserts":[...]} batches. Queries serve base + delta merged
 // views immediately. The background compactor (-compact-every,
 // -compact-depth, -compact-age) folds the delta back into -snap and
-// hot-swaps the result without dropping writes that race in. Exactly
+// hot-swaps the result without dropping writes that race in. Upserts
+// are placed with the FastRandomHash family the snapshot records, so
+// -upserts needs a snapshot from c2build -algo c2. Exactly
 // one daemon per snapshot may be writable; read replicas run
 // -read-only and answer writes with 403 and a typed body, as does the
 // router role (a router that proxied writes would split the write
@@ -121,7 +123,6 @@ func main() {
 
 		upserts      = flag.Bool("upserts", false, "enable the write path: POST /v1/upsert absorbs profiles into a delta overlay, /admin/compact folds it back into -snap")
 		readOnly     = flag.Bool("read-only", false, "refuse /v1/upsert and /admin/compact with 403 (read replicas; routers always refuse)")
-		upsertSeed   = flag.Int64("upsert-seed", c2knn.DefaultSeed, "FastRandomHash family seed for upsert placement (match the build's -seed)")
 		compactEvery = flag.Duration("compact-every", 5*time.Second, "background compactor check period (0 disables the background loop)")
 		compactDepth = flag.Int("compact-depth", 1024, "compact once this many upserts are pending (0 disables the depth trigger)")
 		compactAge   = flag.Duration("compact-age", 30*time.Second, "compact once the oldest pending upsert is this old (0 disables the age trigger)")
@@ -205,7 +206,6 @@ func main() {
 		FaultInjection: *faults,
 		Upserts:        *upserts,
 		ReadOnly:       *readOnly,
-		UpsertParams:   c2knn.UpsertConfig{Seed: *upsertSeed},
 	}
 	if *faults {
 		log.Printf("fault injection ENABLED: /admin/panic and /admin/delay are live")

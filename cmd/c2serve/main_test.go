@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"c2knn"
 	"c2knn/internal/frh"
 	"c2knn/internal/persist"
 )
@@ -89,25 +87,6 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("%s: checkFlags = %v, want an error naming %q", tc.name, err, tc.wantErr)
 		}
 	}
-}
-
-// TestUpsertSeedDefault: -upsert-seed defaults to the seed c2build
-// builds with, so a default build-then-serve places upserts through the
-// snapshot's own hash family.
-func TestUpsertSeedDefault(t *testing.T) {
-	out, _ := command("-h").CombinedOutput()
-	lines := strings.Split(string(out), "\n")
-	for i, line := range lines {
-		if strings.TrimSpace(line) != "-upsert-seed int" {
-			continue
-		}
-		want := fmt.Sprintf("(default %d)", c2knn.DefaultSeed)
-		if i+1 == len(lines) || !strings.HasSuffix(lines[i+1], want) {
-			t.Fatalf("-upsert-seed usage does not end in %q:\n%s", want, strings.Join(lines[i:min(i+2, len(lines))], "\n"))
-		}
-		return
-	}
-	t.Fatalf("usage lists no -upsert-seed flag:\n%s", out)
 }
 
 // TestRouterShardOnlyFlagsExit2: the router role refuses the shard-only

@@ -299,12 +299,20 @@
 // A frozen index can absorb new users and profile updates without a
 // rebuild. Index.EnableUpserts attaches a delta overlay
 // (internal/delta) on top of the frozen base: Index.Upsert
-// fingerprints the incoming profile with DefaultGFSeed, places it
-// with the builder's own FastRandomHash split step into the very
-// clusters a rebuild would put it in (given the build's clustering
-// parameters), and re-solves only the touched clusters with the
-// blocked similarity kernels, patching reverse edges under strict
-// improvement. Reads merge base + delta
+// fingerprints the incoming profile with the seed of the base
+// fingerprints, places it with the builder's own FastRandomHash split
+// step into the very clusters a rebuild would put it in, and re-solves
+// only the touched clusters with the blocked similarity kernels,
+// patching reverse edges under strict improvement. Placement reads how
+// the snapshot was built: BuildC2 records its B, T, N and seed on the
+// graph, and a C² snapshot stores them with the fingerprint seed in a
+// clustering section (internal/persist), which Save, c2build -snap,
+// every c2build -shards shard and every compaction write. Nothing is
+// restated at serving time, so placement cannot drift from the build.
+// A snapshot without the record — from a baseline (-algo hyrec,
+// nndescent, lsh, bruteforce) or written before the record existed —
+// serves reads but refuses upserts: rebuild it with c2build -algo c2
+// to accept them. Reads merge base + delta
 // through an immutable copy-on-write view swapped by atomic pointer —
 // lock-free, allocation-free, and epoch-consistent with concurrent
 // writers; a read-only index answers through the same view type with
@@ -320,7 +328,8 @@
 // via internal/persist and hot-swaps it through the usual epoch
 // machinery; upserts racing the fold survive, with the absorbed
 // prefix dropped by sequence marker. Delta depth, age and compaction
-// counts surface in /statsz and /metrics, and the router flags
+// counts surface in /statsz and /metrics, /statsz's delta block names
+// the placement family (b, t, n, seed), and the router flags
 // same-epoch replicas whose delta cursors disagree ("delta skew").
 // See EXPERIMENTS.md ("Incremental maintenance") for measured
 // latencies and the recall-parity gate.

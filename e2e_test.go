@@ -25,6 +25,7 @@ import (
 
 	"c2knn"
 	"c2knn/internal/dataset"
+	"c2knn/internal/persist"
 	"c2knn/internal/server"
 )
 
@@ -368,6 +369,44 @@ func TestE2EServeDaemon(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("c2serve did not exit within 20s of SIGTERM")
 	}
+
+	// Phase 5: a writable daemon on the same snapshot places upserts with
+	// the family the snapshot records — c2build's -seed 7 and the
+	// default T of 8 — with no flag restating it.
+	wbase, _ := startServeArgs(t, c2serve, "-snap", snap, "-addr", "127.0.0.1:0", "-upserts", "-compact-every", "0")
+	resp, err = client.Post(wbase+"/v1/upsert", "application/json", strings.NewReader(`{"items":[1,2,3,5,8]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("upsert: status %d", resp.StatusCode)
+	}
+	resp, err = client.Get(wbase + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wstats struct {
+		Delta *struct {
+			Depth     int `json:"depth"`
+			Placement struct {
+				B, T, N int
+				Seed    int64
+			} `json:"placement"`
+		} `json:"delta"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&wstats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wstats.Delta == nil || wstats.Delta.Depth != 1 {
+		t.Fatalf("writable /statsz delta block %+v, want depth 1", wstats.Delta)
+	}
+	if p := wstats.Delta.Placement; p.Seed != 7 || p.T != 8 || p.B != 4096 || p.N != 2000 {
+		t.Fatalf("writable /statsz placement %+v, want the build's B=4096 T=8 N=2000 seed 7", p)
+	}
 }
 
 // routerStatsz is the slice of the router /statsz body this test reads.
@@ -448,6 +487,24 @@ func TestE2EShardedServe(t *testing.T) {
 	for _, f := range []string{snap + ".shard0", snap + ".shard1", snap + ".manifest"} {
 		if _, err := os.Stat(f); err != nil {
 			t.Fatalf("c2build -shards did not write %s: %v", f, err)
+		}
+	}
+	// Every shard snapshot records the clustering of the parent build.
+	whole, err := persist.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := whole.Graph.Clustering; c.Seed != 7 || c.T != 8 || whole.GoldFinger.Seed() != c2knn.DefaultGFSeed {
+		t.Fatalf("c2build -seed 7 snapshot records %+v, fingerprint seed %#x", c, whole.GoldFinger.Seed())
+	}
+	for _, f := range []string{snap + ".shard0", snap + ".shard1"} {
+		sh, err := persist.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.Graph.Clustering != whole.Graph.Clustering || sh.GoldFinger.Seed() != whole.GoldFinger.Seed() {
+			t.Fatalf("%s records %+v and fingerprint seed %#x, the parent build %+v and %#x",
+				f, sh.Graph.Clustering, sh.GoldFinger.Seed(), whole.Graph.Clustering, whole.GoldFinger.Seed())
 		}
 	}
 

@@ -304,16 +304,62 @@ func TestIndexReadOnlyMatchesOverlay(t *testing.T) {
 	}
 }
 
-// TestEnableUpsertsRejectsBadFRH: an out-of-range hash parameter is an
-// error naming the field, and the index stays read-only.
+// TestEnableUpsertsRejectsBadFRH: a graph recording an out-of-range
+// hash parameter is an error naming the field, and the index stays
+// read-only.
 func TestEnableUpsertsRejectsBadFRH(t *testing.T) {
-	ix := buildTestIndex(t)
-	err := ix.EnableUpserts(c2knn.UpsertConfig{B: 1 << 16})
+	d, err := c2knn.Generate("ml1M", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := c2knn.NewGoldFinger(d, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := c2knn.BuildC2(d, sim, c2knn.BuildOptions{K: 10, Workers: 2, Seed: 42})
+	g.Clustering.B = 1 << 16
+	ix, err := c2knn.NewIndex(g, d, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ix.EnableUpserts(c2knn.UpsertConfig{})
 	if err == nil || !strings.Contains(err.Error(), "B=65536") {
 		t.Fatalf("EnableUpserts(B=65536) = %v, want an error naming B", err)
 	}
 	if ix.Upserts() {
 		t.Error("a refused EnableUpserts left an overlay attached")
+	}
+}
+
+// TestEnableUpsertsNeedsClustering: a graph that records no C²
+// clustering — a baseline's, or one from a snapshot written before the
+// record existed, such as the pinned v2-tiny fixture — cannot place
+// upserts as its build did. EnableUpserts names the rebuild and leaves
+// the index read-only.
+func TestEnableUpsertsNeedsClustering(t *testing.T) {
+	d, err := c2knn.Generate("ml1M", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := c2knn.NewGoldFinger(d, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := c2knn.NewIndex(c2knn.BuildHyrec(d, sim, 10), d, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := c2knn.LoadIndexMode(filepath.Join("internal", "persist", "testdata", "v2-tiny.c2"), c2knn.LoadCopy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*c2knn.Index{"hyrec": hy, "v2-tiny": pinned} {
+		if err := ix.EnableUpserts(c2knn.UpsertConfig{}); err == nil || !strings.Contains(err.Error(), "c2build -algo c2") {
+			t.Errorf("%s: EnableUpserts = %v, want an error naming the rebuild", name, err)
+		}
+		if ix.Upserts() {
+			t.Errorf("%s: a refused EnableUpserts left an overlay attached", name)
+		}
 	}
 }
 

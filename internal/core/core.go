@@ -235,6 +235,8 @@ func jobSeed(seed int64, fn int, seq int64) int64 {
 // Build computes the approximate KNN graph of d under options o, using p
 // for all similarity evaluations (GoldFinger estimates in the paper's
 // default setup, exact Jaccard for the Table V "raw data" variant).
+// The graph records the FastRandomHash family it was clustered with
+// (Graph.Clustering, defaults filled in); a MinHash build records none.
 func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, Stats) {
 	o.setDefaults()
 	var stats Stats
@@ -251,16 +253,19 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 		q.Push(clusterJob{users: c.Users, seed: seed}, len(c.Users))
 	}
 
+	// The FastRandomHash family, as the graph records it: N = −1 when
+	// splitting is off (frh disables it for any negative MaxSize).
+	clustering := knng.Clustering{B: o.B, T: o.T, N: o.MaxClusterSize, Seed: o.Seed}
+	if o.DisableSplitting || clustering.N < 0 {
+		clustering.N = -1
+	}
 	var clusterStats frh.Stats
 	var clusterEnd time.Time
 	produce := func() {
 		if o.UseMinHash {
 			clusterStats = minhashProduce(d, o, emit)
 		} else {
-			fo := frh.Options{B: o.B, T: o.T, MaxSize: o.MaxClusterSize, Seed: o.Seed}
-			if o.DisableSplitting {
-				fo.MaxSize = -1
-			}
+			fo := frh.Options{B: o.B, T: o.T, MaxSize: clustering.N, Seed: o.Seed}
 			if o.DisablePipeline {
 				fo.Parallelism = 1 // the historical serial step 1
 			}
@@ -271,6 +276,9 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 	}
 
 	g := knng.New(d.NumUsers(), o.K)
+	if !o.UseMinHash {
+		g.Clustering = clustering
+	}
 	shared := knng.NewShared(g)
 	// Each worker owns a scratch bundle — the gathered cluster-local
 	// similarity kernel plus the local solvers' reusable buffers, so

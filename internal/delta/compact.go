@@ -63,7 +63,7 @@ func (o *Overlay) Compact() (*Compacted, error) {
 	if err := train.Validate(); err != nil {
 		return nil, fmt.Errorf("delta: compacted dataset invalid: %w", err)
 	}
-	gf, err := goldfinger.FromParts(o.bits, n, sigs, ones)
+	gf, err := goldfinger.FromParts(o.bits, n, sigs, ones, o.cfg.GFSeed)
 	if err != nil {
 		return nil, fmt.Errorf("delta: compacted fingerprints invalid: %w", err)
 	}
@@ -81,6 +81,7 @@ func (o *Overlay) Compact() (*Compacted, error) {
 	if err != nil {
 		return nil, fmt.Errorf("delta: compacted graph invalid: %w", err)
 	}
+	graph.Clustering = o.cfg.Clustering
 
 	o.mu.Lock()
 	absorbed := int(v.seq - o.marker)
@@ -97,7 +98,9 @@ func (o *Overlay) Compact() (*Compacted, error) {
 // compactions. Readers switch atomically: a view loaded before Rebase
 // keeps serving the old base consistently until dropped. The writer's
 // coarse buckets need no change: every user is already filed under its
-// current profile, which the new base holds for each absorbed user.
+// current profile, which the new base holds for each absorbed user. The
+// new base must record the overlay's clustering and fingerprint seed,
+// as Compact's artifacts do.
 //
 // The overlay must be detached from the retiring index once its new
 // serving index is installed; a reader that resolves the retired index
@@ -112,6 +115,10 @@ func (o *Overlay) Rebase(graph *knng.Frozen, train *dataset.Dataset, gf *goldfin
 	}
 	if graph.K != o.cfg.K {
 		return fmt.Errorf("delta: rebase graph has k=%d, overlay uses k=%d", graph.K, o.cfg.K)
+	}
+	if graph.Clustering != o.cfg.Clustering || gf.Seed() != o.cfg.GFSeed {
+		return fmt.Errorf("delta: rebase base was built with clustering %+v and fingerprint seed %#x, overlay places with %+v and %#x",
+			graph.Clustering, gf.Seed(), o.cfg.Clustering, o.cfg.GFSeed)
 	}
 
 	o.mu.Lock()

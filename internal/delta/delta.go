@@ -30,7 +30,12 @@
 //     too, so there is one read path whether or not upserts are on.
 //   - Overlay owns the writer state: the FRH hasher, the per-
 //     configuration coarse bucket membership of every user, base and
-//     delta, under its current profile, and the sequence counter.
+//     delta, under its current profile, and the sequence counter. The
+//     hasher is the family the base graph records (knng.Clustering:
+//     B, T, N, seed), and incoming profiles are fingerprinted with the
+//     base fingerprints' seed; an overlay takes no configuration, so
+//     placement cannot drift from the build. A graph without the
+//     record cannot be attached.
 //     Attach fills the bucket membership with one pass over the base
 //     ratings for all t configurations (frh.Hasher.Buckets). That is
 //     the overlay's only work linear in the ratings: 1.5 ms on an ml1M
@@ -94,38 +99,28 @@ import (
 	"c2knn/internal/similarity"
 )
 
-// Config parameterizes an overlay. The FRH options should match the
-// parameters the base graph was built with: any consistent family
-// yields correct (locality-preserving) placement, but with the build's
-// B/T/MaxSize/Seed every upsert is placed in exactly the cluster the
-// builder puts it in over the current profiles; TestDescendMatchesBuilder
-// pins this.
-type Config struct {
-	// FRH configures the generative hash family used for placement.
-	// Zero fields take the paper's defaults.
-	FRH frh.Options
-	// GFSeed is the fingerprint item-hash seed the base fingerprints
-	// were built with. Snapshots do not record it (fingerprints are
-	// self-contained for scoring); it only matters for summarizing
-	// incoming profiles, and a mismatched seed degrades placement
-	// quality, never safety.
-	GFSeed uint32
-	// now stubs time.Now in tests.
-	now func() time.Time
-}
-
-// config is a Config as Attach completes it: defaults filled in, K
-// taken from the base graph (rows merge edge-for-edge) and the item-id
-// bound derived from the base item universe.
+// config is what Attach reads off the base artifacts. Nothing in it is
+// a caller's choice: an overlay places and scores exactly as the build
+// did.
 type config struct {
-	Config
-	// K is the base graph's neighborhood bound.
+	// Clustering is the placement family: the FastRandomHash family the
+	// base graph records, so every upsert lands in the cluster the
+	// builder would put it in over the current profiles
+	// (TestDescendMatchesBuilder pins this).
+	Clustering knng.Clustering
+	// GFSeed is the item-hash seed of the base fingerprints, which
+	// incoming profiles are summarized with.
+	GFSeed uint32
+	// K is the base graph's neighborhood bound (rows merge
+	// edge-for-edge).
 	K int
 	// MaxItems bounds accepted item ids: an upsert carrying an item id
 	// ≥ MaxItems is rejected. This caps the growth of every per-item
 	// structure (scorer scratch, compacted datasets): twice the base
 	// item universe, with a 4096-id floor of headroom.
 	MaxItems int32
+	// now stubs time.Now in tests.
+	now func() time.Time
 }
 
 // Overlay is the mutable delta layer over one base snapshot. Reads go
@@ -185,6 +180,9 @@ type Stats struct {
 	// marker (Depth = Seq − Marker).
 	Seq    uint64 `json:"seq"`
 	Marker uint64 `json:"marker"`
+	// Placement is the FastRandomHash family upserts are placed with:
+	// the one the base graph records.
+	Placement knng.Clustering `json:"placement"`
 }
 
 // Attach builds an overlay over the given base artifacts. The one-time
@@ -195,11 +193,18 @@ type Stats struct {
 // B = 4096, T = 8), the p50 is 1.5 ms on an ml1M lookalike (592k
 // ratings) and 8.2 ms on ml10M (5.9M ratings); EXPERIMENTS.md,
 // "Writable set-up", has the runs. After that each upsert touches only its own
-// clusters. The FRH options must give B ∈ [1, 65535] and T ≥ 1 once
-// defaulted. The artifacts must be mutually consistent (equal user
-// counts) and gf must be present — fingerprints are what upserts are
-// scored with.
-func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, cfg Config) (*Overlay, error) {
+// clusters.
+//
+// Upserts are placed with the FastRandomHash family graph records
+// (knng.Frozen.Clustering) and fingerprinted with gf's item-hash seed,
+// so an upsert lands where a rebuild would put it. Attach refuses a
+// graph that records no family (a baseline's, or one from a snapshot
+// written before the record existed) and one whose record fails
+// knng.Clustering.Check (B outside [1, 65535], T outside [1, 64], N of
+// 0 or below −1). The artifacts must be mutually consistent
+// (equal user counts) and gf must be present — fingerprints are what
+// upserts are scored with.
+func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set) (*Overlay, error) {
 	if graph == nil || train == nil || gf == nil {
 		return nil, fmt.Errorf("delta: attach needs a graph, a dataset and fingerprints (rebuild the snapshot with fingerprints to enable upserts)")
 	}
@@ -208,31 +213,26 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, cfg 
 		return nil, fmt.Errorf("delta: inconsistent base: %d graph users, %d profiles, %d fingerprints",
 			graph.NumUsers(), n, gf.NumUsers())
 	}
-	if cfg.FRH.B == 0 {
-		cfg.FRH.B = frh.DefaultB
+	c := graph.Clustering
+	if c == (knng.Clustering{}) {
+		return nil, fmt.Errorf("delta: the graph records no FastRandomHash clustering to place upserts with; rebuild the snapshot with c2build -algo c2")
 	}
-	if cfg.FRH.T == 0 {
-		cfg.FRH.T = frh.DefaultT
-	}
-	if cfg.FRH.MaxSize == 0 {
-		cfg.FRH.MaxSize = frh.DefaultMaxSize
-	}
-	if cfg.FRH.B < 1 || cfg.FRH.B > 0xffff {
-		return nil, fmt.Errorf("delta: FRH B=%d outside [1, 65535]", cfg.FRH.B)
-	}
-	if cfg.FRH.T < 1 {
-		return nil, fmt.Errorf("delta: FRH T=%d, need at least one configuration", cfg.FRH.T)
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
+	if err := c.Check(); err != nil {
+		return nil, fmt.Errorf("delta: %w", err)
 	}
 	o := &Overlay{
-		cfg:    config{Config: cfg, K: graph.K, MaxItems: train.NumItems + max(train.NumItems, 4096)},
+		cfg: config{
+			Clustering: c,
+			GFSeed:     gf.Seed(),
+			K:          graph.K,
+			MaxItems:   train.NumItems + max(train.NumItems, 4096),
+			now:        time.Now,
+		},
 		bits:   gf.Bits(),
 		words:  gf.Bits() / 64,
-		hasher: frh.NewHasher(train.NumItems, cfg.FRH),
+		hasher: frh.NewHasher(train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}),
 	}
-	o.buckets = o.hasher.Buckets(train.Profiles, cfg.FRH.Parallelism)
+	o.buckets = o.hasher.Buckets(train.Profiles, 0)
 	o.view.Store(NewView(graph, train, gf))
 	return o, nil
 }
@@ -255,6 +255,7 @@ func (o *Overlay) Stats() Stats {
 		Compactions: o.compactions,
 		Seq:         o.seq,
 		Marker:      o.marker,
+		Placement:   o.cfg.Clustering,
 	}
 	if !o.pending.IsZero() {
 		s.AgeSec = o.cfg.now().Sub(o.pending).Seconds()
@@ -318,7 +319,7 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 		return cur.Profile(v)
 	}
 	cand := o.cand[:0]
-	for fn := 0; fn < o.cfg.FRH.T; fn++ {
+	for fn := 0; fn < o.cfg.Clustering.T; fn++ {
 		cand = append(cand, o.place(fn, u, profile)...)
 	}
 	if !created {
@@ -407,14 +408,23 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 // already be filed under it.
 func (o *Overlay) place(fn int, u int32, profile func(int32) []int32) []int32 {
 	idx, _ := o.hasher.UserHash(fn, profile(u))
-	return o.hasher.Place(fn, idx, o.buckets[fn][idx], u, o.cfg.FRH.MaxSize, profile)
+	return o.hasher.Place(fn, idx, o.buckets[fn][idx], u, o.cfg.Clustering.N, profile)
+}
+
+// Cluster returns the cluster user u belongs to in configuration fn of
+// the placement family: the one a build over every user's current
+// profile would put u in. The slice is the caller's.
+func (o *Overlay) Cluster(fn int, u int32) []int32 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return slices.Clone(o.place(fn, u, o.view.Load().Profile))
 }
 
 // moveBuckets re-files u from the coarse buckets of its old profile (nil
 // for a new user) to those of its new one, in every configuration where
 // the two differ.
 func (o *Overlay) moveBuckets(u int32, oldProfile, newProfile []int32) {
-	for fn := 0; fn < o.cfg.FRH.T; fn++ {
+	for fn := 0; fn < o.cfg.Clustering.T; fn++ {
 		oldIdx, oldOK := o.hasher.UserHash(fn, oldProfile)
 		newIdx, _ := o.hasher.UserHash(fn, newProfile)
 		if oldOK && oldIdx == newIdx {

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -37,11 +38,24 @@ func testBase(t *testing.T, scale float64) (*knng.Frozen, *dataset.Dataset, *gol
 func testOverlay(t *testing.T, scale float64) (*Overlay, *dataset.Dataset) {
 	t.Helper()
 	frozen, d, gf := testBase(t, scale)
-	ov, err := Attach(frozen, d, gf, Config{GFSeed: testGFSeed})
+	ov, err := Attach(frozen, d, gf)
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	return ov, d
+}
+
+// withFRH returns a copy of f recording the FastRandomHash family o, its
+// zero fields taking the paper's defaults as core.Build fills them.
+func withFRH(f *knng.Frozen, o frh.Options) *knng.Frozen {
+	g := *f
+	g.Clustering = knng.Clustering{
+		B:    cmp.Or(o.B, frh.DefaultB),
+		T:    cmp.Or(o.T, frh.DefaultT),
+		N:    cmp.Or(o.MaxSize, frh.DefaultMaxSize),
+		Seed: o.Seed,
+	}
+	return &g
 }
 
 // checkRow asserts a merged row is canonical: sorted by sim desc then id
@@ -78,14 +92,14 @@ func checkRow(t *testing.T, v *View, u int32) {
 
 func TestAttachValidation(t *testing.T) {
 	frozen, d, gf := testBase(t, 0.01)
-	if _, err := Attach(nil, d, gf, Config{}); err == nil {
+	if _, err := Attach(nil, d, gf); err == nil {
 		t.Error("Attach accepted a nil graph")
 	}
-	if _, err := Attach(frozen, d, nil, Config{}); err == nil {
+	if _, err := Attach(frozen, d, nil); err == nil {
 		t.Error("Attach accepted nil fingerprints")
 	}
 	short := &dataset.Dataset{Name: "short", NumItems: d.NumItems, Profiles: d.Profiles[:len(d.Profiles)-1]}
-	if _, err := Attach(frozen, short, gf, Config{}); err == nil {
+	if _, err := Attach(frozen, short, gf); err == nil {
 		t.Error("Attach accepted inconsistent user counts")
 	}
 	for _, tc := range []struct {
@@ -96,9 +110,69 @@ func TestAttachValidation(t *testing.T) {
 		{frh.Options{B: -1}, "B=-1"},
 		{frh.Options{T: -1}, "T=-1"},
 	} {
-		if _, err := Attach(frozen, d, gf, Config{FRH: tc.frh}); err == nil || !strings.Contains(err.Error(), tc.field) {
+		if _, err := Attach(withFRH(frozen, tc.frh), d, gf); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("Attach with %+v: error %v, want one naming %s", tc.frh, err, tc.field)
 		}
+	}
+}
+
+// TestAttachNeedsClustering: a graph that records no FastRandomHash
+// family cannot place upserts as its build did, so Attach refuses it
+// and names the rebuild; Rebase refuses a base built with another family
+// or fingerprint seed than the one the overlay places with.
+func TestAttachNeedsClustering(t *testing.T) {
+	frozen, d, gf := testBase(t, 0.01)
+	bare := *frozen
+	bare.Clustering = knng.Clustering{}
+	if _, err := Attach(&bare, d, gf); err == nil || !strings.Contains(err.Error(), "c2build -algo c2") {
+		t.Fatalf("Attach of an unrecorded graph = %v, want an error naming the rebuild", err)
+	}
+	ov, err := Attach(frozen, d, gf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ov.Stats().Placement; got != frozen.Clustering || got.Seed != 42 {
+		t.Fatalf("Stats().Placement = %+v, want the graph's %+v", got, frozen.Clustering)
+	}
+	c, err := ov.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Graph.Clustering != frozen.Clustering || c.GoldFinger.Seed() != testGFSeed {
+		t.Fatalf("compacted base records %+v and seed %#x, want %+v and %#x",
+			c.Graph.Clustering, c.GoldFinger.Seed(), frozen.Clustering, testGFSeed)
+	}
+	other := *c.Graph
+	other.Clustering.Seed++
+	if err := ov.Rebase(&other, c.Train, c.GoldFinger, c.Marker); err == nil {
+		t.Error("Rebase accepted a base built with another seed")
+	}
+	otherGF := goldfinger.MustNew(c.Train, goldfinger.DefaultBits, testGFSeed+1)
+	if err := ov.Rebase(c.Graph, c.Train, otherGF, c.Marker); err == nil {
+		t.Error("Rebase accepted fingerprints made with another seed")
+	}
+	if err := ov.Rebase(c.Graph, c.Train, c.GoldFinger, c.Marker); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUpsertFingerprintSeed: an upserted profile is fingerprinted with
+// the item-hash seed of the base fingerprints, whatever it is, so a copy
+// of a base user's profile scores exactly as that user does.
+func TestUpsertFingerprintSeed(t *testing.T) {
+	frozen, d, _ := testBase(t, 0.01)
+	gf := goldfinger.MustNew(d, goldfinger.DefaultBits, 0x1234)
+	ov, err := Attach(frozen, d, gf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ov.Upsert(-1, d.Profiles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, ones := ov.View().signature(res.User)
+	if !slices.Equal(sig, gf.Signature(0)) || int(ones) != gf.Ones(0) {
+		t.Fatal("the upsert was fingerprinted with another seed than the base's")
 	}
 }
 
@@ -108,10 +182,10 @@ func TestAttachValidation(t *testing.T) {
 func BenchmarkAttach(b *testing.B) {
 	d := synth.Generate(synth.ML1M())
 	gf := goldfinger.MustNew(d, goldfinger.DefaultBits, testGFSeed)
-	frozen := knng.New(d.NumUsers(), 10).Freeze()
+	frozen := withFRH(knng.New(d.NumUsers(), 10).Freeze(), frh.Options{})
 	b.ReportMetric(float64(d.NumRatings()), "ratings")
 	for b.Loop() {
-		if _, err := Attach(frozen, d, gf, Config{GFSeed: testGFSeed}); err != nil {
+		if _, err := Attach(frozen, d, gf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +202,7 @@ func BenchmarkUpsert(b *testing.B) {
 	d := synth.Generate(synth.ML10M())
 	base := &dataset.Dataset{Name: d.Name, NumItems: d.NumItems, Profiles: d.Profiles[:d.NumUsers()-tail]}
 	gf := goldfinger.MustNew(base, goldfinger.DefaultBits, testGFSeed)
-	ov, err := Attach(knng.New(base.NumUsers(), 30).Freeze(), base, gf, Config{GFSeed: testGFSeed, FRH: frh.Options{Seed: 42}})
+	ov, err := Attach(withFRH(knng.New(base.NumUsers(), 30).Freeze(), frh.Options{Seed: 42}), base, gf)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -715,7 +789,7 @@ func TestMergedReadAllocs(t *testing.T) {
 func TestDescendMatchesBuilder(t *testing.T) {
 	frozen, d, gf := testBase(t, 0.05)
 	opts := frh.Options{B: frh.DefaultB, T: frh.DefaultT, MaxSize: 40, Seed: 42}
-	ov, err := Attach(frozen, d, gf, Config{GFSeed: testGFSeed, FRH: opts})
+	ov, err := Attach(withFRH(frozen, opts), d, gf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"c2knn/internal/core"
 	"c2knn/internal/dataset"
 	"c2knn/internal/delta"
-	"c2knn/internal/frh"
 	"c2knn/internal/recommend"
 )
 
@@ -105,10 +104,7 @@ func (e *Env) Update() (*UpdateSummary, error) {
 		return nil, err
 	}
 	gBase, _ := core.Build(base, gfBase, opts)
-	ov, err := delta.Attach(gBase.Freeze(), base, gfBase, delta.Config{
-		FRH:    frh.Options{B: b, T: t, MaxSize: mc, Seed: e.Seed},
-		GFSeed: uint32(e.Seed) + 0x60fd,
-	})
+	ov, err := delta.Attach(gBase.Freeze(), base, gfBase)
 	if err != nil {
 		return nil, err
 	}

@@ -25,6 +25,7 @@ type Set struct {
 	sigs  []uint64 // len = numUsers × words
 	ones  []int32  // per-user fingerprint popcounts, fixed at build time
 	n     int
+	seed  uint32 // item-hash seed the fingerprints were made with
 }
 
 // DefaultBits is the fingerprint width used throughout the paper's
@@ -39,7 +40,7 @@ func New(d *dataset.Dataset, bitsN int, seed uint32) (*Set, error) {
 		return nil, fmt.Errorf("goldfinger: bits must be a positive multiple of 64, got %d", bitsN)
 	}
 	words := bitsN / 64
-	s := &Set{bits: bitsN, words: words, n: d.NumUsers(), sigs: make([]uint64, d.NumUsers()*words)}
+	s := &Set{bits: bitsN, words: words, n: d.NumUsers(), sigs: make([]uint64, d.NumUsers()*words), seed: seed}
 	// Precompute the bit position of every item once; profiles reference
 	// items many times across users.
 	pos := make([]uint32, d.NumItems)
@@ -97,6 +98,10 @@ func MustNew(d *dataset.Dataset, bitsN int, seed uint32) *Set {
 
 // Bits returns the fingerprint width in bits.
 func (s *Set) Bits() int { return s.bits }
+
+// Seed returns the item-hash seed the fingerprints were made with;
+// Summarize needs it to fingerprint a new profile like the rest.
+func (s *Set) Seed() uint32 { return s.seed }
 
 // NumUsers returns the number of fingerprints held.
 func (s *Set) NumUsers() int { return s.n }
@@ -166,13 +171,14 @@ func (s *Set) Signatures() []uint64 { return s.sigs }
 // FromParts reconstructs a Set from a signature block and its matching
 // per-user popcounts, aliasing both slices (both may view read-only
 // mapped memory) — the snapshot loader's constructor, since the format
-// persists the popcounts alongside the signatures. Lengths are
+// persists the popcounts alongside the signatures. seed is the item-hash
+// seed the signatures were made with (see Seed). Lengths are
 // validated and each popcount range-checked against the fingerprint
 // width; popcounts are not recomputed, so the caller must have
 // integrity evidence for the bytes (the snapshot loader checksums
 // them). A wrong-but-in-range popcount skews the
 // similarity estimate; it cannot cause out-of-range indexing.
-func FromParts(bitsN, n int, sigs []uint64, ones []int32) (*Set, error) {
+func FromParts(bitsN, n int, sigs []uint64, ones []int32, seed uint32) (*Set, error) {
 	if bitsN <= 0 || bitsN%64 != 0 {
 		return nil, fmt.Errorf("goldfinger: bits must be a positive multiple of 64, got %d", bitsN)
 	}
@@ -192,5 +198,5 @@ func FromParts(bitsN, n int, sigs []uint64, ones []int32) (*Set, error) {
 			return nil, fmt.Errorf("goldfinger: user %d popcount %d outside [0,%d]", u, c, bitsN)
 		}
 	}
-	return &Set{bits: bitsN, words: words, n: n, sigs: sigs, ones: ones}, nil
+	return &Set{bits: bitsN, words: words, n: n, sigs: sigs, ones: ones, seed: seed}, nil
 }

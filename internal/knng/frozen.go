@@ -35,6 +35,8 @@ type Frozen struct {
 	// narrowed to float32 (every metric maps into [0, 1], where float32
 	// keeps ~7 significant digits — far below estimator noise).
 	Sims []float32
+	// Clustering is the Graph's, copied by Freeze.
+	Clustering Clustering
 }
 
 // sortNeighbors orders s by decreasing similarity, ties by ascending id,
@@ -95,10 +97,11 @@ func (g *Graph) Freeze() *Frozen {
 		offsets[u+1] = offsets[u] + int64(g.Lists[u].Len())
 	}
 	f := &Frozen{
-		K:       g.K,
-		Offsets: offsets,
-		IDs:     make([]int32, offsets[n]),
-		Sims:    make([]float32, offsets[n]),
+		K:          g.K,
+		Offsets:    offsets,
+		IDs:        make([]int32, offsets[n]),
+		Sims:       make([]float32, offsets[n]),
+		Clustering: g.Clustering,
 	}
 	parts := min(runtime.GOMAXPROCS(0), (n+freezeChunk-1)/freezeChunk)
 	if parts <= 1 {

@@ -1,6 +1,7 @@
 package knng
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -9,8 +10,32 @@ import (
 
 // Graph is a directed KNN graph: one bounded best-k List per user.
 type Graph struct {
-	K     int
-	Lists []List
+	K          int
+	Lists      []List
+	Clustering Clustering // the FastRandomHash family a C² build clustered with
+}
+
+// Clustering records the FastRandomHash family that clustered a graph's
+// users (§II-D): B clusters per generative hash function, T functions,
+// the recursive-splitting threshold N (−1: splitting disabled) and the
+// seed that draws the functions. A delta overlay places upserted
+// profiles with it, so they land in the clusters a rebuild would give
+// them. The zero value means "not recorded": baselines, MinHash
+// clustering and snapshots written before the record existed.
+type Clustering struct {
+	B    int   `json:"b"`
+	T    int   `json:"t"`
+	N    int   `json:"n"`
+	Seed int64 `json:"seed"`
+}
+
+// Check reports a record no build can make: B outside [1, 65535] (frh
+// hashes into 16-bit lanes), T outside [1, 64], or N of 0 or below −1.
+func (c Clustering) Check() error {
+	if c.B < 1 || c.B > 0xffff || c.T < 1 || c.T > 64 || c.N == 0 || c.N < -1 {
+		return fmt.Errorf("implausible clustering record B=%d T=%d N=%d", c.B, c.T, c.N)
+	}
+	return nil
 }
 
 // New returns an empty graph over n users with neighborhoods of size k.

@@ -27,6 +27,7 @@ func FuzzDecode(f *testing.F) {
 	corrupt := encodeBytes(f, full)
 	corrupt[len(corrupt)/2] ^= 0x10
 	f.Add(corrupt)
+	f.Add(encodeBytes(f, recordedSnapshot(f))) // with the clustering section
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(bytes.NewReader(data))

@@ -280,7 +280,9 @@ func FileCRC32C(path string) (uint32, error) {
 // owned users, while its edge storage shrinks to the owned share. This
 // is the per-shard serving artifact: the shard answers its own users
 // bit-for-bit identically to the unpartitioned snapshot and answers
-// empty for everyone else (whom the router never sends it).
+// empty for everyone else (whom the router never sends it). The mask
+// keeps f's clustering record, so a shard places upserts with the
+// build's family.
 func MaskFrozen(f *knng.Frozen, owns func(u int32) bool) *knng.Frozen {
 	n := f.NumUsers()
 	kept := 0
@@ -290,10 +292,11 @@ func MaskFrozen(f *knng.Frozen, owns func(u int32) bool) *knng.Frozen {
 		}
 	}
 	out := &knng.Frozen{
-		K:       f.K,
-		Offsets: make([]int64, n+1),
-		IDs:     make([]int32, 0, kept),
-		Sims:    make([]float32, 0, kept),
+		K:          f.K,
+		Offsets:    make([]int64, n+1),
+		IDs:        make([]int32, 0, kept),
+		Sims:       make([]float32, 0, kept),
+		Clustering: f.Clustering,
 	}
 	for u := 0; u < n; u++ {
 		if owns(int32(u)) {

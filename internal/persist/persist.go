@@ -24,9 +24,9 @@
 //	4     CRC-32C (Castagnoli) of the payload
 //
 // Section types: 1 = frozen graph, 2 = dataset, 3 = GoldFinger
-// signatures. Each type appears at most once; unknown types are an
-// error (format evolution bumps the version). The stream must end
-// exactly after the last section.
+// signatures, 4 = clustering record. Each type appears at most once;
+// unknown types are an error. The stream must end exactly after the
+// last section.
 //
 // Every payload opens with a 64-byte header block (unused tail bytes
 // zero) and lays its arrays out at 64-byte-aligned payload offsets —
@@ -43,6 +43,20 @@
 //	goldfinger: {0: u32 bits · 4: u32 reserved(0) · 8: u64 numUsers} ·
 //	            64: numUsers×i32 fingerprint popcounts ·
 //	            alignUp: numUsers×(bits/64)×u64 signature words
+//	clustering: {0: u32 B · 4: u32 T · 8: i64 N · 16: i64 seed ·
+//	            24: u32 GoldFinger item-hash seed}, the whole payload
+//
+// The clustering section records how a C² graph was built: the
+// FastRandomHash family (knng.Clustering: B, T, the splitting threshold
+// N with −1 for none, and the seed) and the seed the fingerprints were
+// made with. Upsert placement reads both from it. Encode writes it,
+// last, only when the graph carries a record, so a snapshot without one
+// (a baseline's graph, testdata/v2-tiny.c2) has the bytes it had before
+// the section existed, and a C² snapshot is that file plus one section
+// (and a section count one higher). Binaries from before the section
+// reject a file that has it, as they reject any unknown type. Both load
+// paths reject a record no build can make — B outside [1, 65535], T
+// outside [1, 64], N of 0 or below −1 — and one without a graph.
 //
 // Because payloads start 64-byte-aligned in the file and an mmap base
 // is page-aligned, every array slab is 64-byte-aligned in memory too:
@@ -173,9 +187,10 @@ const (
 	secGraph      = 1
 	secDataset    = 2
 	secGoldFinger = 3
+	secClustering = 4
 
 	// maxSections bounds the header's section count; the format defines
-	// three section types and each may appear once.
+	// four section types and each may appear once.
 	maxSections = 16
 	// maxSectionBytes is a sanity bound on a single section (1 TiB); a
 	// corrupted length field beyond it fails fast. Lengths below it that
@@ -266,8 +281,14 @@ func Encode(w io.Writer, s *Snapshot) error {
 	if s.Graph != nil && s.GoldFinger != nil && s.Graph.NumUsers() != s.GoldFinger.NumUsers() {
 		return fmt.Errorf("persist: graph has %d users, fingerprints %d", s.Graph.NumUsers(), s.GoldFinger.NumUsers())
 	}
+	recorded := s.Graph != nil && s.Graph.Clustering != (knng.Clustering{})
+	if recorded {
+		if err := s.Graph.Clustering.Check(); err != nil {
+			return fmt.Errorf("persist: refusing to encode %w", err)
+		}
+	}
 	var count uint32
-	for _, present := range []bool{s.Graph != nil, s.Train != nil, s.GoldFinger != nil} {
+	for _, present := range []bool{s.Graph != nil, s.Train != nil, s.GoldFinger != nil, recorded} {
 		if present {
 			count++
 		}
@@ -292,6 +313,15 @@ func Encode(w io.Writer, s *Snapshot) error {
 	}
 	if s.GoldFinger != nil {
 		if err := writeSection(cw, secGoldFinger, encodeGoldFinger(s.GoldFinger)); err != nil {
+			return err
+		}
+	}
+	if recorded {
+		var gfSeed uint32
+		if s.GoldFinger != nil {
+			gfSeed = s.GoldFinger.Seed()
+		}
+		if err := writeSection(cw, secClustering, encodeClustering(s.Graph.Clustering, gfSeed)); err != nil {
 			return err
 		}
 	}
@@ -422,6 +452,31 @@ func encodeGoldFinger(s *goldfinger.Set) []byte {
 	return b
 }
 
+func encodeClustering(c knng.Clustering, gfSeed uint32) []byte {
+	b := make([]byte, 64)
+	binary.LittleEndian.PutUint32(b[0:], uint32(c.B))
+	binary.LittleEndian.PutUint32(b[4:], uint32(c.T))
+	binary.LittleEndian.PutUint64(b[8:], uint64(int64(c.N)))
+	binary.LittleEndian.PutUint64(b[16:], uint64(c.Seed))
+	binary.LittleEndian.PutUint32(b[24:], gfSeed)
+	return b
+}
+
+// decodeClustering decodes a clustering payload into the record and the
+// fingerprint item-hash seed.
+func decodeClustering(payload []byte) (knng.Clustering, uint32, error) {
+	if len(payload) != 64 {
+		return knng.Clustering{}, 0, fmt.Errorf("clustering payload is %d bytes, want 64", len(payload))
+	}
+	c := knng.Clustering{
+		B:    int(binary.LittleEndian.Uint32(payload[0:])),
+		T:    int(binary.LittleEndian.Uint32(payload[4:])),
+		N:    int(int64(binary.LittleEndian.Uint64(payload[8:]))),
+		Seed: int64(binary.LittleEndian.Uint64(payload[16:])),
+	}
+	return c, binary.LittleEndian.Uint32(payload[24:]), c.Check()
+}
+
 // assembler accumulates decoded sections and runs the cross-section
 // checks; Decode (streaming) and decodeAll (whole-image, mmap) share it
 // so both load paths accept and reject identically.
@@ -429,10 +484,16 @@ type assembler struct {
 	view bool
 	snap Snapshot
 	seen map[uint32]bool
+	// The fingerprint payload is decoded in finish: its item-hash seed
+	// is in the clustering section, which follows it in the file.
+	gfAt       uint32
+	gf         []byte
+	clustering knng.Clustering
+	gfSeed     uint32
 }
 
 func newAssembler(view bool) *assembler {
-	return &assembler{view: view, seen: make(map[uint32]bool, 3)}
+	return &assembler{view: view, seen: make(map[uint32]bool, 4)}
 }
 
 func (a *assembler) section(i uint32, typ uint32, payload []byte) error {
@@ -449,7 +510,7 @@ func (a *assembler) claim(i uint32, typ uint32) error {
 		return fmt.Errorf("%w: duplicate section type %d", ErrCorrupt, typ)
 	}
 	a.seen[typ] = true
-	if typ != secGraph && typ != secDataset && typ != secGoldFinger {
+	if typ < secGraph || typ > secClustering {
 		return fmt.Errorf("%w: section %d: unknown section type %d", ErrCorrupt, i, typ)
 	}
 	return nil
@@ -467,7 +528,9 @@ func (a *assembler) decode(i uint32, typ uint32, payload []byte, pre *slabMax) e
 	case secDataset:
 		a.snap.Train, err = decodeDataset(payload, a.view, pre)
 	case secGoldFinger:
-		a.snap.GoldFinger, err = decodeGoldFinger(payload, a.view)
+		a.gfAt, a.gf = i, payload
+	case secClustering:
+		a.clustering, a.gfSeed, err = decodeClustering(payload)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: section %d: %v", ErrCorrupt, i, err)
@@ -477,6 +540,19 @@ func (a *assembler) decode(i uint32, typ uint32, payload []byte, pre *slabMax) e
 
 func (a *assembler) finish() (*Snapshot, error) {
 	s := &a.snap
+	if a.seen[secGoldFinger] {
+		gf, err := decodeGoldFinger(a.gf, a.view, a.gfSeed)
+		if err != nil {
+			return nil, fmt.Errorf("%w: section %d: %v", ErrCorrupt, a.gfAt, err)
+		}
+		s.GoldFinger = gf
+	}
+	if a.seen[secClustering] {
+		if s.Graph == nil {
+			return nil, fmt.Errorf("%w: clustering record without a graph", ErrCorrupt)
+		}
+		s.Graph.Clustering = a.clustering
+	}
 	// Cross-section consistency: every artifact describes the same users.
 	if s.Graph != nil && s.Train != nil && s.Graph.NumUsers() != s.Train.NumUsers() {
 		return nil, fmt.Errorf("%w: graph has %d users, dataset %d",
@@ -850,8 +926,9 @@ func decodeDataset(payload []byte, view bool, pre *slabMax) (*dataset.Dataset, e
 	return ds, nil
 }
 
-// decodeGoldFinger decodes a fingerprint payload.
-func decodeGoldFinger(payload []byte, view bool) (*goldfinger.Set, error) {
+// decodeGoldFinger decodes a fingerprint payload made with item-hash
+// seed seed.
+func decodeGoldFinger(payload []byte, view bool, seed uint32) (*goldfinger.Set, error) {
 	if len(payload) < 64 {
 		return nil, fmt.Errorf("goldfinger payload too short (%d bytes)", len(payload))
 	}
@@ -873,7 +950,7 @@ func decodeGoldFinger(payload []byte, view bool) (*goldfinger.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	return goldfinger.FromParts(int(bitsN), int(n), sigs, ones)
+	return goldfinger.FromParts(int(bitsN), int(n), sigs, ones, seed)
 }
 
 // WriteFile atomically writes s to path: the snapshot is encoded to a

@@ -79,12 +79,6 @@ type Config struct {
 	// carry across an explicit reload (compaction is the path that
 	// preserves them).
 	Upserts bool
-	// UpsertParams parameterizes the overlay when Upserts is set. Its
-	// clustering fields should match the build's. The zero value places
-	// upserts with seed 0, BuildC2's default, not with c2build's
-	// default DefaultSeed (42); cmd/c2serve passes DefaultSeed unless
-	// -upsert-seed says otherwise.
-	UpsertParams c2knn.UpsertConfig
 	// ReadOnly marks this daemon a read replica: /v1/upsert and
 	// /admin/compact refuse with 403 and a typed body (kind
 	// "read-only") instead of accepting writes that a reload would
@@ -137,7 +131,7 @@ func New(ix *c2knn.Index, cfg Config) (*Server, error) {
 		return nil, errors.New("server: Upserts and ReadOnly are mutually exclusive")
 	}
 	if cfg.Upserts {
-		if err := ix.EnableUpserts(cfg.UpsertParams); err != nil {
+		if err := ix.EnableUpserts(c2knn.UpsertConfig{}); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
@@ -245,7 +239,7 @@ func (s *Server) Reload() error {
 		// replaces state from disk wholesale, so un-compacted upserts on
 		// the old index do not carry over (CompactNow is the path that
 		// preserves them).
-		if err := ix.EnableUpserts(s.cfg.UpsertParams); err != nil {
+		if err := ix.EnableUpserts(c2knn.UpsertConfig{}); err != nil {
 			ix.Close()
 			err = fmt.Errorf("server: reload %s: %w", s.cfg.SnapshotPath, err)
 			s.stats.RecordReloadFailure(ReloadErrorKind(err), err.Error())
@@ -595,7 +589,7 @@ func (s *Server) serveStatsz(w http.ResponseWriter, r *http.Request) {
 	if ds, ok := st.ix.DeltaStats(); ok {
 		snap.Delta = &DeltaSnapshot{
 			Depth: ds.Depth, Users: ds.Users, PatchedRows: ds.PatchedRows,
-			AgeSec: ds.AgeSec, Seq: ds.Seq, Marker: ds.Marker,
+			AgeSec: ds.AgeSec, Seq: ds.Seq, Marker: ds.Marker, Placement: ds.Placement,
 		}
 	}
 	WriteJSON(w, http.StatusOK, snap)

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"c2knn/internal/knng"
 )
 
 // Endpoint identifies one of the query endpoints for per-endpoint
@@ -412,6 +414,9 @@ type DeltaSnapshot struct {
 	AgeSec      float64 `json:"age_sec"`
 	Seq         uint64  `json:"seq"`
 	Marker      uint64  `json:"marker"`
+	// Placement is the FastRandomHash family (b, t, n, seed) upserts
+	// are placed with: the one the served snapshot records.
+	Placement knng.Clustering `json:"placement"`
 }
 
 // Snapshot renders the counters into the /statsz JSON shape. Fields the

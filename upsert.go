@@ -5,20 +5,18 @@ import (
 	"fmt"
 
 	"c2knn/internal/delta"
-	"c2knn/internal/frh"
 	"c2knn/internal/persist"
 )
 
 // DefaultGFSeed is the GoldFinger item-hash seed NewGoldFinger and
-// c2build make fingerprints with. Snapshots do not record the seed
-// (fingerprints are self-contained for scoring), so upsert-enabled
-// indexes summarize incoming profiles with it too.
+// c2build make fingerprints with. The fingerprints keep it, a C²
+// snapshot records it, and an upsert-enabled index summarizes incoming
+// profiles with the seed its fingerprints were made with.
 const DefaultGFSeed uint32 = 0x60fd
 
-// DefaultSeed is the FastRandomHash family seed the commands default
-// to: c2build -seed builds with it and c2serve -upsert-seed places
-// upserts with it, so a default build-then-serve places every upsert
-// through the very hash family that clustered the snapshot.
+// DefaultSeed is the FastRandomHash family seed c2build -seed defaults
+// to. Serving needs no copy of it: a C² snapshot records the family it
+// was built with, and upserts are placed with that.
 const DefaultSeed int64 = 42
 
 // ErrUpsertsDisabled is returned by the write-path methods of an Index
@@ -26,25 +24,11 @@ const DefaultSeed int64 = 42
 // or the overlay moved to a successor index after a compaction).
 var ErrUpsertsDisabled = errors.New("c2knn: upserts are not enabled on this index")
 
-// UpsertConfig parameterizes EnableUpserts. The clustering fields
-// should match the parameters the snapshot was built with — placement
-// stays correct under any consistent configuration, but with the
-// build's B, T, MaxClusterSize and Seed every upsert lands in exactly
-// the cluster a build over the current profiles would put it in
-// (internal/delta's TestDescendMatchesBuilder pins this). The rest is
-// fixed: incoming profiles are fingerprinted with DefaultGFSeed, the
-// only seed the public API makes fingerprints with, and an upsert
-// carrying an item id at or above NumItems + max(NumItems, 4096) of
-// the snapshot is refused.
-type UpsertConfig struct {
-	// B, T, MaxClusterSize and Seed configure the FastRandomHash family
-	// used to place incoming profiles (defaults: the paper's B=4096,
-	// T=8, N=2000 with seed 0; c2serve passes DefaultSeed unless
-	// -upsert-seed says otherwise). EnableUpserts refuses B outside
-	// [1, 65535] and T below 1.
-	B, T, MaxClusterSize int
-	Seed                 int64
-}
+// UpsertConfig is EnableUpserts' argument. It has no fields: everything
+// an overlay needs, the index's graph and fingerprints record (see
+// EnableUpserts). The type stays so that existing callers of
+// EnableUpserts(UpsertConfig{}) keep compiling.
+type UpsertConfig struct{}
 
 // UpsertResult reports one absorbed upsert; see the delta package for
 // field semantics.
@@ -57,22 +41,23 @@ type DeltaStats = delta.Stats
 // an incrementally maintainable one: Upsert absorbs new users and
 // ratings in sub-second time, the query methods serve base + delta
 // merged views, and CompactInto folds the delta into a fresh snapshot.
-// The index must carry fingerprints (snapshots built without them
-// cannot score upserts). Enabling is one-time per index; the overlay
-// migrates to successor indexes through AdoptDeltaFrom.
-func (ix *Index) EnableUpserts(cfg UpsertConfig) error {
+//
+// Placement reads how the graph was built: upserts are placed with the
+// FastRandomHash family BuildC2 recorded on it (B, T, N and seed; a C²
+// snapshot carries the record) and fingerprinted with the seed of the
+// index's fingerprints, so each upsert lands in the cluster a rebuild
+// would put it in. An upsert carrying an item id at or above
+// NumItems + max(NumItems, 4096) of the snapshot is refused. The index
+// must carry fingerprints and a recorded C² clustering: EnableUpserts
+// fails, and the index stays read-only, on a baseline's graph and on a
+// snapshot written before the record existed (rebuild it with c2build
+// -algo c2). Enabling is one-time per index; the overlay migrates to
+// successor indexes through AdoptDeltaFrom.
+func (ix *Index) EnableUpserts(UpsertConfig) error {
 	if ix.gf == nil {
 		return fmt.Errorf("c2knn: index carries no fingerprints; rebuild the snapshot with fingerprints to enable upserts")
 	}
-	ov, err := delta.Attach(ix.graph, ix.train, ix.gf, delta.Config{
-		FRH: frh.Options{
-			B:       cfg.B,
-			T:       cfg.T,
-			MaxSize: cfg.MaxClusterSize,
-			Seed:    cfg.Seed,
-		},
-		GFSeed: DefaultGFSeed,
-	})
+	ov, err := delta.Attach(ix.graph, ix.train, ix.gf)
 	if err != nil {
 		return err
 	}
