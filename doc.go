@@ -309,6 +309,13 @@
 // clustering section (internal/persist), which Save, c2build -snap,
 // every c2build -shards shard and every compaction write. Nothing is
 // restated at serving time, so placement cannot drift from the build.
+// The same writes store the family's coarse bucket table (which users
+// each configuration's buckets hold) in a section after the record, so
+// attaching the overlay copies and checks that table instead of
+// hashing every profile: 0.3 ms instead of 0.8 ms on an ml1M lookalike
+// (delta.Attach). A snapshot from before the table attaches by
+// computing it; /statsz's delta block says which ("buckets") and how
+// long attaching took ("attach_ms").
 // A snapshot without the record — from a baseline (-algo hyrec,
 // nndescent, lsh, bruteforce) or written before the record existed —
 // serves reads but refuses upserts: rebuild it with c2build -algo c2

@@ -372,7 +372,8 @@ func TestE2EServeDaemon(t *testing.T) {
 
 	// Phase 5: a writable daemon on the same snapshot places upserts with
 	// the family the snapshot records — c2build's -seed 7 and the
-	// default T of 8 — with no flag restating it.
+	// default T of 8 — with no flag restating it, and attaches from the
+	// bucket table the snapshot carries.
 	wbase, _ := startServeArgs(t, c2serve, "-snap", snap, "-addr", "127.0.0.1:0", "-upserts", "-compact-every", "0")
 	resp, err = client.Post(wbase+"/v1/upsert", "application/json", strings.NewReader(`{"items":[1,2,3,5,8]}`))
 	if err != nil {
@@ -394,6 +395,8 @@ func TestE2EServeDaemon(t *testing.T) {
 				B, T, N int
 				Seed    int64
 			} `json:"placement"`
+			Buckets  string  `json:"buckets"`
+			AttachMS float64 `json:"attach_ms"`
 		} `json:"delta"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&wstats)
@@ -406,6 +409,9 @@ func TestE2EServeDaemon(t *testing.T) {
 	}
 	if p := wstats.Delta.Placement; p.Seed != 7 || p.T != 8 || p.B != 4096 || p.N != 2000 {
 		t.Fatalf("writable /statsz placement %+v, want the build's B=4096 T=8 N=2000 seed 7", p)
+	}
+	if d := wstats.Delta; d.Buckets != "snapshot" || d.AttachMS <= 0 {
+		t.Fatalf("writable /statsz buckets %q, attach_ms %v; want the snapshot's table and a positive time", d.Buckets, d.AttachMS)
 	}
 }
 

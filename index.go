@@ -7,6 +7,7 @@ import (
 
 	"c2knn/internal/dataset"
 	"c2knn/internal/delta"
+	"c2knn/internal/frh"
 	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
 	"c2knn/internal/persist"
@@ -52,6 +53,7 @@ type Index struct {
 	graph   *knng.Frozen
 	train   *dataset.Dataset
 	gf      *goldfinger.Set
+	buckets *frh.Table  // the snapshot's coarse FastRandomHash buckets, nil when it carries none
 	base    *delta.View // the artifacts above, unpatched
 	scorers sync.Pool
 
@@ -150,6 +152,7 @@ func indexFromSnapshot(path string, snap *persist.Snapshot) (*Index, error) {
 		snap.Close()
 		return nil, err
 	}
+	ix.buckets = snap.Buckets
 	ix.mapping = snap.Mapping
 	return ix, nil
 }

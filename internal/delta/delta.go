@@ -36,10 +36,13 @@
 //     base fingerprints' seed; an overlay takes no configuration, so
 //     placement cannot drift from the build. A graph without the
 //     record cannot be attached.
-//     Attach fills the bucket membership with one pass over the base
-//     ratings for all t configurations (frh.Hasher.Buckets). That is
-//     the overlay's only work linear in the ratings: 1.5 ms on an ml1M
-//     lookalike and 8.2 ms on ml10M (see Attach). Upsert runs under a
+//     Attach takes the bucket membership from the table a C² snapshot
+//     carries (frh.Table): a copy it owns, checked in O(n·T) and on a
+//     re-hashed sample, 0.3 ms on an ml1M lookalike and 2.2 ms on
+//     ml10M (see Attach). Without a table it computes one in a pass
+//     over the base ratings, 0.8 ms and 9.5 ms. Upserts never write the
+//     table: the first re-filing into or out of a bucket copies that
+//     bucket, and later ones edit the copy. Upsert runs under a
 //     single writer mutex, copies the one record map (copy-on-write —
 //     bounded by the compaction depth), writes fresh records for the
 //     user and the neighbors whose rows it patches, and publishes a new
@@ -134,14 +137,23 @@ type Overlay struct {
 
 	view atomic.Pointer[View]
 
-	mu          sync.Mutex
-	hasher      *frh.Hasher
-	buckets     [][][]int32 // [fn][idx] → every user, base or delta, whose current profile hashes to idx
-	seq         uint64      // last assigned upsert sequence number
-	marker      uint64      // highest sequence number absorbed by compaction
+	mu     sync.Mutex
+	hasher *frh.Hasher
+	// buckets files every base user under its base profile; the overlay
+	// owns it and never writes it. moved holds each (configuration,
+	// bucket) an upsert has re-filed a user into or out of, keyed by
+	// bucketKey: a copy of the base bucket made at the first such write,
+	// which every later one edits. Together they list every user, base or
+	// delta, under its current profile.
+	buckets     *frh.Table
+	moved       map[uint32][]int32
+	seq         uint64 // last assigned upsert sequence number
+	marker      uint64 // highest sequence number absorbed by compaction
 	upserts     uint64
 	compactions uint64
 	pending     time.Time // arrival of the oldest un-compacted upsert (zero: none)
+	source      string    // where Attach took the buckets from (Stats.Buckets)
+	attach      time.Duration
 
 	cand []int32         // candidate scratch, writer-only
 	heap []knng.Neighbor // row-sort scratch, writer-only
@@ -183,17 +195,33 @@ type Stats struct {
 	// Placement is the FastRandomHash family upserts are placed with:
 	// the one the base graph records.
 	Placement knng.Clustering `json:"placement"`
+	// Buckets says where Attach took the base users' coarse buckets
+	// from: "snapshot" when it copied the table a C² snapshot carries,
+	// "computed" when it hashed every profile.
+	Buckets string `json:"buckets"`
+	// AttachMS is how long Attach took, in milliseconds.
+	AttachMS float64 `json:"attach_ms"`
 }
 
 // Attach builds an overlay over the given base artifacts. The one-time
-// cost is filing every base user into its coarse bucket of each
-// configuration: frh.Hasher.Buckets computes all t hashes of every user
-// in one pass over the ratings and counting-sorts each configuration.
-// Measured in-process on a quiet 2-vCPU x86-64 VM (avx512 arm,
-// B = 4096, T = 8), the p50 is 1.5 ms on an ml1M lookalike (592k
-// ratings) and 8.2 ms on ml10M (5.9M ratings); EXPERIMENTS.md,
-// "Writable set-up", has the runs. After that each upsert touches only its own
-// clusters.
+// cost is the base users' coarse bucket in every configuration. buckets
+// is the table a C² snapshot carries (persist.Snapshot.Buckets), or nil:
+//
+//   - From a table, Attach copies it into memory the overlay owns, so no
+//     Rebase or unmap can leave the overlay holding a dead view, and
+//     checks the copy (frh.Hasher.CopyTable): its shape in O(n·T), and
+//     the buckets of a fixed sample of users in every configuration
+//     against their hashes. A table that fails is refused with an error.
+//   - Without one, frh.Hasher.Table computes it in one pass over the
+//     ratings for all t configurations: the function the snapshot writer
+//     persists the table with.
+//
+// Measured in-process on a 2-vCPU x86-64 VM (avx512 arm, B = 4096,
+// T = 8), the p50 from the table is 0.31 ms on an ml1M lookalike (592k
+// ratings, BenchmarkAttach) and 2.2 ms on ml10M (5.9M ratings);
+// computing it takes 0.8 and 9.5 ms. EXPERIMENTS.md, "Attaching from
+// the snapshot's bucket table", has the runs. After that each upsert
+// touches only its own clusters.
 //
 // Upserts are placed with the FastRandomHash family graph records
 // (knng.Frozen.Clustering) and fingerprinted with gf's item-hash seed,
@@ -204,7 +232,8 @@ type Stats struct {
 // 0 or below −1). The artifacts must be mutually consistent
 // (equal user counts) and gf must be present — fingerprints are what
 // upserts are scored with.
-func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set) (*Overlay, error) {
+func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, buckets *frh.Table) (*Overlay, error) {
+	start := time.Now()
 	if graph == nil || train == nil || gf == nil {
 		return nil, fmt.Errorf("delta: attach needs a graph, a dataset and fingerprints (rebuild the snapshot with fingerprints to enable upserts)")
 	}
@@ -231,9 +260,19 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set) (*Ov
 		bits:   gf.Bits(),
 		words:  gf.Bits() / 64,
 		hasher: frh.NewHasher(train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}),
+		moved:  make(map[uint32][]int32),
 	}
-	o.buckets = o.hasher.Buckets(train.Profiles, 0)
+	if buckets != nil {
+		tab, err := o.hasher.CopyTable(buckets, train.Profiles)
+		if err != nil {
+			return nil, fmt.Errorf("delta: snapshot %w", err)
+		}
+		o.buckets, o.source = tab, "snapshot"
+	} else {
+		o.buckets, o.source = o.hasher.Table(train.Profiles, 0), "computed"
+	}
 	o.view.Store(NewView(graph, train, gf))
+	o.attach = time.Since(start)
 	return o, nil
 }
 
@@ -256,6 +295,8 @@ func (o *Overlay) Stats() Stats {
 		Seq:         o.seq,
 		Marker:      o.marker,
 		Placement:   o.cfg.Clustering,
+		Buckets:     o.source,
+		AttachMS:    o.attach.Seconds() * 1e3,
 	}
 	if !o.pending.IsZero() {
 		s.AgeSec = o.cfg.now().Sub(o.pending).Seconds()
@@ -407,8 +448,23 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 // current profile. profile must return u's new profile, and u must
 // already be filed under it.
 func (o *Overlay) place(fn int, u int32, profile func(int32) []int32) []int32 {
-	idx, _ := o.hasher.UserHash(fn, profile(u))
-	return o.hasher.Place(fn, idx, o.buckets[fn][idx], u, o.cfg.Clustering.N, profile)
+	idx, ok := o.hasher.UserHash(fn, profile(u))
+	if !ok {
+		return nil // an empty profile is in no cluster
+	}
+	return o.hasher.Place(fn, idx, o.bucket(fn, idx), u, o.cfg.Clustering.N, profile)
+}
+
+// bucketKey keys moved: idx ≤ 65535 and fn < 64.
+func bucketKey(fn int, idx uint32) uint32 { return uint32(fn)<<16 | idx }
+
+// bucket returns the members of bucket idx in configuration fn. The
+// result aliases the overlay's state and must not be modified.
+func (o *Overlay) bucket(fn int, idx uint32) []int32 {
+	if b, ok := o.moved[bucketKey(fn, idx)]; ok {
+		return b
+	}
+	return o.buckets.Bucket(fn, idx)
 }
 
 // Cluster returns the cluster user u belongs to in configuration fn of
@@ -431,10 +487,22 @@ func (o *Overlay) moveBuckets(u int32, oldProfile, newProfile []int32) {
 			continue
 		}
 		if oldOK {
-			o.buckets[fn][oldIdx] = removeID(o.buckets[fn][oldIdx], u)
+			o.moved[bucketKey(fn, oldIdx)] = removeID(o.ownBucket(fn, oldIdx), u)
 		}
-		o.buckets[fn][newIdx] = append(o.buckets[fn][newIdx], u)
+		o.moved[bucketKey(fn, newIdx)] = append(o.ownBucket(fn, newIdx), u)
 	}
+}
+
+// ownBucket returns bucket idx of configuration fn for editing: its
+// entry in moved, made on the first call as a copy of the base bucket.
+func (o *Overlay) ownBucket(fn int, idx uint32) []int32 {
+	key := bucketKey(fn, idx)
+	b, ok := o.moved[key]
+	if !ok {
+		b = slices.Clone(o.buckets.Bucket(fn, idx))
+		o.moved[key] = b
+	}
+	return b
 }
 
 func removeID(s []int32, u int32) []int32 {

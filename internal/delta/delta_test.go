@@ -38,7 +38,7 @@ func testBase(t *testing.T, scale float64) (*knng.Frozen, *dataset.Dataset, *gol
 func testOverlay(t *testing.T, scale float64) (*Overlay, *dataset.Dataset) {
 	t.Helper()
 	frozen, d, gf := testBase(t, scale)
-	ov, err := Attach(frozen, d, gf)
+	ov, err := Attach(frozen, d, gf, nil)
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -92,14 +92,14 @@ func checkRow(t *testing.T, v *View, u int32) {
 
 func TestAttachValidation(t *testing.T) {
 	frozen, d, gf := testBase(t, 0.01)
-	if _, err := Attach(nil, d, gf); err == nil {
+	if _, err := Attach(nil, d, gf, nil); err == nil {
 		t.Error("Attach accepted a nil graph")
 	}
-	if _, err := Attach(frozen, d, nil); err == nil {
+	if _, err := Attach(frozen, d, nil, nil); err == nil {
 		t.Error("Attach accepted nil fingerprints")
 	}
 	short := &dataset.Dataset{Name: "short", NumItems: d.NumItems, Profiles: d.Profiles[:len(d.Profiles)-1]}
-	if _, err := Attach(frozen, short, gf); err == nil {
+	if _, err := Attach(frozen, short, gf, nil); err == nil {
 		t.Error("Attach accepted inconsistent user counts")
 	}
 	for _, tc := range []struct {
@@ -110,8 +110,37 @@ func TestAttachValidation(t *testing.T) {
 		{frh.Options{B: -1}, "B=-1"},
 		{frh.Options{T: -1}, "T=-1"},
 	} {
-		if _, err := Attach(withFRH(frozen, tc.frh), d, gf); err == nil || !strings.Contains(err.Error(), tc.field) {
+		if _, err := Attach(withFRH(frozen, tc.frh), d, gf, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("Attach with %+v: error %v, want one naming %s", tc.frh, err, tc.field)
+		}
+	}
+}
+
+// TestUpsertsLeaveBaseTable: upserts re-file users through per-bucket
+// copies, so the base table an overlay attached from stays the table of
+// the base profiles however many users move.
+func TestUpsertsLeaveBaseTable(t *testing.T) {
+	frozen, d, gf := testBase(t, 0.01)
+	c := frozen.Clustering
+	h := frh.NewHasher(d.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed})
+	ov, err := Attach(frozen, d, gf, h.Table(d.Profiles, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := range 64 {
+		items := []int32{int32(rng.Intn(int(d.NumItems))), int32(rng.Intn(int(d.NumItems)))}
+		if _, err := ov.Upsert(int32(i%d.NumUsers()), items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ov.moved) == 0 {
+		t.Fatal("no upsert re-filed a user")
+	}
+	want := h.Table(d.Profiles, 0)
+	for fn := range want.T {
+		if !slices.Equal(ov.buckets.Offsets[fn], want.Offsets[fn]) || !slices.Equal(ov.buckets.IDs[fn], want.IDs[fn]) {
+			t.Fatalf("configuration %d of the base table changed under upserts", fn)
 		}
 	}
 }
@@ -124,10 +153,10 @@ func TestAttachNeedsClustering(t *testing.T) {
 	frozen, d, gf := testBase(t, 0.01)
 	bare := *frozen
 	bare.Clustering = knng.Clustering{}
-	if _, err := Attach(&bare, d, gf); err == nil || !strings.Contains(err.Error(), "c2build -algo c2") {
+	if _, err := Attach(&bare, d, gf, nil); err == nil || !strings.Contains(err.Error(), "c2build -algo c2") {
 		t.Fatalf("Attach of an unrecorded graph = %v, want an error naming the rebuild", err)
 	}
-	ov, err := Attach(frozen, d, gf)
+	ov, err := Attach(frozen, d, gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +191,7 @@ func TestAttachNeedsClustering(t *testing.T) {
 func TestUpsertFingerprintSeed(t *testing.T) {
 	frozen, d, _ := testBase(t, 0.01)
 	gf := goldfinger.MustNew(d, goldfinger.DefaultBits, 0x1234)
-	ov, err := Attach(frozen, d, gf)
+	ov, err := Attach(frozen, d, gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +206,35 @@ func TestUpsertFingerprintSeed(t *testing.T) {
 }
 
 // BenchmarkAttach times attaching an overlay to an ml1M-sized base at
-// the paper's B and T. The graph has empty rows: Attach only checks its
-// shape, so building a real one would only slow the set-up.
+// the paper's B and T: "computed" hashes every profile, "snapshot"
+// copies and checks the bucket table a C² snapshot carries. Besides the
+// mean it reports the median attach (p50-ms): the mean carries the
+// garbage collections that earlier attaches' tables cause. The graph
+// has empty rows: Attach only checks its shape, so building a real one
+// would only slow the set-up.
 func BenchmarkAttach(b *testing.B) {
 	d := synth.Generate(synth.ML1M())
 	gf := goldfinger.MustNew(d, goldfinger.DefaultBits, testGFSeed)
 	frozen := withFRH(knng.New(d.NumUsers(), 10).Freeze(), frh.Options{})
-	b.ReportMetric(float64(d.NumRatings()), "ratings")
-	for b.Loop() {
-		if _, err := Attach(frozen, d, gf); err != nil {
-			b.Fatal(err)
-		}
+	c := frozen.Clustering
+	tab := frh.NewHasher(d.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(d.Profiles, 0)
+	for _, bc := range []struct {
+		name    string
+		buckets *frh.Table
+	}{{"computed", nil}, {"snapshot", tab}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportMetric(float64(d.NumRatings()), "ratings")
+			var times []time.Duration
+			for b.Loop() {
+				start := time.Now()
+				if _, err := Attach(frozen, d, gf, bc.buckets); err != nil {
+					b.Fatal(err)
+				}
+				times = append(times, time.Since(start))
+			}
+			slices.Sort(times)
+			b.ReportMetric(float64(times[len(times)/2].Microseconds())/1e3, "p50-ms")
+		})
 	}
 }
 
@@ -202,7 +249,7 @@ func BenchmarkUpsert(b *testing.B) {
 	d := synth.Generate(synth.ML10M())
 	base := &dataset.Dataset{Name: d.Name, NumItems: d.NumItems, Profiles: d.Profiles[:d.NumUsers()-tail]}
 	gf := goldfinger.MustNew(base, goldfinger.DefaultBits, testGFSeed)
-	ov, err := Attach(withFRH(knng.New(base.NumUsers(), 30).Freeze(), frh.Options{Seed: 42}), base, gf)
+	ov, err := Attach(withFRH(knng.New(base.NumUsers(), 30).Freeze(), frh.Options{Seed: 42}), base, gf, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -789,7 +836,7 @@ func TestMergedReadAllocs(t *testing.T) {
 func TestDescendMatchesBuilder(t *testing.T) {
 	frozen, d, gf := testBase(t, 0.05)
 	opts := frh.Options{B: frh.DefaultB, T: frh.DefaultT, MaxSize: 40, Seed: 42}
-	ov, err := Attach(withFRH(frozen, opts), d, gf)
+	ov, err := Attach(withFRH(frozen, opts), d, gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func (e *Env) Update() (*UpdateSummary, error) {
 		return nil, err
 	}
 	gBase, _ := core.Build(base, gfBase, opts)
-	ov, err := delta.Attach(gBase.Freeze(), base, gfBase)
+	ov, err := delta.Attach(gBase.Freeze(), base, gfBase, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -18,9 +18,11 @@
 // 16-byte row, so a user's coarse hashes in a group of eight are the
 // lane-wise minimum of its profile's rows: one VPMINUW per rating on
 // amd64 with a vector similarity kernel active, a Go loop otherwise.
-// Each configuration then counting-sorts its column into its B buckets.
-// Build, Stream and the delta overlay's Attach all bucket through this
-// pass; only the recursive splitting walks profiles per configuration.
+// Each configuration then counting-sorts its column into its B buckets
+// of a Table. Build and Stream bucket through this pass, and so does the
+// snapshot writer, which persists the Table a C² snapshot carries for
+// the delta overlay to attach from; only the recursive splitting walks
+// profiles per configuration.
 //
 // One routine, partition, applies a level of the splitting rule. Build
 // recurses over it to emit every cluster; Place follows one user's
@@ -131,35 +133,54 @@ type Hasher struct {
 
 // NewHasher builds the item hash table for a dataset. b must be at
 // most 65535 (values are stored in uint16; the paper's default is 4096).
+// The table is filled row by row, all eight lanes of an item at once
+// (see hashRows), with the items split into contiguous ranges over up
+// to GOMAXPROCS goroutines (capped by a positive o.Parallelism).
 func NewHasher(numItems int32, o Options) *Hasher {
 	o.setDefaults()
 	if o.B > 0xffff {
 		panic("frh: B must fit in 16 bits")
 	}
 	fam := jenkins.NewFamily(o.T, o.Seed)
-	h := &Hasher{b: o.B, t: o.T, rows: make([][][lanes]uint16, (o.T+lanes-1)/lanes), seeds: make([]uint32, o.T)}
+	groups := (o.T + lanes - 1) / lanes
+	h := &Hasher{b: o.B, t: o.T, rows: make([][][lanes]uint16, groups), seeds: make([]uint32, o.T)}
 	for fn := range h.seeds {
 		h.seeds[fn] = fam.Seed(fn)
 	}
-	b := uint32(o.B)
 	for g := range h.rows {
-		tab := make([][lanes]uint16, numItems)
-		for lane := range lanes {
-			fn := g*lanes + lane
-			if fn >= o.T {
-				for it := range tab {
-					tab[it][lane] = 0xffff
-				}
-				continue
-			}
-			for it := range tab {
-				tab[it][lane] = uint16(jenkins.Hash32(uint32(it), h.seeds[fn])%b) + 1
-			}
-		}
-		h.rows[g] = tab
+		h.rows[g] = make([][lanes]uint16, numItems)
 	}
+	n := int(numItems)
+	parts := runtime.GOMAXPROCS(0)
+	if o.Parallelism > 0 {
+		parts = min(parts, o.Parallelism)
+	}
+	parts = max(min(parts, n/minItemsPerPart), 1)
+	schedule.Run(parts, schedule.FIFO(parts), func(_, part int) {
+		lo, hi := part*n/parts, (part+1)*n/parts
+		for g, tab := range h.rows {
+			hashRows(h.seeds[g*lanes:min((g+1)*lanes, o.T)], uint32(o.B), lo, tab[lo:hi])
+		}
+	})
 	return h
 }
+
+// hashRowsGo fills rows[i] with h_fn(lo+i) for the configurations whose
+// seeds are given, one lane each; lanes past them hold 0xFFFF, which no
+// minimum takes. It is the portable form of hashRows.
+func hashRowsGo(seeds []uint32, b uint32, lo int, rows [][lanes]uint16) {
+	for i := range rows {
+		row := [lanes]uint16{0xffff, 0xffff, 0xffff, 0xffff, 0xffff, 0xffff, 0xffff, 0xffff}
+		for lane, seed := range seeds {
+			row[lane] = uint16(jenkins.Hash32(uint32(lo+i), seed)%b) + 1
+		}
+		rows[i] = row
+	}
+}
+
+// minItemsPerPart is the fewest items NewHasher gives a goroutine: below
+// it, starting one costs more than hashing the range.
+const minItemsPerPart = 1024
 
 // B returns the number of clusters per configuration.
 func (h *Hasher) B() int { return h.b }
@@ -258,51 +279,6 @@ func minRowsGo(tab [][lanes]uint16, items []int32, out *[lanes]uint16) {
 	*out = [lanes]uint16{uint16(a0), uint16(a1), uint16(a2), uint16(a3), uint16(a4), uint16(a5), uint16(a6), uint16(a7)}
 }
 
-// bucketsFn counting-sorts configuration fn's column of hashAll's
-// output into its coarse buckets: buckets[idx] lists, in increasing id
-// order, the users whose H_fn is idx ∈ [1, B]; index 0 is unused and
-// empty buckets are nil. The buckets are carved from one slab, each
-// with a full slice expression, so an append to one bucket reallocates
-// it instead of overwriting its neighbour.
-func (h *Hasher) bucketsFn(all [][lanes]uint16, n, fn int) [][]int32 {
-	col, lane := all[fn/lanes*n:(fn/lanes+1)*n], fn%lanes
-	counts := make([]int32, h.b+1) // counts[0]: empty profiles
-	for u := range col {
-		counts[col[u][lane]]++
-	}
-	slab := make([]int32, n-int(counts[0]))
-	buckets := make([][]int32, h.b+1)
-	off := int32(0)
-	for idx := 1; idx <= h.b; idx++ {
-		if c := counts[idx]; c > 0 {
-			buckets[idx] = slab[off : off : off+c]
-			off += c
-		}
-	}
-	for u := range col {
-		if idx := col[u][lane]; idx != 0 {
-			buckets[idx] = append(buckets[idx], int32(u))
-		}
-	}
-	return buckets
-}
-
-// Buckets hashes every profile under all t configurations in one pass
-// and returns each configuration's coarse buckets: buckets[fn][idx]
-// lists, in increasing id order, the users whose H_fn is idx ∈ [1, B].
-// Index 0 is unused, and users with an empty profile are in no bucket.
-// Appending to a bucket never writes into another one. parallelism
-// bounds the goroutines as Options.Parallelism does.
-func (h *Hasher) Buckets(profiles [][]int32, parallelism int) [][][]int32 {
-	all := h.hashAll(profiles, parallelism)
-	buckets := make([][][]int32, h.t)
-	ForEachFn(h.t, parallelism, func(fn int) Stats {
-		buckets[fn] = h.bucketsFn(all, len(profiles), fn)
-		return Stats{}
-	})
-	return buckets
-}
-
 // Build runs the full clustering of d: t configurations of b clusters
 // each, recursively splitting clusters larger than MaxSize. Users with an
 // empty profile are skipped: their hash is undefined, and since they
@@ -357,8 +333,10 @@ func Stream(d *dataset.Dataset, o Options, emit func(Cluster)) Stats {
 func StreamWithHasher(d *dataset.Dataset, h *Hasher, o Options, emit func(Cluster)) Stats {
 	o.setDefaults()
 	all := h.hashAll(d.Profiles, o.Parallelism)
+	tab := newTable(h.b, h.t, d.NumUsers(), nonEmpty(d.Profiles))
 	fnStats := ForEachFn(h.t, o.Parallelism, func(fn int) Stats {
-		return buildFn(d, h, o, fn, h.bucketsFn(all, d.NumUsers(), fn), emit)
+		tab.fill(all, fn)
+		return buildFn(d, h, o, fn, tab, emit)
 	})
 	return MergeStats(fnStats)
 }
@@ -383,14 +361,15 @@ func ForEachFn(t, parallelism int, build func(fn int) Stats) []Stats {
 // increasing index, split children depth-first by increasing split
 // hash). The returned Stats describe this configuration only; PerFn is
 // left nil for the caller to assemble.
-func buildFn(d *dataset.Dataset, h *Hasher, o Options, fn int, buckets [][]int32, emit func(Cluster)) Stats {
+func buildFn(d *dataset.Dataset, h *Hasher, o Options, fn int, tab *Table, emit func(Cluster)) Stats {
 	var stats Stats
 	profile := func(u int32) []int32 { return d.Profiles[u] }
-	for idx, users := range buckets {
+	for idx := uint32(1); idx <= uint32(h.b); idx++ {
+		users := tab.Bucket(fn, idx)
 		if len(users) == 0 {
 			continue
 		}
-		final := splitRecursive(h, profile, &stats, o, Cluster{Fn: fn, Index: uint32(idx), Users: users}, 0)
+		final := splitRecursive(h, profile, &stats, o, Cluster{Fn: fn, Index: idx, Users: users}, 0)
 		for _, c := range final {
 			if len(c.Users) > stats.MaxCluster {
 				stats.MaxCluster = len(c.Users)

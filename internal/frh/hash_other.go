@@ -7,3 +7,9 @@ package frh
 func minRows(tab [][lanes]uint16, items []int32, out *[lanes]uint16) {
 	minRowsGo(tab, items, out)
 }
+
+// hashRows fills rows[i] with the hashes of item lo+i under the seeds
+// of one group; only amd64 has a vector kernel.
+func hashRows(seeds []uint32, b uint32, lo int, rows [][lanes]uint16) {
+	hashRowsGo(seeds, b, lo, rows)
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"c2knn/internal/dataset"
+	"c2knn/internal/jenkins"
 	"c2knn/internal/sets"
 	"c2knn/internal/similarity"
 	"c2knn/internal/synth"
@@ -70,7 +71,7 @@ func TestHashAllMatchesUserHash(t *testing.T) {
 			h := NewHasher(d.NumItems, Options{B: 64, T: T, Seed: int64(T)})
 			for _, par := range []int{1, 0} {
 				all := h.hashAll(d.Profiles, par)
-				buckets := h.Buckets(d.Profiles, par)
+				tab := h.Table(d.Profiles, par)
 				for fn := 0; fn < T; fn++ {
 					for u, p := range d.Profiles {
 						want, ok := h.UserHash(fn, p)
@@ -81,8 +82,41 @@ func TestHashAllMatchesUserHash(t *testing.T) {
 						if got != want {
 							t.Fatalf("T=%d par=%d fn=%d user %d (%d items): hash %d, want %d", T, par, fn, u, len(p), got, want)
 						}
-						if ok && !slices.Contains(buckets[fn][want], int32(u)) {
+						if ok && !slices.Contains(tab.Bucket(fn, want), int32(u)) {
 							t.Fatalf("T=%d fn=%d: user %d missing from bucket %d", T, fn, u, want)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestItemTableMatchesJenkins: under every kernel arm, each entry of
+// NewHasher's table is h_fn(item) = Hash32(item, seed_fn) mod B + 1 and
+// each lane past T is 0xFFFF — for B a power of two (the vector
+// kernel's mask) and not (the Go loop), T around the eight-lane group
+// width, and item counts that split over one goroutine and several.
+func TestItemTableMatchesJenkins(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for _, B := range []int{64, 100, 4096, 32768, 65535} {
+			for _, T := range []int{1, 7, 8, 9, 17} {
+				for _, numItems := range []int32{5, 3001} {
+					o := Options{B: B, T: T, Seed: int64(B + T)}
+					h := NewHasher(numItems, o)
+					fam := jenkins.NewFamily(T, o.Seed)
+					for g, tab := range h.rows {
+						for it := range tab {
+							for lane := range lanes {
+								want := uint16(0xffff)
+								if fn := g*lanes + lane; fn < T {
+									want = uint16(jenkins.Hash32(uint32(it), fam.Seed(fn))%uint32(B)) + 1
+								}
+								if got := tab[it][lane]; got != want {
+									t.Fatalf("B=%d T=%d items=%d: item %d lane %d of group %d is %d, want %d",
+										B, T, numItems, it, lane, g, got, want)
+								}
+							}
 						}
 					}
 				}
@@ -115,19 +149,14 @@ func TestMinRowsOutOfRangePanics(t *testing.T) {
 func TestBucketsAppendIsolated(t *testing.T) {
 	d := randomDataset(300, 50, 5, 3)
 	h := NewHasher(d.NumItems, Options{B: 8, T: 2, Seed: 4})
-	buckets := h.Buckets(d.Profiles, 0)
-	for fn := range buckets {
-		before := make([][]int32, len(buckets[fn]))
-		for idx, b := range buckets[fn] {
-			before[idx] = slices.Clone(b)
+	tab := h.Table(d.Profiles, 0)
+	for fn := range tab.T {
+		before := slices.Clone(tab.IDs[fn])
+		for idx := uint32(1); idx <= uint32(tab.B); idx++ {
+			_ = append(tab.Bucket(fn, idx), -1)
 		}
-		for idx := range buckets[fn] {
-			buckets[fn][idx] = append(buckets[fn][idx], -1)
-		}
-		for idx, b := range buckets[fn] {
-			if !slices.Equal(b[:len(b)-1], before[idx]) {
-				t.Fatalf("fn %d: bucket %d changed under a neighbour's append", fn, idx)
-			}
+		if !slices.Equal(tab.IDs[fn], before) {
+			t.Fatalf("fn %d: a bucket changed under a neighbour's append", fn)
 		}
 	}
 }

@@ -39,10 +39,17 @@ func (c Clustering) Check() error {
 }
 
 // New returns an empty graph over n users with neighborhoods of size k.
+// Every list's heap is carved from one Neighbor slab, as ReuseListsIn
+// carves a solver's: list i owns min(k, n) slots, handed out empty with
+// a full slice expression, so filling a list never reallocates it and
+// never writes into the next list's slots.
 func New(n, k int) *Graph {
 	g := &Graph{K: k, Lists: make([]List, n)}
+	c := max(min(k, n), 0)
+	slab := make([]Neighbor, n*c)
 	for i := range g.Lists {
 		g.Lists[i].K = k
+		g.Lists[i].H = slab[i*c : i*c : (i+1)*c]
 	}
 	return g
 }

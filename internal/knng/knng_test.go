@@ -335,3 +335,40 @@ func TestRandomInitDegenerateProviderTerminates(t *testing.T) {
 		}
 	}
 }
+
+// TestNewListsStayInTheirStripe: New carves every list from one slab;
+// filling one list to k, and offering it more than k, never writes into
+// its neighbours' stripes, and a list offered more than its stripe (k
+// above n) grows elsewhere.
+func TestNewListsStayInTheirStripe(t *testing.T) {
+	g := New(5, 3)
+	g.Insert(0, 4, 0.9)
+	g.Insert(2, 4, 0.8)
+	for v, sim := range []float64{0.1, 0.5, 0.3, 0.7, 0.6} {
+		g.Insert(1, int32(v), sim)
+	}
+	if got := g.Lists[1].Len(); got != 3 {
+		t.Fatalf("list 1 holds %d neighbors, want 3", got)
+	}
+	for _, u := range []int{0, 2} {
+		if l := g.Lists[u]; l.Len() != 1 || l.H[0].ID != 4 {
+			t.Fatalf("list %d is %+v after list 1 filled, want only neighbor 4", u, l.H)
+		}
+	}
+	if c := cap(g.Lists[1].H); c != 3 {
+		t.Fatalf("list 1 has capacity %d, want its stripe of 3", c)
+	}
+
+	wide := New(3, 8)
+	for v := range int32(6) {
+		wide.Lists[0].Insert(v+10, float64(v))
+	}
+	if wide.Lists[0].Len() != 6 || wide.Lists[1].Len() != 0 || len(wide.Lists[1].H[:cap(wide.Lists[1].H)]) != 3 {
+		t.Fatalf("k above n: list 0 holds %d, list 1 %d", wide.Lists[0].Len(), wide.Lists[1].Len())
+	}
+	for _, nb := range wide.Lists[1].H[:cap(wide.Lists[1].H)] {
+		if nb != (Neighbor{}) {
+			t.Fatalf("growing list 0 wrote %+v into list 1's stripe", nb)
+		}
+	}
+}

@@ -20,14 +20,15 @@ func recordedSnapshot(tb testing.TB) *Snapshot {
 
 // TestClusteringRoundTrip: the clustering record and the fingerprint
 // seed survive Encode on every load path, and the section is only
-// appended — the graph, dataset and fingerprint sections keep the bytes
-// a record-less snapshot has, and only the section count differs.
+// appended, with the bucket table after it — the graph, dataset and
+// fingerprint sections keep the bytes a record-less snapshot has, and
+// only the section count differs.
 func TestClusteringRoundTrip(t *testing.T) {
 	s := recordedSnapshot(t)
 	data := encodeBytes(t, s)
 	plain := encodeBytes(t, tinySnapshot(t))
-	if binary.LittleEndian.Uint32(data[12:]) != 4 || binary.LittleEndian.Uint32(plain[12:]) != 3 {
-		t.Fatalf("section counts %d and %d, want 4 with the record and 3 without",
+	if binary.LittleEndian.Uint32(data[12:]) != 5 || binary.LittleEndian.Uint32(plain[12:]) != 3 {
+		t.Fatalf("section counts %d and %d, want 5 with the record and its bucket table and 3 without",
 			binary.LittleEndian.Uint32(data[12:]), binary.LittleEndian.Uint32(plain[12:]))
 	}
 	if !bytes.Equal(data[:12], plain[:12]) || !bytes.HasPrefix(data[16:], plain[16:]) {

@@ -28,6 +28,7 @@ func FuzzDecode(f *testing.F) {
 	corrupt[len(corrupt)/2] ^= 0x10
 	f.Add(corrupt)
 	f.Add(encodeBytes(f, recordedSnapshot(f))) // with the clustering section
+	f.Add(encodeBytes(f, bucketSnapshot(f)))   // with a bucket table over users with empty profiles
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(bytes.NewReader(data))

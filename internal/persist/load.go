@@ -261,6 +261,24 @@ func sliceI32(b []byte, view bool) ([]int32, error) {
 	return out, nil
 }
 
+func sliceU32(b []byte, view bool) ([]uint32, error) {
+	n := len(b) / 4
+	if n == 0 {
+		return []uint32{}, nil
+	}
+	if view {
+		if err := checkAligned(b, 4); err != nil {
+			return nil, err
+		}
+		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n), nil
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	return out, nil
+}
+
 func sliceF32(b []byte, view bool) ([]float32, error) {
 	n := len(b) / 4
 	if n == 0 {

@@ -24,9 +24,9 @@
 //	4     CRC-32C (Castagnoli) of the payload
 //
 // Section types: 1 = frozen graph, 2 = dataset, 3 = GoldFinger
-// signatures, 4 = clustering record. Each type appears at most once;
-// unknown types are an error. The stream must end exactly after the
-// last section.
+// signatures, 4 = clustering record, 5 = bucket table. Each type appears
+// at most once; unknown types are an error. The stream must end exactly
+// after the last section.
 //
 // Every payload opens with a 64-byte header block (unused tail bytes
 // zero) and lays its arrays out at 64-byte-aligned payload offsets —
@@ -45,18 +45,42 @@
 //	            alignUp: numUsers×(bits/64)×u64 signature words
 //	clustering: {0: u32 B · 4: u32 T · 8: i64 N · 16: i64 seed ·
 //	            24: u32 GoldFinger item-hash seed}, the whole payload
+//	buckets:    {0: u32 B · 4: u32 T · 8: u64 numUsers · 16: u64 M} ·
+//	            then for each of the T configurations, from payload
+//	            offset 64 + fn·alignUp(4(B+1)) + fn·alignUp(4M):
+//	            (B+1)×u32 offsets · alignUp: M×i32 user ids
 //
 // The clustering section records how a C² graph was built: the
 // FastRandomHash family (knng.Clustering: B, T, the splitting threshold
 // N with −1 for none, and the seed) and the seed the fingerprints were
-// made with. Upsert placement reads both from it. Encode writes it,
-// last, only when the graph carries a record, so a snapshot without one
-// (a baseline's graph, testdata/v2-tiny.c2) has the bytes it had before
-// the section existed, and a C² snapshot is that file plus one section
-// (and a section count one higher). Binaries from before the section
-// reject a file that has it, as they reject any unknown type. Both load
-// paths reject a record no build can make — B outside [1, 65535], T
-// outside [1, 64], N of 0 or below −1 — and one without a graph.
+// made with. Upsert placement reads both from it. Encode writes it
+// after the other three, only when the graph carries a record, so a
+// snapshot without one (a baseline's graph, testdata/v2-tiny.c2) has
+// the bytes it had before the section existed. Binaries from before the
+// section reject a file that has it, as they reject any unknown type.
+// Both load paths reject a record no build can make — B outside
+// [1, 65535], T outside [1, 64], N of 0 or below −1 — and one without a
+// graph.
+//
+// The bucket table section is the recorded family's coarse FastRandomHash
+// buckets over the dataset's users (frh.Table), so a delta overlay
+// attaches without re-hashing every profile. Configuration fn's bucket
+// idx ∈ [1, B] lists its users, in increasing id order, at
+// ids[offsets[idx−1]:offsets[idx]]; M is the number of users with a
+// non-empty profile, whom every configuration lists once each. Encode
+// computes the table from the dataset and the record — builds,
+// compactions and shards alike, whatever Snapshot.Buckets holds — and
+// writes it right after the record whenever it writes the record and a
+// dataset, so a C² snapshot is a record-less file plus two sections
+// (and a section count two higher). It adds 1–2 ms to an ml1M write
+// and 11–19 ms to an ml10M one. Decode checks only its framing: the payload
+// length, B and T against the record, numUsers against the dataset and
+// M ≤ numUsers; it refuses the section without a record or a dataset.
+// On the mmap path the table stays a view over the mapping, so a
+// read-only daemon pays only the CRC over its bytes. Its contents are
+// checked by whoever uses them: delta.Attach copies the table and
+// checks the copy before placing anything with it. Binaries from before
+// the section reject a file that has it as an unknown type.
 //
 // Because payloads start 64-byte-aligned in the file and an mmap base
 // is page-aligned, every array slab is 64-byte-aligned in memory too:
@@ -173,6 +197,7 @@ import (
 	"unsafe"
 
 	"c2knn/internal/dataset"
+	"c2knn/internal/frh"
 	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
 )
@@ -188,9 +213,10 @@ const (
 	secDataset    = 2
 	secGoldFinger = 3
 	secClustering = 4
+	secBuckets    = 5
 
 	// maxSections bounds the header's section count; the format defines
-	// four section types and each may appear once.
+	// five section types and each may appear once.
 	maxSections = 16
 	// maxSectionBytes is a sanity bound on a single section (1 TiB); a
 	// corrupted length field beyond it fails fast. Lengths below it that
@@ -240,6 +266,11 @@ type Snapshot struct {
 	// GoldFinger optionally carries the fingerprints the graph was
 	// built with, so a loaded index can keep estimating similarities.
 	GoldFinger *goldfinger.Set
+	// Buckets is the graph's coarse FastRandomHash bucket table, decoded
+	// from a C² snapshot and nil for any other; a delta overlay attaches
+	// from it. Encode ignores it: it writes the table of Train under the
+	// graph's clustering record.
+	Buckets *frh.Table
 	// Mapping is non-nil when the artifacts above are views over a
 	// memory-mapped file (MapFile); it owns the mapping's lifetime. A
 	// copy-decoded snapshot has a nil Mapping.
@@ -287,8 +318,9 @@ func Encode(w io.Writer, s *Snapshot) error {
 			return fmt.Errorf("persist: refusing to encode %w", err)
 		}
 	}
+	buckets := recorded && s.Train != nil
 	var count uint32
-	for _, present := range []bool{s.Graph != nil, s.Train != nil, s.GoldFinger != nil, recorded} {
+	for _, present := range []bool{s.Graph != nil, s.Train != nil, s.GoldFinger != nil, recorded, buckets} {
 		if present {
 			count++
 		}
@@ -322,6 +354,13 @@ func Encode(w io.Writer, s *Snapshot) error {
 			gfSeed = s.GoldFinger.Seed()
 		}
 		if err := writeSection(cw, secClustering, encodeClustering(s.Graph.Clustering, gfSeed)); err != nil {
+			return err
+		}
+	}
+	if buckets {
+		c := s.Graph.Clustering
+		tab := frh.NewHasher(s.Train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(s.Train.Profiles, 0)
+		if err := writeSection(cw, secBuckets, encodeBuckets(tab)); err != nil {
 			return err
 		}
 	}
@@ -393,6 +432,16 @@ func gfLayoutOf(n, words int) gfLayout {
 	return gfLayout{ones: ones, sigs: sigs, size: sigs + 8*n*words}
 }
 
+// bucketLayout locates a bucket table payload's arrays: configuration
+// fn's offsets start at 64 + fn·stride and its user ids ids bytes later.
+type bucketLayout struct{ stride, ids, size int }
+
+func bucketLayoutOf(b, t, m int) bucketLayout {
+	ids := alignUp(4 * (b + 1))
+	stride := ids + alignUp(4*m)
+	return bucketLayout{stride: stride, ids: ids, size: 64 + (t-1)*stride + ids + 4*m}
+}
+
 func encodeGraph(f *knng.Frozen) []byte {
 	n, m := f.NumUsers(), f.NumEdges()
 	lay := graphLayoutOf(n, m)
@@ -462,6 +511,62 @@ func encodeClustering(c knng.Clustering, gfSeed uint32) []byte {
 	return b
 }
 
+func encodeBuckets(tab *frh.Table) []byte {
+	m := len(tab.IDs[0])
+	lay := bucketLayoutOf(tab.B, tab.T, m)
+	b := make([]byte, lay.size)
+	binary.LittleEndian.PutUint32(b[0:], uint32(tab.B))
+	binary.LittleEndian.PutUint32(b[4:], uint32(tab.T))
+	binary.LittleEndian.PutUint64(b[8:], uint64(tab.N))
+	binary.LittleEndian.PutUint64(b[16:], uint64(m))
+	for fn := range tab.T {
+		at := 64 + fn*lay.stride
+		for i, o := range tab.Offsets[fn] {
+			binary.LittleEndian.PutUint32(b[at+4*i:], o)
+		}
+		for i, u := range tab.IDs[fn] {
+			binary.LittleEndian.PutUint32(b[at+lay.ids+4*i:], uint32(u))
+		}
+	}
+	return b
+}
+
+// decodeBuckets decodes a bucket table payload of the family c over n
+// users, checking only its framing (see the package comment).
+func decodeBuckets(payload []byte, view bool, c knng.Clustering, n int) (*frh.Table, error) {
+	if len(payload) < 64 {
+		return nil, fmt.Errorf("bucket table payload too short (%d bytes)", len(payload))
+	}
+	b := binary.LittleEndian.Uint32(payload[0:])
+	t := binary.LittleEndian.Uint32(payload[4:])
+	users := binary.LittleEndian.Uint64(payload[8:])
+	m := binary.LittleEndian.Uint64(payload[16:])
+	if int(b) != c.B || int(t) != c.T {
+		return nil, fmt.Errorf("bucket table is B=%d T=%d, the clustering record B=%d T=%d", b, t, c.B, c.T)
+	}
+	if users != uint64(n) || m > users {
+		return nil, fmt.Errorf("bucket table lists %d of %d users, the dataset has %d", m, users, n)
+	}
+	lay := bucketLayoutOf(c.B, c.T, int(m))
+	if len(payload) != lay.size {
+		return nil, fmt.Errorf("bucket table payload is %d bytes, dimensions require %d", len(payload), lay.size)
+	}
+	tab := &frh.Table{B: c.B, T: c.T, N: n, Offsets: make([][]uint32, c.T), IDs: make([][]int32, c.T)}
+	for fn := range c.T {
+		at := 64 + fn*lay.stride
+		offs, err := sliceU32(payload[at:at+4*(c.B+1)], view)
+		if err != nil {
+			return nil, err
+		}
+		ids, err := sliceI32(payload[at+lay.ids:at+lay.ids+4*int(m)], view)
+		if err != nil {
+			return nil, err
+		}
+		tab.Offsets[fn], tab.IDs[fn] = offs, ids
+	}
+	return tab, nil
+}
+
 // decodeClustering decodes a clustering payload into the record and the
 // fingerprint item-hash seed.
 func decodeClustering(payload []byte) (knng.Clustering, uint32, error) {
@@ -490,6 +595,10 @@ type assembler struct {
 	gf         []byte
 	clustering knng.Clustering
 	gfSeed     uint32
+	// The bucket table is decoded in finish too: its framing is checked
+	// against the clustering record and the dataset.
+	bucketsAt uint32
+	buckets   []byte
 }
 
 func newAssembler(view bool) *assembler {
@@ -510,7 +619,7 @@ func (a *assembler) claim(i uint32, typ uint32) error {
 		return fmt.Errorf("%w: duplicate section type %d", ErrCorrupt, typ)
 	}
 	a.seen[typ] = true
-	if typ < secGraph || typ > secClustering {
+	if typ < secGraph || typ > secBuckets {
 		return fmt.Errorf("%w: section %d: unknown section type %d", ErrCorrupt, i, typ)
 	}
 	return nil
@@ -531,6 +640,8 @@ func (a *assembler) decode(i uint32, typ uint32, payload []byte, pre *slabMax) e
 		a.gfAt, a.gf = i, payload
 	case secClustering:
 		a.clustering, a.gfSeed, err = decodeClustering(payload)
+	case secBuckets:
+		a.bucketsAt, a.buckets = i, payload
 	}
 	if err != nil {
 		return fmt.Errorf("%w: section %d: %v", ErrCorrupt, i, err)
@@ -561,6 +672,16 @@ func (a *assembler) finish() (*Snapshot, error) {
 	if s.Graph != nil && s.GoldFinger != nil && s.Graph.NumUsers() != s.GoldFinger.NumUsers() {
 		return nil, fmt.Errorf("%w: graph has %d users, fingerprints %d",
 			ErrCorrupt, s.Graph.NumUsers(), s.GoldFinger.NumUsers())
+	}
+	if a.seen[secBuckets] {
+		if !a.seen[secClustering] || s.Train == nil {
+			return nil, fmt.Errorf("%w: bucket table without a clustering record and a dataset", ErrCorrupt)
+		}
+		tab, err := decodeBuckets(a.buckets, a.view, a.clustering, s.Train.NumUsers())
+		if err != nil {
+			return nil, fmt.Errorf("%w: section %d: %v", ErrCorrupt, a.bucketsAt, err)
+		}
+		s.Buckets = tab
 	}
 	return s, nil
 }

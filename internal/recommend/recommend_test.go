@@ -218,7 +218,7 @@ func TestScorerMatchesMapRecommend(t *testing.T) {
 	const gfSeed = 0x60fd
 	gf := goldfinger.MustNew(d, goldfinger.DefaultBits, gfSeed)
 	c2, _ := core.Build(d, similarity.NewCounting(gf), core.Options{K: 10, Workers: 2, Seed: 42})
-	ov, err := delta.Attach(c2.Freeze(), d, gf)
+	ov, err := delta.Attach(c2.Freeze(), d, gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

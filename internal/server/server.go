@@ -590,6 +590,7 @@ func (s *Server) serveStatsz(w http.ResponseWriter, r *http.Request) {
 		snap.Delta = &DeltaSnapshot{
 			Depth: ds.Depth, Users: ds.Users, PatchedRows: ds.PatchedRows,
 			AgeSec: ds.AgeSec, Seq: ds.Seq, Marker: ds.Marker, Placement: ds.Placement,
+			Buckets: ds.Buckets, AttachMS: ds.AttachMS,
 		}
 	}
 	WriteJSON(w, http.StatusOK, snap)

@@ -417,6 +417,11 @@ type DeltaSnapshot struct {
 	// Placement is the FastRandomHash family (b, t, n, seed) upserts
 	// are placed with: the one the served snapshot records.
 	Placement knng.Clustering `json:"placement"`
+	// Buckets is where the overlay took the base users' coarse buckets
+	// from ("snapshot" or "computed") and AttachMS how long attaching
+	// took; see delta.Stats.
+	Buckets  string  `json:"buckets"`
+	AttachMS float64 `json:"attach_ms"`
 }
 
 // Snapshot renders the counters into the /statsz JSON shape. Fields the

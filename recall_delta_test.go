@@ -47,7 +47,7 @@ func TestRecallDeltaInBand(t *testing.T) {
 	}
 	g, _ := core.Build(base, gf, core.Options{K: 30, Workers: 4, Seed: 42})
 
-	ov, err := delta.Attach(g.Freeze(), base, gf)
+	ov, err := delta.Attach(g.Freeze(), base, gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,13 +51,15 @@ type DeltaStats = delta.Stats
 // must carry fingerprints and a recorded C² clustering: EnableUpserts
 // fails, and the index stays read-only, on a baseline's graph and on a
 // snapshot written before the record existed (rebuild it with c2build
-// -algo c2). Enabling is one-time per index; the overlay migrates to
+// -algo c2). An index loaded from a C² snapshot attaches from the bucket
+// table the snapshot carries; any other hashes every profile once
+// (delta.Attach). Enabling is one-time per index; the overlay migrates to
 // successor indexes through AdoptDeltaFrom.
 func (ix *Index) EnableUpserts(UpsertConfig) error {
 	if ix.gf == nil {
 		return fmt.Errorf("c2knn: index carries no fingerprints; rebuild the snapshot with fingerprints to enable upserts")
 	}
-	ov, err := delta.Attach(ix.graph, ix.train, ix.gf)
+	ov, err := delta.Attach(ix.graph, ix.train, ix.gf, ix.buckets)
 	if err != nil {
 		return err
 	}
