@@ -130,8 +130,8 @@ func growInt32(s []int32, n int) []int32 {
 // costs one compare of two contiguous scratch reads instead of an
 // Insert call chasing into the target list's heap storage. The gate is
 // conservative-exact: sim > mins[v] admits every candidate Insert could
-// accept (mins is -1 while a list has room; InsertDistinct still
-// rejects degenerate sims).
+// accept (mins is -1 while a list has room; heapOffer still rejects
+// degenerate sims).
 //
 // Bit-for-bit equivalence with the pair-at-a-time loop
 // (LocalIntoScalar) holds because each list's state evolves
@@ -283,8 +283,9 @@ func LocalInto(loc *similarity.Local, k int, s *Scratch, floors []float64) []knn
 // holding n entries in sims/ids and returns the new entry count. Its
 // decisions — degenerate-sim rejection, strict threshold on a full
 // heap, hole-push sifts with List's child-selection and tie rules —
-// are verbatim knng.List.InsertDistinct's, so the array heap evolves
-// into exactly the layout the List heap would have.
+// are knng.List.Insert's without its duplicate scan (the sweep offers
+// each id to a list once), so the array heap evolves into exactly the
+// layout the List heap would have.
 func heapOffer(sims []float64, ids []int32, n, k int, id int32, sim float64) int {
 	if sim != sim || sim < 0 {
 		return n

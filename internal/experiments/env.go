@@ -217,21 +217,6 @@ func scaleN(n int, scale float64) int {
 	return s
 }
 
-// ScaledB scales a paper-sized cluster count to the Env's dataset scale:
-// the quantity that drives C²'s behaviour is users-per-cluster, so b must
-// shrink with the user population to stay in the paper's regime.
-func (e *Env) ScaledB(b int) int {
-	e.setDefaults()
-	if e.Scale >= 1 {
-		return b
-	}
-	s := int(math.Round(float64(b) * e.Scale))
-	if s < 32 {
-		s = 32
-	}
-	return s
-}
-
 // AllDatasets lists the six Table I presets in the paper's order.
 func AllDatasets() []string {
 	return []string{"ml1M", "ml10M", "ml20M", "AM", "DBLP", "GW"}

@@ -109,30 +109,6 @@ func (l *List) Insert(v int32, sim float64) bool {
 	return true
 }
 
-// InsertDistinct is Insert for callers that can prove v is not already
-// in the list, skipping the O(k) duplicate scan on acceptance. The
-// blocked brute-force sweep qualifies — its triangular iteration offers
-// every candidate id to each list exactly once — and the scan is where
-// a fifth of its solve time went. Apart from the missing duplicate
-// check the semantics (degenerate-sim rejection, strict threshold,
-// resulting heap layout) are exactly Insert's.
-func (l *List) InsertDistinct(v int32, sim float64) bool {
-	if sim != sim || sim < 0 {
-		return false
-	}
-	if len(l.H) >= l.K {
-		if sim <= l.H[0].Sim {
-			return false
-		}
-		l.H[0] = Neighbor{ID: v, Sim: sim, New: true}
-		l.siftDown(0)
-		return true
-	}
-	l.H = append(l.H, Neighbor{ID: v, Sim: sim, New: true})
-	l.siftUp(len(l.H) - 1)
-	return true
-}
-
 // siftUp and siftDown restore the heap invariant hole-push style: the
 // displaced element rides in a register while blockers shift one slot,
 // one write per level instead of a full 16-byte swap. Level-by-level

@@ -113,16 +113,6 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Ranges returns the shards' bucket ranges in id order — the slice
-// frh.ShardOf/OwnersOf take.
-func (m *Manifest) Ranges() []frh.BucketRange {
-	out := make([]frh.BucketRange, len(m.Shards))
-	for i := range m.Shards {
-		out[i] = m.Shards[i].Range
-	}
-	return out
-}
-
 // EncodeManifest writes m to w in the manifest format.
 func EncodeManifest(w io.Writer, m *Manifest) error {
 	if err := m.Validate(); err != nil {
