@@ -52,9 +52,7 @@ type LocalSim = similarity.Local
 
 // BuildOptions parameterizes BuildC2; the zero value is the paper's
 // configuration (k=30, b=4096, t=8, N=2000, recursive splitting on,
-// largest-first scheduling, hybrid local solver) with the pipelined
-// build enabled. Set DisablePipeline to restore the historical
-// cluster-everything-then-solve barrier. The paper's cost-model
+// largest-first scheduling, hybrid local solver). The paper's cost-model
 // constants are not options: every build switches to Hyrec at
 // |C| ≥ ρ·k² with ρ = 5, caps local Hyrec at ρ iterations and stops it
 // below δ·k·|C| updates with δ = 0.001.
@@ -122,9 +120,9 @@ func NewGoldFinger(d *Dataset, bits int) (Similarity, error) {
 // size-prioritized queue drained by the solver pool, so the first
 // clusters are solved and merged while later configurations are still
 // hashing. For a fixed Seed the produced cluster set, and every user's
-// sorted neighbor similarities, are identical to the barrier path's
-// (opts.DisablePipeline); only tie-breaking among equal-similarity
-// neighbors may differ.
+// sorted neighbor similarities, are the same in every run and at every
+// worker count; only tie-breaking among equal-similarity neighbors may
+// differ.
 func BuildC2(d *Dataset, sim Similarity, opts BuildOptions) (*Graph, C2Stats) {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)

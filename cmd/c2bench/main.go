@@ -10,9 +10,9 @@
 //	c2bench -exp all -scale 0.05 -workers 4
 //
 // Experiments: table1, table2, table3, table4, table5, fig6, fig7, fig8,
-// theory, ablations, pipeline, serve, serve-http, solve, shard, load, update, all.
+// theory, ablations, serve, serve-http, solve, shard, load, update, all.
 //
-// The pipeline, serve, serve-http, solve, shard, load and update
+// The serve, serve-http, solve, shard, load and update
 // experiments carry floors (see their summaries' Floors methods in
 // internal/experiments). After the run c2bench prints each one's
 // verdict and exits 1 if any floor failed.
@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, theory, ablations, pipeline, serve, serve-http, solve, shard, load, update, all")
+		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, theory, ablations, serve, serve-http, solve, shard, load, update, all")
 		scale    = flag.Float64("scale", 0.05, "dataset scale factor (1 = paper size)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", 42, "master random seed")
@@ -58,20 +58,16 @@ func main() {
 	// A runner returns the summary whose floors judge the run, or nil
 	// for the paper tables and figures, which have none.
 	runners := map[string]func() (floored, error){
-		"table1":    func() (floored, error) { _, err := env.Table1(); return nil, err },
-		"table2":    func() (floored, error) { _, err := env.Table2(names); return nil, err },
-		"table3":    func() (floored, error) { _, err := env.Table3(names); return nil, err },
-		"table4":    func() (floored, error) { _, err := env.Table4(); return nil, err },
-		"table5":    func() (floored, error) { _, err := env.Table5(); return nil, err },
-		"fig6":      func() (floored, error) { _, err := env.Fig6(); return nil, err },
-		"fig7":      func() (floored, error) { _, err := env.Fig7(); return nil, err },
-		"fig8":      func() (floored, error) { _, err := env.Fig8(); return nil, err },
-		"theory":    func() (floored, error) { _, err := env.Theory(); return nil, err },
-		"ablations": func() (floored, error) { _, err := env.Ablations(); return nil, err },
-		"pipeline": func() (floored, error) {
-			_, sum, err := env.Pipeline()
-			return sum, err
-		},
+		"table1":     func() (floored, error) { _, err := env.Table1(); return nil, err },
+		"table2":     func() (floored, error) { _, err := env.Table2(names); return nil, err },
+		"table3":     func() (floored, error) { _, err := env.Table3(names); return nil, err },
+		"table4":     func() (floored, error) { _, err := env.Table4(); return nil, err },
+		"table5":     func() (floored, error) { _, err := env.Table5(); return nil, err },
+		"fig6":       func() (floored, error) { _, err := env.Fig6(); return nil, err },
+		"fig7":       func() (floored, error) { _, err := env.Fig7(); return nil, err },
+		"fig8":       func() (floored, error) { _, err := env.Fig8(); return nil, err },
+		"theory":     func() (floored, error) { _, err := env.Theory(); return nil, err },
+		"ablations":  func() (floored, error) { _, err := env.Ablations(); return nil, err },
 		"serve":      func() (floored, error) { return env.Serve() },
 		"serve-http": func() (floored, error) { return env.ServeHTTP() },
 		"solve":      func() (floored, error) { return env.Solve() },
@@ -79,7 +75,7 @@ func main() {
 		"load":       func() (floored, error) { return env.Load() },
 		"update":     func() (floored, error) { return env.Update() },
 	}
-	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "theory", "ablations", "pipeline", "serve", "serve-http", "solve", "shard", "load", "update"}
+	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "theory", "ablations", "serve", "serve-http", "solve", "shard", "load", "update"}
 
 	var toRun []string
 	if *exp == "all" {

@@ -101,7 +101,7 @@
 // size-prioritized queue drained by the workers, so clustering and
 // solving overlap (the assumption of the paper's §II-F cost model).
 // C2Stats reports the per-phase wall-clock times and the recovered
-// overlap; BuildOptions.DisablePipeline restores the serial barrier.
+// overlap.
 //
 // # Frozen graphs and the serving layer
 //

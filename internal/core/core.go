@@ -18,19 +18,17 @@
 // (its floor), because the merge rejects anything at or below it. This
 // skips most of the local heap work once the global lists have warmed
 // up and leaves every user's final similarities unchanged (the argument
-// is in Build).
+// is in the per-cluster step, workerState.solve).
 //
 // The three steps are pipelined: the t clustering configurations run
 // concurrently and stream finalized clusters into a size-prioritized
 // queue (schedule.Queue) consumed by the solver pool, so the first
 // clusters are being solved and merged while later configurations are
 // still hashing — the overlap the paper's cost model (§II-F) assumes.
-// Options.DisablePipeline restores the historical barrier behaviour
-// (cluster everything serially, then solve), kept as the baseline of
-// the pipeline equivalence tests and overlap benchmarks. The contract
-// between the two paths, and between runs with different worker
-// counts or scheduling, is the same cluster set and identical per-user
-// sorted similarities; ids among equal similarities may differ.
+// For a fixed Seed, runs with different worker counts or scheduling
+// produce the same cluster set and identical per-user sorted
+// similarities; ids among equal similarities may differ, since merge
+// order depends on the interleaving.
 //
 // The package also exposes the ablations evaluated by the paper and by
 // this repository's benchmarks: MinHash clustering in place of
@@ -98,9 +96,8 @@ type Scheduling int
 
 const (
 	// ScheduleLargestFirst is the paper's decreasing-size priority
-	// queue. Under the pipeline it applies to the clusters available at
-	// pop time; with the pipeline disabled every cluster is available
-	// and the order is the paper's global one.
+	// queue. As clustering streams into it, the order applies to the
+	// clusters available at pop time.
 	ScheduleLargestFirst Scheduling = iota
 	// ScheduleFIFO processes clusters in production order (ablation).
 	ScheduleFIFO
@@ -116,8 +113,8 @@ func (s Scheduling) String() string {
 
 // Options parameterizes a C² run. The zero value (after defaulting) is
 // the paper's configuration: k=30, b=4096, t=8, N=2000, hybrid local
-// solver, largest-first scheduling, recursive splitting on, pipelined
-// clustering. ρ and δ are the constants Rho and Delta.
+// solver, largest-first scheduling, recursive splitting on. ρ and δ are
+// the constants Rho and Delta.
 type Options struct {
 	// K is the neighborhood size (default 30; K < 0 is treated as 0).
 	K int
@@ -134,14 +131,6 @@ type Options struct {
 	Seed int64
 	// DisableSplitting turns recursive splitting off (ablation).
 	DisableSplitting bool
-	// DisablePipeline restores the pre-pipeline barrier: every cluster
-	// is materialized, serially, before the first worker starts
-	// solving. For a fixed Seed the cluster set and every user's sorted
-	// neighbor similarities are identical with and without the
-	// pipeline; a cluster's local solution depends on the global
-	// floors at the time it is solved, so which ids stand among
-	// equal-similarity neighbors can differ.
-	DisablePipeline bool
 	// Scheduling selects the cluster processing order.
 	Scheduling Scheduling
 	// LocalSolver selects the per-cluster algorithm.
@@ -200,26 +189,21 @@ type Stats struct {
 	// OverlapTime is how long clustering and solving were in progress
 	// simultaneously: from the first solved cluster to the last emitted
 	// one, clamped at zero — the serial latency the pipeline recovered.
-	// Zero when DisablePipeline is set (solving starts after the last
-	// emission by construction).
 	OverlapTime time.Duration
 	// MaxQueueDepth is the high-water mark of clusters waiting in the
 	// pipeline queue — how far production ran ahead of the solver pool.
-	// With DisablePipeline set it equals Clusters.
 	MaxQueueDepth int
-	// Pipelined records whether the streaming pipeline was used.
-	Pipelined bool
 }
 
 // clusterJob is one unit of step-2 work: a finalized cluster plus the
 // seed of its local solve. The seed derives from the cluster's
 // configuration and per-configuration emission rank — both stable for a
-// fixed Options.Seed regardless of worker count or pipeline
-// interleaving — so the cluster set and every Hyrec-solved cluster's
-// solution are identical between the pipelined and barrier paths.
-// Brute-forced clusters start from the global floors of the moment they
-// are popped, so their local lists can differ between runs; the per-row
-// similarities they leave after the merge cannot (see Build).
+// fixed Options.Seed regardless of worker count or interleaving — so
+// the cluster set and every Hyrec-solved cluster's solution are the
+// same in every run. Brute-forced clusters start from the global floors
+// of the moment they are popped, so their local lists can differ
+// between runs; the per-row similarities they leave after the merge
+// cannot (see solve).
 type clusterJob struct {
 	users []int32
 	seed  int64
@@ -240,7 +224,6 @@ func jobSeed(seed int64, fn int, seq int64) int64 {
 func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, Stats) {
 	o.setDefaults()
 	var stats Stats
-	stats.Pipelined = !o.DisablePipeline
 	start := time.Now()
 
 	q := schedule.NewQueue[clusterJob](o.Scheduling == ScheduleFIFO)
@@ -253,28 +236,7 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 		q.Push(clusterJob{users: c.Users, seed: seed}, len(c.Users))
 	}
 
-	// The FastRandomHash family, as the graph records it: N = −1 when
-	// splitting is off (frh disables it for any negative MaxSize).
-	clustering := knng.Clustering{B: o.B, T: o.T, N: o.MaxClusterSize, Seed: o.Seed}
-	if o.DisableSplitting || clustering.N < 0 {
-		clustering.N = -1
-	}
-	var clusterStats frh.Stats
-	var clusterEnd time.Time
-	produce := func() {
-		if o.UseMinHash {
-			clusterStats = minhashProduce(d, o, emit)
-		} else {
-			fo := frh.Options{B: o.B, T: o.T, MaxSize: clustering.N, Seed: o.Seed}
-			if o.DisablePipeline {
-				fo.Parallelism = 1 // the historical serial step 1
-			}
-			clusterStats = frh.Stream(d, fo, emit)
-		}
-		clusterEnd = time.Now()
-		q.Close()
-	}
-
+	clustering := o.clustering()
 	g := knng.New(d.NumUsers(), o.K)
 	if !o.UseMinHash {
 		g.Clustering = clustering
@@ -285,84 +247,38 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 	// steady-state cluster processing allocates nothing — and private
 	// counters aggregated after the pool drains.
 	workers := make([]workerState, o.Workers)
+
+	var clusterStats frh.Stats
+	var clusterEnd time.Time
+	var producerWG sync.WaitGroup
+	producerWG.Add(1)
+	go func() {
+		defer producerWG.Done()
+		if o.UseMinHash {
+			clusterStats = minhashProduce(d, o, emit)
+		} else {
+			clusterStats = frh.Stream(d, frh.Options{B: o.B, T: o.T, MaxSize: clustering.N, Seed: o.Seed}, emit)
+		}
+		clusterEnd = time.Now()
+		q.Close()
+	}()
+
 	// solveStart marks the first cluster a worker actually popped; the
 	// Once write is read by the main goroutine only after the pool's
 	// WaitGroup, so no further synchronization is needed.
 	var solveOnce sync.Once
 	var solveStart time.Time
-	consume := func(worker int) {
-		ws := &workers[worker]
+	runPool(o.Workers, func(worker int) {
 		for {
 			job, ok := q.Pop()
 			if !ok {
 				return
 			}
 			solveOnce.Do(func() { solveStart = time.Now() })
-			if len(job.users) < 2 {
-				ws.skipped++
-				continue
-			}
-			similarity.GatherInto(p, job.users, &ws.loc)
-			var lists []knng.List
-			if useHyrec(o, len(job.users)) {
-				ws.hyreced++
-				lists = hyrec.LocalInto(&ws.loc, o.K, hyrec.Options{
-					Delta:   Delta,
-					MaxIter: Rho,
-					Seed:    job.seed,
-				}, &ws.hy)
-			} else {
-				ws.bruteForced++
-				// Global floors: seed each member's local gate with
-				// its current global threshold, so the solve keeps
-				// only candidates the merge could still accept. Let T
-				// be a row's final k-th similarity without floors, and
-				// t_c a cluster's own k-th candidate value.
-				//  - A floor f_c is a past global minimum (or -1), and
-				//    the minimum only rises: the merge's strict
-				//    sim > min would reject whatever f_c cuts.
-				//  - t_c ≤ T (k distinct candidates above T would all
-				//    reach the row), and f_c ≤ T (floored candidates
-				//    are a subset, so the floored row's minimum cannot
-				//    pass T). So every candidate above T survives its
-				//    cluster's floored solve: the row holds the same
-				//    values above T.
-				//  - The rest of the row is T-valued. If some f_c = T,
-				//    the row was already full at T when it was read.
-				//    Otherwise every T-valued candidate clears the
-				//    floor; a cluster with t_c = T keeps at least
-				//    k − #(row values above T) of them, and a cluster
-				//    with t_c < T keeps them all.
-				// Hence each row's similarity multiset is unchanged;
-				// only which ids stand among equal similarities can
-				// differ, as merge order already lets them.
-				ws.floors = similarity.GrowRow(ws.floors, len(job.users))
-				for i, u := range job.users {
-					ws.floors[i] = shared.Floor(u)
-				}
-				lists = bruteforce.LocalInto(&ws.loc, o.K, &ws.bf, ws.floors)
-			}
-			for i := range lists {
-				shared.MergeUser(job.users[i], lists[i].H)
-			}
+			workers[worker].solve(p, o, shared, job)
 		}
-	}
-
-	if o.DisablePipeline {
-		// Barrier: step 1 completes (and the queue holds every cluster,
-		// so largest-first is global) before the pool starts.
-		produce()
-		runPool(o.Workers, consume)
-	} else {
-		var producerWG sync.WaitGroup
-		producerWG.Add(1)
-		go func() {
-			defer producerWG.Done()
-			produce()
-		}()
-		runPool(o.Workers, consume)
-		producerWG.Wait()
-	}
+	})
+	producerWG.Wait()
 	end := time.Now()
 
 	stats.Clusters = clusterStats.Clusters
@@ -378,14 +294,24 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 	if !solveStart.IsZero() {
 		stats.KNNTime = end.Sub(solveStart)
 		// Solving started before the last cluster was emitted ⇒ the two
-		// phases genuinely ran concurrently for the difference. Under
-		// the barrier solveStart follows clusterEnd, clamping to zero.
+		// phases genuinely ran concurrently for the difference.
 		if overlap := clusterEnd.Sub(solveStart); overlap > 0 {
 			stats.OverlapTime = overlap
 		}
 	}
 	stats.MaxQueueDepth = q.MaxDepth()
 	return g, stats
+}
+
+// clustering returns the FastRandomHash family of o as the graph
+// records it: N = −1 when splitting is off (frh disables it for any
+// negative MaxSize).
+func (o Options) clustering() knng.Clustering {
+	c := knng.Clustering{B: o.B, T: o.T, N: o.MaxClusterSize, Seed: o.Seed}
+	if o.DisableSplitting || c.N < 0 {
+		c.N = -1
+	}
+	return c
 }
 
 // workerState is one worker's reusable state: the gathered similarity
@@ -403,6 +329,56 @@ type workerState struct {
 	bruteForced int
 	hyreced     int
 	skipped     int
+}
+
+// solve is steps 2 and 3 for one cluster: it gathers the members'
+// similarity kernel, solves the cluster locally and merges every
+// member's local list into the shared graph.
+func (ws *workerState) solve(p similarity.Provider, o Options, shared *knng.Shared, job clusterJob) {
+	if len(job.users) < 2 {
+		ws.skipped++
+		return
+	}
+	similarity.GatherInto(p, job.users, &ws.loc)
+	var lists []knng.List
+	if useHyrec(o, len(job.users)) {
+		ws.hyreced++
+		lists = hyrec.LocalInto(&ws.loc, o.K, hyrec.Options{
+			Delta:   Delta,
+			MaxIter: Rho,
+			Seed:    job.seed,
+		}, &ws.hy)
+	} else {
+		ws.bruteForced++
+		// Global floors: seed each member's local gate with its current
+		// global threshold, so the solve keeps only candidates the merge
+		// could still accept. Let T be a row's final k-th similarity
+		// without floors, and t_c a cluster's own k-th candidate value.
+		//  - A floor f_c is a past global minimum (or -1), and the
+		//    minimum only rises: the merge's strict sim > min would
+		//    reject whatever f_c cuts.
+		//  - t_c ≤ T (k distinct candidates above T would all reach the
+		//    row), and f_c ≤ T (floored candidates are a subset, so the
+		//    floored row's minimum cannot pass T). So every candidate
+		//    above T survives its cluster's floored solve: the row holds
+		//    the same values above T.
+		//  - The rest of the row is T-valued. If some f_c = T, the row
+		//    was already full at T when it was read. Otherwise every
+		//    T-valued candidate clears the floor; a cluster with
+		//    t_c = T keeps at least k − #(row values above T) of them,
+		//    and a cluster with t_c < T keeps them all.
+		// Hence each row's similarity multiset is unchanged; only which
+		// ids stand among equal similarities can differ, as merge order
+		// already lets them.
+		ws.floors = similarity.GrowRow(ws.floors, len(job.users))
+		for i, u := range job.users {
+			ws.floors[i] = shared.Floor(u)
+		}
+		lists = bruteforce.LocalInto(&ws.loc, o.K, &ws.bf, ws.floors)
+	}
+	for i := range lists {
+		shared.MergeUser(job.users[i], lists[i].H)
+	}
 }
 
 // runPool runs consume(worker) on `workers` goroutines and returns when
@@ -440,15 +416,10 @@ func useHyrec(o Options, size int) bool {
 // users bucketed by t MinHash functions, one bucket set per function,
 // without splitting. Each configuration emits its buckets in increasing
 // hash order (minhash.Buckets) through the same fan-out frh's producers
-// use: concurrent configurations in pipeline mode, the historical
-// serial loop under DisablePipeline.
+// use, one goroutine per configuration.
 func minhashProduce(d *dataset.Dataset, o Options, emit func(frh.Cluster)) frh.Stats {
 	fam := minhash.New(o.T, o.Seed)
-	parallelism := 0
-	if o.DisablePipeline {
-		parallelism = 1
-	}
-	return frh.MergeStats(frh.ForEachFn(o.T, parallelism, func(fn int) frh.Stats {
+	return frh.MergeStats(frh.ForEachFn(o.T, func(fn int) frh.Stats {
 		var s frh.Stats
 		for _, b := range fam.Buckets(fn, d.Profiles) {
 			s.Clusters++

@@ -5,8 +5,10 @@ import (
 
 	"c2knn/internal/bruteforce"
 	"c2knn/internal/dataset"
+	"c2knn/internal/frh"
 	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
+	"c2knn/internal/schedule"
 	"c2knn/internal/similarity"
 	"c2knn/internal/synth"
 )
@@ -245,16 +247,41 @@ func graphsIdentical(t *testing.T, a, b *knng.Graph) {
 	}
 }
 
-// TestKernelEquivalenceBuild: for a fixed seed, Build through the
+// buildSerial is a serial driver of Build's per-cluster step: it solves
+// frh.Build's configuration-major cluster list on the calling
+// goroutine, stably sorted largest-first. That is the order the queue
+// pops when every cluster is pushed before the first pop, so the merge
+// order, and with it the graph, is fixed; Build's concurrent producers
+// make even a one-worker pop order depend on scheduling. It covers
+// FastRandomHash clustering under largest-first scheduling.
+func buildSerial(d *dataset.Dataset, p similarity.Provider, o Options) *knng.Graph {
+	o.setDefaults()
+	c := o.clustering()
+	clusters, _ := frh.Build(d, frh.Options{B: c.B, T: c.T, MaxSize: c.N, Seed: c.Seed})
+	seqs := make([]int64, o.T)
+	jobs := make([]clusterJob, len(clusters))
+	for i, cl := range clusters {
+		jobs[i] = clusterJob{users: cl.Users, seed: jobSeed(o.Seed, cl.Fn, seqs[cl.Fn])}
+		seqs[cl.Fn]++
+	}
+	g := knng.New(d.NumUsers(), o.K)
+	g.Clustering = c
+	shared := knng.NewShared(g)
+	var ws workerState
+	for _, i := range schedule.LargestFirst(frh.Sizes(clusters)) {
+		ws.solve(p, o, shared, jobs[i])
+	}
+	return g
+}
+
+// TestKernelEquivalenceBuild: for a fixed seed, building through the
 // gathered fast-path kernels must produce a graph bit-identical — same
-// heap layouts, same float64 similarities — to Build through plain
-// Provider dispatch. Workers is 1 and the pipeline is disabled so the
-// merge order is fully deterministic and the comparison is exact (the
-// pipeline's arrival interleaving would make single-worker pop order
-// scheduling-dependent).
+// heap layouts, same float64 similarities — to building through plain
+// Provider dispatch. Both go through buildSerial, whose merge order is
+// fixed, so the comparison is exact.
 func TestKernelEquivalenceBuild(t *testing.T) {
 	b, _ := testData(t)
-	opts := Options{K: 10, B: 128, T: 6, MaxClusterSize: 120, Workers: 1, Seed: 21, DisablePipeline: true}
+	opts := Options{K: 10, B: 128, T: 6, MaxClusterSize: 120, Seed: 21}
 	for _, tc := range []struct {
 		name string
 		p    similarity.Provider
@@ -265,8 +292,8 @@ func TestKernelEquivalenceBuild(t *testing.T) {
 		if _, ok := tc.p.(similarity.Localizer); !ok {
 			t.Fatalf("%s: provider lost its Localizer implementation", tc.name)
 		}
-		fast, _ := Build(b.data, tc.p, opts)
-		slow, _ := Build(b.data, dispatchOnly{tc.p}, opts)
+		fast := buildSerial(b.data, tc.p, opts)
+		slow := buildSerial(b.data, dispatchOnly{tc.p}, opts)
 		graphsIdentical(t, fast, slow)
 	}
 }
@@ -279,10 +306,10 @@ func TestKernelEquivalenceSolvers(t *testing.T) {
 	for _, solver := range []LocalSolver{SolverBruteForce, SolverHyrec} {
 		opts := Options{
 			K: 10, B: 32, T: 4, MaxClusterSize: 2000,
-			Workers: 1, Seed: 23, LocalSolver: solver, DisablePipeline: true,
+			Seed: 23, LocalSolver: solver,
 		}
-		fast, _ := Build(b.data, b.gf, opts)
-		slow, _ := Build(b.data, dispatchOnly{b.gf}, opts)
+		fast := buildSerial(b.data, b.gf, opts)
+		slow := buildSerial(b.data, dispatchOnly{b.gf}, opts)
 		graphsIdentical(t, fast, slow)
 	}
 }

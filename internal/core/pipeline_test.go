@@ -6,78 +6,22 @@ import (
 	"c2knn/internal/knng"
 )
 
-// TestPipelineBarrierEquivalence is the pipeline's determinism
-// contract: for a fixed seed, the pipelined and barrier paths cluster
-// identically (same cluster set, so identical counting stats and solver
-// decisions) and deliver the same quality. Bit-identity of the merged
-// graph is NOT required — merge order is scheduling-dependent under
-// ties — so the assertion is cluster-set identity plus Quality parity.
-func TestPipelineBarrierEquivalence(t *testing.T) {
-	b, raw := testData(t)
-	base := Options{K: 10, B: 128, T: 6, MaxClusterSize: 100, Workers: 4, Seed: 37}
-	variants := []struct {
-		name string
-		mod  func(*Options)
-	}{
-		{"default", func(*Options) {}},
-		{"fifo", func(o *Options) { o.Scheduling = ScheduleFIFO }},
-		{"no-splitting", func(o *Options) { o.DisableSplitting = true }},
-		{"minhash", func(o *Options) { o.UseMinHash = true }},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			po := base
-			v.mod(&po)
-			bo := po
-			bo.DisablePipeline = true
-
-			gp, sp := Build(b.data, b.gf, po)
-			gb, sb := Build(b.data, b.gf, bo)
-
-			if !sp.Pipelined || sb.Pipelined {
-				t.Errorf("Pipelined flags wrong: pipeline=%v barrier=%v", sp.Pipelined, sb.Pipelined)
-			}
-			// Cluster-set identity: the streamed and materialized
-			// producers must describe the same clustering.
-			if sp.Clusters != sb.Clusters || sp.Splits != sb.Splits || sp.MaxCluster != sb.MaxCluster {
-				t.Fatalf("cluster sets differ: pipeline %+v vs barrier %+v", sp, sb)
-			}
-			// Same clusters + same per-cluster seeds ⇒ same solver
-			// decisions and skip counts.
-			if sp.BruteForced != sb.BruteForced || sp.Hyreced != sb.Hyreced || sp.Skipped != sb.Skipped {
-				t.Fatalf("solver counters differ: pipeline (%d,%d,%d) vs barrier (%d,%d,%d)",
-					sp.BruteForced, sp.Hyreced, sp.Skipped, sb.BruteForced, sb.Hyreced, sb.Skipped)
-			}
-			qp := knng.Quality(gp, b.exact, raw)
-			qb := knng.Quality(gb, b.exact, raw)
-			if qp < 0.999*qb {
-				t.Errorf("pipeline quality %.5f below 0.999× barrier quality %.5f", qp, qb)
-			}
-			if qb < 0.999*qp {
-				t.Errorf("barrier quality %.5f below 0.999× pipeline quality %.5f", qb, qp)
-			}
-		})
-	}
-}
-
 // TestSolverCountersInvariant: every produced cluster is accounted for —
-// solved by exactly one solver or skipped as sub-2-user — in both
-// pipeline modes.
+// solved by exactly one solver or skipped as sub-2-user — under both
+// clustering schemes.
 func TestSolverCountersInvariant(t *testing.T) {
 	b, _ := testData(t)
-	for _, disable := range []bool{false, true} {
-		for _, mh := range []bool{false, true} {
-			_, s := Build(b.data, b.gf, Options{
-				K: 10, B: 256, T: 4, MaxClusterSize: 80,
-				Workers: 3, Seed: 41, DisablePipeline: disable, UseMinHash: mh,
-			})
-			if got := s.BruteForced + s.Hyreced + s.Skipped; got != s.Clusters {
-				t.Errorf("pipeline=%v minhash=%v: BruteForced+Hyreced+Skipped = %d, want Clusters = %d",
-					!disable, mh, got, s.Clusters)
-			}
-			if mh && s.Skipped != 0 {
-				t.Errorf("minhash emission skips singletons, yet Skipped = %d", s.Skipped)
-			}
+	for _, mh := range []bool{false, true} {
+		_, s := Build(b.data, b.gf, Options{
+			K: 10, B: 256, T: 4, MaxClusterSize: 80,
+			Workers: 3, Seed: 41, UseMinHash: mh,
+		})
+		if got := s.BruteForced + s.Hyreced + s.Skipped; got != s.Clusters {
+			t.Errorf("minhash=%v: BruteForced+Hyreced+Skipped = %d, want Clusters = %d",
+				mh, got, s.Clusters)
+		}
+		if mh && s.Skipped != 0 {
+			t.Errorf("minhash emission skips singletons, yet Skipped = %d", s.Skipped)
 		}
 	}
 }
@@ -88,9 +32,6 @@ func TestPipelineStatsFields(t *testing.T) {
 	opts := Options{K: 10, B: 128, T: 6, MaxClusterSize: 100, Workers: 4, Seed: 43}
 
 	_, sp := Build(b.data, b.gf, opts)
-	if !sp.Pipelined {
-		t.Error("default build should be pipelined")
-	}
 	if sp.ClusterTime <= 0 || sp.KNNTime <= 0 || sp.TotalTime <= 0 {
 		t.Errorf("phase timings not populated: %+v", sp)
 	}
@@ -101,20 +42,10 @@ func TestPipelineStatsFields(t *testing.T) {
 	if sp.MaxQueueDepth < 1 || sp.MaxQueueDepth > sp.Clusters {
 		t.Errorf("MaxQueueDepth = %v out of [1, %d]", sp.MaxQueueDepth, sp.Clusters)
 	}
-
-	bo := opts
-	bo.DisablePipeline = true
-	_, sb := Build(b.data, b.gf, bo)
-	if sb.OverlapTime != 0 {
-		t.Errorf("barrier OverlapTime = %v, want 0", sb.OverlapTime)
-	}
-	if sb.MaxQueueDepth != sb.Clusters {
-		t.Errorf("barrier MaxQueueDepth = %d, want every cluster queued (%d)", sb.MaxQueueDepth, sb.Clusters)
-	}
 }
 
 // TestPipelineWorkerInvariance: the pipelined quality must not depend on
-// the worker count (same contract the barrier path always had).
+// the worker count.
 func TestPipelineWorkerInvariance(t *testing.T) {
 	b, raw := testData(t)
 	opts := Options{K: 10, B: 256, T: 6, MaxClusterSize: 100, Seed: 47}

@@ -269,7 +269,7 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, buck
 		}
 		o.buckets, o.source = tab, "snapshot"
 	} else {
-		o.buckets, o.source = o.hasher.Table(train.Profiles, 0), "computed"
+		o.buckets, o.source = o.hasher.Table(train.Profiles), "computed"
 	}
 	o.view.Store(NewView(graph, train, gf))
 	o.attach = time.Since(start)

@@ -123,7 +123,7 @@ func TestUpsertsLeaveBaseTable(t *testing.T) {
 	frozen, d, gf := testBase(t, 0.01)
 	c := frozen.Clustering
 	h := frh.NewHasher(d.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed})
-	ov, err := Attach(frozen, d, gf, h.Table(d.Profiles, 0))
+	ov, err := Attach(frozen, d, gf, h.Table(d.Profiles))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestUpsertsLeaveBaseTable(t *testing.T) {
 	if len(ov.moved) == 0 {
 		t.Fatal("no upsert re-filed a user")
 	}
-	want := h.Table(d.Profiles, 0)
+	want := h.Table(d.Profiles)
 	for fn := range want.T {
 		if !slices.Equal(ov.buckets.Offsets[fn], want.Offsets[fn]) || !slices.Equal(ov.buckets.IDs[fn], want.IDs[fn]) {
 			t.Fatalf("configuration %d of the base table changed under upserts", fn)
@@ -217,7 +217,7 @@ func BenchmarkAttach(b *testing.B) {
 	gf := goldfinger.MustNew(d, goldfinger.DefaultBits, testGFSeed)
 	frozen := withFRH(knng.New(d.NumUsers(), 10).Freeze(), frh.Options{})
 	c := frozen.Clustering
-	tab := frh.NewHasher(d.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(d.Profiles, 0)
+	tab := frh.NewHasher(d.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(d.Profiles)
 	for _, bc := range []struct {
 		name    string
 		buckets *frh.Table

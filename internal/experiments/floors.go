@@ -29,18 +29,6 @@ func (f *floors) holds(field string, got bool) {
 	f.check(got, "%s = false, want true", field)
 }
 
-// Floors returns the violated bounds of a pipeline run. The pipelined
-// build must stay quality-equivalent to the barrier build (the same
-// seed yields the same cluster set, so the ratio is ≈ 1) and must not
-// be more than 20 % slower; the lenient speedup floor absorbs runner
-// noise and the run order, which favours the barrier side.
-func (s *PipelineSummary) Floors() []string {
-	var f floors
-	f.atLeast("QualityRatio", s.QualityRatio, 0.999)
-	f.atLeast("Speedup", s.Speedup, 0.8)
-	return f
-}
-
 // Floors returns the violated bounds of a serve run: frozen neighbor
 // lookups allocate nothing and beat Graph.Neighbors at least 2× (in
 // practice 100–1000×), and frozen recommendation is not more than 20 %

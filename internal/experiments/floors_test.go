@@ -8,8 +8,7 @@ import (
 type floored interface{ Floors() []string }
 
 // Summaries that hold every floor, with values like a healthy run's.
-func pipelineOK() *PipelineSummary { return &PipelineSummary{QualityRatio: 1, Speedup: 1.3} }
-func serveOK() *ServeSummary       { return &ServeSummary{NeighborsSpeedup: 900, RecommendSpeedup: 8} }
+func serveOK() *ServeSummary { return &ServeSummary{NeighborsSpeedup: 900, RecommendSpeedup: 8} }
 func solveOK(kernel string) *SolveSummary {
 	return &SolveSummary{Kernel: kernel, SolveSpeedup: 2.8, KernelSpeedup: 2, HyrecSpeedup: 1.4}
 }
@@ -39,10 +38,6 @@ func TestLegacyFloors(t *testing.T) {
 		at, past          float64
 		set               func(v float64) floored
 	}{
-		{"pipeline", "QualityRatio", ">= 0.999", 0.999, 0.9989, func(v float64) floored { s := pipelineOK(); s.QualityRatio = v; return s }},
-		{"pipeline", "Speedup", ">= 0.8", 0.8, 0.79, func(v float64) floored { s := pipelineOK(); s.Speedup = v; return s }},
-		{"pipeline", "Speedup", ">= 0.8", 0.8, 0, func(v float64) floored { s := pipelineOK(); s.Speedup = v; return s }},
-
 		{"serve", "NeighborsAllocs", "want 0", 0, 0.0001, func(v float64) floored { s := serveOK(); s.NeighborsAllocs = v; return s }},
 		{"serve", "NeighborsSpeedup", ">= 2", 2, 1.99, func(v float64) floored { s := serveOK(); s.NeighborsSpeedup = v; return s }},
 		{"serve", "RecommendSpeedup", ">= 0.8", 0.8, 0.79, func(v float64) floored { s := serveOK(); s.RecommendSpeedup = v; return s }},

@@ -54,13 +54,6 @@ type Options struct {
 	MaxSize int
 	// Seed selects the family of generative hash functions.
 	Seed int64
-	// Parallelism bounds the goroutines of a clustering run. The
-	// one-pass hashing splits users over GOMAXPROCS goroutines, and the
-	// t independent configurations are bucketed and split concurrently,
-	// one goroutine each; a positive Parallelism caps both (0 = no
-	// cap). 1 reproduces the serial pre-pipeline behaviour; the
-	// resulting clusters are identical either way.
-	Parallelism int
 }
 
 // DefaultB, DefaultT and DefaultMaxSize are the paper's default
@@ -135,7 +128,7 @@ type Hasher struct {
 // most 65535 (values are stored in uint16; the paper's default is 4096).
 // The table is filled row by row, all eight lanes of an item at once
 // (see hashRows), with the items split into contiguous ranges over up
-// to GOMAXPROCS goroutines (capped by a positive o.Parallelism).
+// to GOMAXPROCS goroutines.
 func NewHasher(numItems int32, o Options) *Hasher {
 	o.setDefaults()
 	if o.B > 0xffff {
@@ -151,11 +144,7 @@ func NewHasher(numItems int32, o Options) *Hasher {
 		h.rows[g] = make([][lanes]uint16, numItems)
 	}
 	n := int(numItems)
-	parts := runtime.GOMAXPROCS(0)
-	if o.Parallelism > 0 {
-		parts = min(parts, o.Parallelism)
-	}
-	parts = max(min(parts, n/minItemsPerPart), 1)
+	parts := max(min(runtime.GOMAXPROCS(0), n/minItemsPerPart), 1)
 	schedule.Run(parts, schedule.FIFO(parts), func(_, part int) {
 		lo, hi := part*n/parts, (part+1)*n/parts
 		for g, tab := range h.rows {
@@ -295,9 +284,8 @@ func Build(d *dataset.Dataset, o Options) ([]Cluster, Stats) {
 
 // BuildWithHasher is Build with a caller-provided Hasher, so experiments
 // sweeping MaxSize (Fig. 7 and 8) reuse the same hash tables across runs.
-// The t configurations are clustered concurrently (see
-// Options.Parallelism); the returned slice is always in the same
-// deterministic configuration-major order.
+// The t configurations are clustered concurrently; the returned slice is
+// always in the same deterministic configuration-major order.
 func BuildWithHasher(d *dataset.Dataset, h *Hasher, o Options) ([]Cluster, Stats) {
 	perFn := make([][]Cluster, h.t)
 	// Each configuration emits from its own goroutine only, so every
@@ -332,25 +320,21 @@ func Stream(d *dataset.Dataset, o Options, emit func(Cluster)) Stats {
 // configurations then bucket, split and emit concurrently.
 func StreamWithHasher(d *dataset.Dataset, h *Hasher, o Options, emit func(Cluster)) Stats {
 	o.setDefaults()
-	all := h.hashAll(d.Profiles, o.Parallelism)
+	all := h.hashAll(d.Profiles, 0)
 	tab := newTable(h.b, h.t, d.NumUsers(), nonEmpty(d.Profiles))
-	fnStats := ForEachFn(h.t, o.Parallelism, func(fn int) Stats {
+	fnStats := ForEachFn(h.t, func(fn int) Stats {
 		tab.fill(all, fn)
 		return buildFn(d, h, o, fn, tab, emit)
 	})
 	return MergeStats(fnStats)
 }
 
-// ForEachFn runs build for every configuration on up to parallelism
-// goroutines (0 = one per configuration) and returns the per-
-// configuration stats. It is the fan-out shared by the FRH producers
-// here and core's MinHash producer.
-func ForEachFn(t, parallelism int, build func(fn int) Stats) []Stats {
+// ForEachFn runs build for every configuration, one goroutine each, and
+// returns the per-configuration stats. It is the fan-out shared by the
+// FRH producers here and core's MinHash producer.
+func ForEachFn(t int, build func(fn int) Stats) []Stats {
 	fnStats := make([]Stats, t)
-	if parallelism <= 0 || parallelism > t {
-		parallelism = t
-	}
-	schedule.Run(parallelism, schedule.FIFO(t), func(_, fn int) {
+	schedule.Run(t, schedule.FIFO(t), func(_, fn int) {
 		fnStats[fn] = build(fn)
 	})
 	return fnStats

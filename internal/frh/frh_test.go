@@ -2,6 +2,8 @@ package frh
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -318,27 +320,28 @@ func TestStreamMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestParallelismInvariance: serial and fully-parallel configuration
-// builds must return byte-identical cluster lists.
-func TestParallelismInvariance(t *testing.T) {
-	d := randomDataset(500, 400, 12, 4)
-	for _, par := range []int{1, 2, 0} {
-		o := Options{B: 16, T: 3, MaxSize: 40, Seed: 5, Parallelism: par}
-		got, _ := Build(d, o)
-		want, _ := Build(d, Options{B: 16, T: 3, MaxSize: 40, Seed: 5, Parallelism: 1})
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: %d clusters vs %d serial", par, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Fn != want[i].Fn || got[i].Index != want[i].Index || len(got[i].Users) != len(want[i].Users) {
-				t.Fatalf("parallelism %d: cluster %d differs from serial build", par, i)
-			}
-			for j := range got[i].Users {
-				if got[i].Users[j] != want[i].Users[j] {
-					t.Fatalf("parallelism %d: cluster %d memberships differ", par, i)
-				}
-			}
-		}
+// TestGOMAXPROCSInvariance: the one-pass hashing splits items and
+// users into contiguous ranges over GOMAXPROCS goroutines. The cluster
+// list and the bucket table must not depend on how many there are. The
+// item universe is large enough for NewHasher to split it four ways.
+func TestGOMAXPROCSInvariance(t *testing.T) {
+	d := randomDataset(500, 4*minItemsPerPart, 12, 4)
+	o := Options{B: 16, T: 9, MaxSize: 40, Seed: 5}
+	run := func(procs int) ([]Cluster, *Table) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		clusters, _ := Build(d, o)
+		return clusters, NewHasher(d.NumItems, o).Table(d.Profiles)
+	}
+	want, wantTab := run(1)
+	got, gotTab := run(4)
+	if len(want) == 0 {
+		t.Fatal("no clusters built")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the cluster list at GOMAXPROCS 4 differs from GOMAXPROCS 1")
+	}
+	if !reflect.DeepEqual(gotTab, wantTab) {
+		t.Error("the bucket table at GOMAXPROCS 4 differs from GOMAXPROCS 1")
 	}
 }
 

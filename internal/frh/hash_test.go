@@ -71,7 +71,7 @@ func TestHashAllMatchesUserHash(t *testing.T) {
 			h := NewHasher(d.NumItems, Options{B: 64, T: T, Seed: int64(T)})
 			for _, par := range []int{1, 0} {
 				all := h.hashAll(d.Profiles, par)
-				tab := h.Table(d.Profiles, par)
+				tab := h.Table(d.Profiles)
 				for fn := 0; fn < T; fn++ {
 					for u, p := range d.Profiles {
 						want, ok := h.UserHash(fn, p)
@@ -149,7 +149,7 @@ func TestMinRowsOutOfRangePanics(t *testing.T) {
 func TestBucketsAppendIsolated(t *testing.T) {
 	d := randomDataset(300, 50, 5, 3)
 	h := NewHasher(d.NumItems, Options{B: 8, T: 2, Seed: 4})
-	tab := h.Table(d.Profiles, 0)
+	tab := h.Table(d.Profiles)
 	for fn := range tab.T {
 		before := slices.Clone(tab.IDs[fn])
 		for idx := uint32(1); idx <= uint32(tab.B); idx++ {

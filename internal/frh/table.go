@@ -85,12 +85,11 @@ func (tab *Table) fill(all [][lanes]uint16, fn int) {
 }
 
 // Table hashes every profile under all t configurations in one pass and
-// returns the coarse bucket table. parallelism bounds the goroutines as
-// Options.Parallelism does.
-func (h *Hasher) Table(profiles [][]int32, parallelism int) *Table {
-	all := h.hashAll(profiles, parallelism)
+// returns the coarse bucket table.
+func (h *Hasher) Table(profiles [][]int32) *Table {
+	all := h.hashAll(profiles, 0)
 	tab := newTable(h.b, h.t, len(profiles), nonEmpty(profiles))
-	ForEachFn(h.t, parallelism, func(fn int) Stats {
+	ForEachFn(h.t, func(fn int) Stats {
 		tab.fill(all, fn)
 		return Stats{}
 	})

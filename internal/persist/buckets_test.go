@@ -43,7 +43,7 @@ func bucketSnapshot(tb testing.TB) *Snapshot {
 // computedTable is the bucket table of s's dataset under s's record.
 func computedTable(s *Snapshot) *frh.Table {
 	c := s.Graph.Clustering
-	return frh.NewHasher(s.Train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(s.Train.Profiles, 0)
+	return frh.NewHasher(s.Train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(s.Train.Profiles)
 }
 
 func sameTable(tb testing.TB, got, want *frh.Table) {

@@ -359,7 +359,7 @@ func Encode(w io.Writer, s *Snapshot) error {
 	}
 	if buckets {
 		c := s.Graph.Clustering
-		tab := frh.NewHasher(s.Train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(s.Train.Profiles, 0)
+		tab := frh.NewHasher(s.Train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(s.Train.Profiles)
 		if err := writeSection(cw, secBuckets, encodeBuckets(tab)); err != nil {
 			return err
 		}

@@ -281,35 +281,14 @@ func BenchmarkKernelLocalBruteForceGathered(b *testing.B) {
 	}
 }
 
-// --- full build: pipelined vs barrier --------------------------------
-
-// The pipelined/barrier pair measures what streaming clusters into the
-// solver pool buys end to end: the barrier variant materializes every
-// cluster serially before the first worker starts (the pre-pipeline
-// behaviour), the pipelined variant overlaps hashing with solving. The
-// gap tracks ClusterTime — on multicore hardware the pipelined build
-// hides it entirely.
-
-func benchBuildOptions() core.Options {
-	return core.Options{
-		K: 30, B: 256, T: 8, MaxClusterSize: 200,
-		Workers: runtime.GOMAXPROCS(0), Seed: 3,
-	}
-}
-
-func BenchmarkKernelBuildBarrier(b *testing.B) {
-	gf, _ := kernelBenchSetup(b)
-	opts := benchBuildOptions()
-	opts.DisablePipeline = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Build(kernelBench.data, gf, opts)
-	}
-}
+// --- full build ------------------------------------------------------
 
 func BenchmarkKernelBuildPipelined(b *testing.B) {
 	gf, _ := kernelBenchSetup(b)
-	opts := benchBuildOptions()
+	opts := core.Options{
+		K: 30, B: 256, T: 8, MaxClusterSize: 200,
+		Workers: runtime.GOMAXPROCS(0), Seed: 3,
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.Build(kernelBench.data, gf, opts)
