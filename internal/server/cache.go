@@ -75,7 +75,7 @@ func NewCache(entries, shards int, maxBytes int64) *Cache {
 	for i := range c.shards {
 		c.shards[i].cap = perShard
 		c.shards[i].maxBytes = bytesPerShard
-		c.shards[i].m = make(map[string]*cacheEntry, perShard)
+		c.shards[i].m = make(map[string]*cacheEntry)
 	}
 	return c
 }
