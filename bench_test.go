@@ -182,17 +182,6 @@ func benchFig8(b *testing.B, maxSize int) {
 func BenchmarkFig8Raw(b *testing.B)      { benchFig8(b, -1) }
 func BenchmarkFig8Split500(b *testing.B) { benchFig8(b, benchEnv.ScaledN(500)) }
 
-// --- §III theory -----------------------------------------------------
-
-func BenchmarkTheoryValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		env := &experiments.Env{Scale: 0.02, MinUsers: 400, Seed: int64(7 + i)}
-		if _, err := env.Theory(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Ablations (design choices from DESIGN.md) -----------------------
 
 func benchAblation(b *testing.B, mutate func(*core.Options)) {
@@ -210,7 +199,7 @@ func benchAblation(b *testing.B, mutate func(*core.Options)) {
 }
 
 func BenchmarkAblationNoSplitting(b *testing.B) {
-	benchAblation(b, func(o *core.Options) { o.DisableSplitting = true })
+	benchAblation(b, func(o *core.Options) { o.MaxClusterSize = -1 })
 }
 
 func BenchmarkAblationFIFOScheduling(b *testing.B) {

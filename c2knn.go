@@ -52,7 +52,8 @@ type LocalSim = similarity.Local
 
 // BuildOptions parameterizes BuildC2; the zero value is the paper's
 // configuration (k=30, b=4096, t=8, N=2000, recursive splitting on,
-// largest-first scheduling, hybrid local solver). The paper's cost-model
+// largest-first scheduling, hybrid local solver); a negative
+// MaxClusterSize turns splitting off. The paper's cost-model
 // constants are not options: every build switches to Hyrec at
 // |C| ≥ ρ·k² with ρ = 5, caps local Hyrec at ρ iterations and stops it
 // below δ·k·|C| updates with δ = 0.001.

@@ -123,14 +123,13 @@ type Options struct {
 	// T is the number of hash functions (default 8).
 	T int
 	// MaxClusterSize is the recursive-splitting threshold N
-	// (default 2000). Ignored when DisableSplitting or UseMinHash is set.
+	// (default 2000). Negative turns splitting off (ablation); ignored
+	// when UseMinHash is set.
 	MaxClusterSize int
 	// Workers sizes the cluster-processing pool (default 1).
 	Workers int
 	// Seed drives the hash family and local Hyrec initializations.
 	Seed int64
-	// DisableSplitting turns recursive splitting off (ablation).
-	DisableSplitting bool
 	// Scheduling selects the cluster processing order.
 	Scheduling Scheduling
 	// LocalSolver selects the per-cluster algorithm.
@@ -308,7 +307,7 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 // negative MaxSize).
 func (o Options) clustering() knng.Clustering {
 	c := knng.Clustering{B: o.B, T: o.T, N: o.MaxClusterSize, Seed: o.Seed}
-	if o.DisableSplitting || c.N < 0 {
+	if c.N < 0 {
 		c.N = -1
 	}
 	return c

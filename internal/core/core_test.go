@@ -109,7 +109,7 @@ func TestWorkerInvariance(t *testing.T) {
 func TestSplittingImprovesBalance(t *testing.T) {
 	b, _ := testData(t)
 	_, withSplit := Build(b.data, b.gf, Options{K: 10, B: 64, T: 4, MaxClusterSize: 60, Workers: 2, Seed: 9})
-	_, noSplit := Build(b.data, b.gf, Options{K: 10, B: 64, T: 4, DisableSplitting: true, Workers: 2, Seed: 9})
+	_, noSplit := Build(b.data, b.gf, Options{K: 10, B: 64, T: 4, MaxClusterSize: -1, Workers: 2, Seed: 9})
 	if withSplit.Splits == 0 {
 		t.Skip("dataset too small to trigger splitting at this B")
 	}
@@ -118,7 +118,21 @@ func TestSplittingImprovesBalance(t *testing.T) {
 			withSplit.MaxCluster, noSplit.MaxCluster)
 	}
 	if noSplit.Splits != 0 {
-		t.Errorf("DisableSplitting still split %d times", noSplit.Splits)
+		t.Errorf("MaxClusterSize -1 still split %d times", noSplit.Splits)
+	}
+}
+
+// TestNoSplittingRecordsN: a build with splitting off (a negative
+// MaxClusterSize) makes no split and records N = −1 on the graph, the
+// value upsert placement reads to leave buckets unsplit.
+func TestNoSplittingRecordsN(t *testing.T) {
+	b, _ := testData(t)
+	g, st := Build(b.data, b.gf, Options{K: 10, B: 64, T: 4, MaxClusterSize: -1, Workers: 2, Seed: 9})
+	if st.Splits != 0 {
+		t.Errorf("%d splits with MaxClusterSize -1", st.Splits)
+	}
+	if want := (knng.Clustering{B: 64, T: 4, N: -1, Seed: 9}); g.Clustering != want {
+		t.Errorf("Clustering = %+v, want %+v", g.Clustering, want)
 	}
 }
 

@@ -116,7 +116,7 @@ func TestVariantsPreserveRowSims(t *testing.T) {
 	}{
 		{"default", func(*Options) {}},
 		{"fifo", func(o *Options) { o.Scheduling = ScheduleFIFO }},
-		{"no-splitting", func(o *Options) { o.DisableSplitting, o.LocalSolver = true, SolverBruteForce }},
+		{"no-splitting", func(o *Options) { o.MaxClusterSize, o.LocalSolver = -1, SolverBruteForce }},
 		{"minhash", func(o *Options) { o.UseMinHash, o.LocalSolver = true, SolverBruteForce }},
 	}
 	for _, v := range variants {

@@ -43,7 +43,7 @@ func (e *Env) Ablations() ([]AblationRow, error) {
 	gfProv := func() (similarity.Provider, error) { return p.GF, nil }
 	cases := []ablation{
 		{"default", func() core.Options { return base }, gfProv},
-		{"no-splitting", func() core.Options { o := base; o.DisableSplitting = true; return o }, gfProv},
+		{"no-splitting", func() core.Options { o := base; o.MaxClusterSize = -1; return o }, gfProv},
 		{"fifo-scheduling", func() core.Options { o := base; o.Scheduling = core.ScheduleFIFO; return o }, gfProv},
 		{"force-bruteforce", func() core.Options { o := base; o.LocalSolver = core.SolverBruteForce; return o }, gfProv},
 		{"force-hyrec", func() core.Options { o := base; o.LocalSolver = core.SolverHyrec; return o }, gfProv},

@@ -159,24 +159,6 @@ func TestTable3SingleDataset(t *testing.T) {
 	}
 }
 
-func TestTheoryExperiment(t *testing.T) {
-	e := tinyEnv()
-	res, err := e.Theory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.WithinBounds {
-		t.Errorf("empirical collision probability %.4f outside the paper interval [%.3f, %.3f] around J=%.3f",
-			res.Empirical, res.Below, res.Above, res.Jaccard)
-	}
-	if res.DensityOK < res.Prob-0.01 {
-		t.Errorf("density concentration %.4f below bound %.4f", res.DensityOK, res.Prob)
-	}
-	if res.Jaccard != 0.25 {
-		t.Errorf("constructed J = %v, want 0.25", res.Jaccard)
-	}
-}
-
 func TestFig8Shapes(t *testing.T) {
 	e := tinyEnv()
 	rows, err := e.Fig8()

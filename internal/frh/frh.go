@@ -161,10 +161,17 @@ func hashRowsGo(seeds []uint32, b uint32, lo int, rows [][lanes]uint16) {
 	for i := range rows {
 		row := [lanes]uint16{0xffff, 0xffff, 0xffff, 0xffff, 0xffff, 0xffff, 0xffff, 0xffff}
 		for lane, seed := range seeds {
-			row[lane] = uint16(jenkins.Hash32(uint32(lo+i), seed)%b) + 1
+			row[lane] = uint16(itemHash(int32(lo+i), seed, b))
 		}
 		rows[i] = row
 	}
+}
+
+// itemHash returns the generative hash h(item) ∈ [1, b] of the
+// configuration with the given seed: the one Go form of it, which
+// ItemHash and hashRowsGo share (hashRowsAVX is its vector form).
+func itemHash(item int32, seed, b uint32) uint32 {
+	return jenkins.Hash32(uint32(item), seed)%b + 1
 }
 
 // minItemsPerPart is the fewest items NewHasher gives a goroutine: below
@@ -186,7 +193,7 @@ func (h *Hasher) ItemHash(fn int, item int32) uint32 {
 	if tab := h.rows[fn/lanes]; int(item) < len(tab) {
 		return uint32(tab[item][fn%lanes])
 	}
-	return jenkins.Hash32(uint32(item), h.seeds[fn])%uint32(h.b) + 1
+	return itemHash(item, h.seeds[fn], uint32(h.b))
 }
 
 // UserHash returns H_fn(u) = min over the profile's item hashes: the
@@ -290,7 +297,7 @@ func BuildWithHasher(d *dataset.Dataset, h *Hasher, o Options) ([]Cluster, Stats
 	perFn := make([][]Cluster, h.t)
 	// Each configuration emits from its own goroutine only, so every
 	// perFn slot has one writer.
-	stats := StreamWithHasher(d, h, o, func(c Cluster) {
+	stats := streamWithHasher(d, h, o, func(c Cluster) {
 		perFn[c.Fn] = append(perFn[c.Fn], c)
 	})
 	var clusters []Cluster
@@ -312,13 +319,13 @@ func BuildWithHasher(d *dataset.Dataset, h *Hasher, o Options) ([]Cluster, Stats
 func Stream(d *dataset.Dataset, o Options, emit func(Cluster)) Stats {
 	o.setDefaults()
 	h := NewHasher(d.NumItems, o)
-	return StreamWithHasher(d, h, o, emit)
+	return streamWithHasher(d, h, o, emit)
 }
 
-// StreamWithHasher is Stream with a caller-provided Hasher. Every
+// streamWithHasher is Stream with a caller-provided Hasher. Every
 // user's t hashes come from one shared pass over the ratings; the
 // configurations then bucket, split and emit concurrently.
-func StreamWithHasher(d *dataset.Dataset, h *Hasher, o Options, emit func(Cluster)) Stats {
+func streamWithHasher(d *dataset.Dataset, h *Hasher, o Options, emit func(Cluster)) Stats {
 	o.setDefaults()
 	all := h.hashAll(d.Profiles, 0)
 	tab := newTable(h.b, h.t, d.NumUsers(), nonEmpty(d.Profiles))

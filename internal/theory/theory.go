@@ -3,66 +3,49 @@
 // hash to the same cluster by their Jaccard similarity plus a collision
 // term, and Theorem 2 concentrates that collision term. The functions
 // here compute the paper's bounds exactly and estimate the corresponding
-// probabilities empirically over many random generative functions, so
-// tests and the `c2bench -exp theory` experiment can check the
-// inequalities numerically (including the worked example ℓ=256, b=4096,
-// d=0.5 ⇒ J−0.078 ≤ P ≤ J+0.234 with probability ≥ 0.998).
+// probabilities empirically over the configurations of an frh.Hasher,
+// so the package's tests check the inequalities numerically on the
+// hash the builds use (including the worked example ℓ=256, b=4096 ⇒
+// J−0.078 ≤ P ≤ J+0.234 with probability ≥ 0.998, see PaperExample): a
+// drift in frh's seed family, its B mapping or its item table fill
+// reaches them.
 package theory
 
 import (
 	"math"
+	"math/bits"
 
-	"c2knn/internal/jenkins"
+	"c2knn/internal/frh"
 	"c2knn/internal/sets"
 )
 
-// hashTo projects item ids onto [1, b] with a seeded Jenkins hash — the
-// same construction internal/frh uses.
-func hashTo(item int32, seed uint32, b int) uint32 {
-	return jenkins.Hash32(uint32(item), seed)%uint32(b) + 1
-}
-
-// minHash returns min_{i∈p} h(i) under (seed, b).
-func minHash(p []int32, seed uint32, b int) uint32 {
-	best := hashTo(p[0], seed, b)
-	for _, it := range p[1:] {
-		if v := hashTo(it, seed, b); v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// Collisions returns κ = ℓ − |h(P1 ∪ P2)| (the number of collisions the
-// generative function with the given seed causes on the joint profile)
-// and ℓ = |P1 ∪ P2|.
-func Collisions(p1, p2 []int32, b int, seed uint32) (kappa, ell int) {
-	union := sets.Union(p1, p2)
-	ell = len(union)
-	image := make(map[uint32]struct{}, ell)
-	for _, it := range union {
-		image[hashTo(it, seed, b)] = struct{}{}
-	}
-	return ell - len(image), ell
+// Collisions returns κ = ℓ − |h(P1 ∪ P2)| (the number of collisions
+// configuration fn of h causes on the joint profile) and ℓ = |P1 ∪ P2|.
+func Collisions(p1, p2 []int32, h *frh.Hasher, fn int) (kappa, ell int) {
+	_, either := images(p1, p2, h, fn)
+	ell = len(p1) + len(p2) - sets.IntersectCount(p1, p2)
+	return ell - either, ell
 }
 
 // SameHash reports whether the two profiles receive the same
-// FastRandomHash value under (seed, b).
-func SameHash(p1, p2 []int32, b int, seed uint32) bool {
-	return minHash(p1, seed, b) == minHash(p2, seed, b)
+// FastRandomHash value under configuration fn of h. An empty profile
+// has no hash (frh never buckets it), so it shares none.
+func SameHash(p1, p2 []int32, h *frh.Hasher, fn int) bool {
+	h1, ok1 := h.UserHash(fn, p1)
+	h2, ok2 := h.UserHash(fn, p2)
+	return ok1 && ok2 && h1 == h2
 }
 
-// EmpiricalCollision estimates P[H(u1) = H(u2)] over `trials` independent
-// generative functions.
-func EmpiricalCollision(p1, p2 []int32, b, trials int, seed int64) float64 {
-	fam := jenkins.NewFamily(trials, seed)
+// EmpiricalCollision estimates P[H(u1) = H(u2)] over the h.T()
+// configurations of h.
+func EmpiricalCollision(p1, p2 []int32, h *frh.Hasher) float64 {
 	same := 0
-	for t := 0; t < trials; t++ {
-		if SameHash(p1, p2, b, fam.Seed(t)) {
+	for fn := range h.T() {
+		if SameHash(p1, p2, h, fn) {
 			same++
 		}
 	}
-	return float64(same) / float64(trials)
+	return float64(same) / float64(h.T())
 }
 
 // Jaccard returns J(P1, P2).
@@ -91,30 +74,30 @@ func Theorem1Exact(j float64, kappa, ell int) (lo, hi float64) {
 }
 
 // ConditionalCollision returns the exact conditional probability of
-// Eq. (6): |h(P1) ∩ h(P2)| / |h(P1 ∪ P2)| for the function identified by
-// seed. Averaged over seeds it converges to P[H(u1) = H(u2)].
-func ConditionalCollision(p1, p2 []int32, b int, seed uint32) float64 {
-	img1 := make(map[uint32]struct{}, len(p1))
+// Eq. (6): |h(P1) ∩ h(P2)| / |h(P1 ∪ P2)| for configuration fn of h.
+// Averaged over configurations it converges to P[H(u1) = H(u2)].
+func ConditionalCollision(p1, p2 []int32, h *frh.Hasher, fn int) float64 {
+	both, either := images(p1, p2, h, fn)
+	return float64(both) / float64(either)
+}
+
+// images returns |h(P1) ∩ h(P2)| and |h(P1) ∪ h(P2)| = |h(P1 ∪ P2)|
+// for configuration fn of h, each image a bitset over [0, B].
+func images(p1, p2 []int32, h *frh.Hasher, fn int) (both, either int) {
+	img1, img2 := make([]uint64, h.B()/64+1), make([]uint64, h.B()/64+1)
 	for _, it := range p1 {
-		img1[hashTo(it, seed, b)] = struct{}{}
+		v := h.ItemHash(fn, it)
+		img1[v/64] |= 1 << (v % 64)
 	}
-	imgU := make(map[uint32]struct{}, len(p1)+len(p2))
-	for h := range img1 {
-		imgU[h] = struct{}{}
-	}
-	both := 0
-	img2 := make(map[uint32]struct{}, len(p2))
 	for _, it := range p2 {
-		h := hashTo(it, seed, b)
-		imgU[h] = struct{}{}
-		img2[h] = struct{}{}
+		v := h.ItemHash(fn, it)
+		img2[v/64] |= 1 << (v % 64)
 	}
-	for h := range img2 {
-		if _, ok := img1[h]; ok {
-			both++
-		}
+	for i := range img1 {
+		both += bits.OnesCount64(img1[i] & img2[i])
+		either += bits.OnesCount64(img1[i] | img2[i])
 	}
-	return float64(both) / float64(len(imgU))
+	return both, either
 }
 
 // Theorem2 returns the collision-density threshold (1+d)(ℓ−1)/(2b) and
@@ -129,9 +112,11 @@ func Theorem2(ell, b int, d float64) (threshold, probLB float64) {
 }
 
 // PaperExample evaluates the worked example after Theorem 2 (ℓ=256,
-// b=4096, d=0.5): it returns the deviation δ⁻ below J, the deviation δ⁺
-// above J, and the probability with which they hold, i.e. the triple the
-// paper rounds to (0.078, 0.234, 0.998).
+// b=4096): it returns the deviation δ⁻ below J, the deviation δ⁺ above
+// J, and the probability with which they hold, i.e. the triple the
+// paper rounds to (0.078, 0.234, 0.998). That triple needs d = 1.5: the
+// printed d = 0.5 gives (0.047, 0.142, 0.578), so the printed value is
+// read as a typo.
 func PaperExample(ell, b int, d float64) (below, above, prob float64) {
 	threshold, probLB := Theorem2(ell, b, d)
 	// With κ/ℓ < threshold, Theorem 1 gives
