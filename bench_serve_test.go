@@ -1,10 +1,8 @@
-// Serving-layer benchmarks: the frozen CSR query path (what a serving
-// process pays per request after loading a snapshot) against the
-// mutable build structure it replaces. BenchmarkServeFrozenNeighbors vs
-// BenchmarkServeGraphNeighbors is the acceptance pair — the frozen view
-// must be allocation-free and at least 2x the alloc-and-sort path.
-// `c2bench -exp serve` runs the same comparison and fails below its
-// floors (ServeSummary.Floors).
+// Serving-layer benchmarks: what a serving process pays per request
+// after loading a snapshot (frozen neighbor lookups, Scorer and Index
+// recommendations) and the snapshot load itself. The zero-allocation
+// tests of the frozen view and the Scorer pin allocation counts;
+// perfbench's serve workload gates serving speed end to end.
 package c2knn_test
 
 import (
@@ -17,11 +15,10 @@ import (
 	"c2knn/internal/recommend"
 )
 
-// serveState is built once per benchmark process: a C² graph over the
-// shared benchEnv's ml1M dataset, its frozen form, and a serving index.
+// serveState is built once per benchmark process: the frozen form of a
+// C² graph over the shared benchEnv's ml1M dataset, and a serving index.
 var (
 	serveOnce sync.Once
-	serveG    *knng.Graph
 	serveF    *knng.Frozen
 	serveIx   *c2knn.Index
 )
@@ -31,12 +28,12 @@ func serveSetup(b *testing.B) {
 	serveOnce.Do(func() {
 		p := benchEnv.MustPrepare("ml1M")
 		bb, t, n := benchEnv.C2Params("ml1M")
-		serveG, _ = core.Build(p.Data, p.GF, core.Options{
+		g, _ := core.Build(p.Data, p.GF, core.Options{
 			K: benchEnv.K, B: bb, T: t, MaxClusterSize: n,
 			Workers: benchEnv.Workers, Seed: benchEnv.Seed,
 		})
-		serveF = serveG.Freeze()
-		ix, err := c2knn.NewIndex(serveG, p.Data, p.GF)
+		serveF = g.Freeze()
+		ix, err := c2knn.NewIndex(g, p.Data, p.GF)
 		if err != nil {
 			panic(err)
 		}
@@ -59,21 +56,6 @@ func BenchmarkServeFrozenNeighbors(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkServeGraphNeighbors(b *testing.B) {
-	serveSetup(b)
-	users := int32(serveG.NumUsers())
-	var sink float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nbs := serveG.Neighbors(int32(i) % users)
-		if len(nbs) > 0 {
-			sink += nbs[0].Sim
-		}
-	}
-	_ = sink
-}
-
 func BenchmarkServeRecommendFrozen(b *testing.B) {
 	serveSetup(b)
 	p := benchEnv.MustPrepare("ml1M")
@@ -86,17 +68,6 @@ func BenchmarkServeRecommendFrozen(b *testing.B) {
 		rec = sc.Recommend(p.Data, serveF, int32(i)%users, 30, rec[:0])
 	}
 	_ = rec
-}
-
-func BenchmarkServeRecommendGraph(b *testing.B) {
-	serveSetup(b)
-	p := benchEnv.MustPrepare("ml1M")
-	users := int32(p.Data.NumUsers())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recommend.Recommend(p.Data, serveG, int32(i)%users, 30)
-	}
 }
 
 // BenchmarkServeIndexRecommendParallel is the request-handler shape:

@@ -50,7 +50,8 @@ type Localizer = similarity.Localizer
 // LocalSim is a gathered cluster-local similarity kernel; see Localizer.
 type LocalSim = similarity.Local
 
-// BuildOptions parameterizes BuildC2; the zero value is the paper's
+// BuildOptions parameterizes BuildC2; the baseline builders read only
+// its K, Workers and Seed. The zero value is the paper's
 // configuration (k=30, b=4096, t=8, N=2000, recursive splitting on,
 // largest-first scheduling, hybrid local solver); a negative
 // MaxClusterSize turns splitting off. The paper's cost-model
@@ -125,37 +126,47 @@ func NewGoldFinger(d *Dataset, bits int) (Similarity, error) {
 // worker count; only tie-breaking among equal-similarity neighbors may
 // differ.
 func BuildC2(d *Dataset, sim Similarity, opts BuildOptions) (*Graph, C2Stats) {
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
+	opts.Workers = workers(opts)
 	return core.Build(d, sim, opts)
 }
 
-// BuildBruteForce computes the exact KNN graph of d under sim with
-// neighborhoods of size k.
-func BuildBruteForce(d *Dataset, sim Similarity, k int) *Graph {
-	return bruteforce.Build(d.NumUsers(), k, sim, runtime.GOMAXPROCS(0))
+// The baseline builders below read three fields of BuildOptions — K
+// (≤ 0 means 30), Workers (0 means GOMAXPROCS, below 0 one worker) and
+// Seed — and ignore the C²-only rest.
+
+// BuildBruteForce computes the exact KNN graph of d under sim by
+// comparing every pair of users; Seed is unused.
+func BuildBruteForce(d *Dataset, sim Similarity, opts BuildOptions) *Graph {
+	return bruteforce.Build(d.NumUsers(), opts.K, sim, workers(opts))
 }
 
 // BuildHyrec computes an approximate KNN graph with the Hyrec greedy
 // baseline (random start, neighbors-of-neighbors refinement).
-func BuildHyrec(d *Dataset, sim Similarity, k int) *Graph {
-	g, _ := hyrec.Build(d.NumUsers(), sim, hyrec.Options{K: k, Workers: runtime.GOMAXPROCS(0)})
+func BuildHyrec(d *Dataset, sim Similarity, opts BuildOptions) *Graph {
+	g, _ := hyrec.Build(d.NumUsers(), sim, hyrec.Options{K: opts.K, Workers: workers(opts), Seed: opts.Seed})
 	return g
 }
 
 // BuildNNDescent computes an approximate KNN graph with the NNDescent
 // greedy baseline.
-func BuildNNDescent(d *Dataset, sim Similarity, k int) *Graph {
-	g, _ := nndescent.Build(d.NumUsers(), sim, nndescent.Options{K: k, Workers: runtime.GOMAXPROCS(0)})
+func BuildNNDescent(d *Dataset, sim Similarity, opts BuildOptions) *Graph {
+	g, _ := nndescent.Build(d.NumUsers(), sim, nndescent.Options{K: opts.K, Workers: workers(opts), Seed: opts.Seed})
 	return g
 }
 
 // BuildLSH computes an approximate KNN graph with the MinHash-based LSH
 // baseline.
-func BuildLSH(d *Dataset, sim Similarity, k int) *Graph {
-	g, _ := lsh.Build(d, sim, lsh.Options{K: k, Workers: runtime.GOMAXPROCS(0)})
+func BuildLSH(d *Dataset, sim Similarity, opts BuildOptions) *Graph {
+	g, _ := lsh.Build(d, sim, lsh.Options{K: opts.K, Workers: workers(opts), Seed: opts.Seed})
 	return g
+}
+
+// workers is opts.Workers with 0 meaning GOMAXPROCS.
+func workers(opts BuildOptions) int {
+	if opts.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return opts.Workers
 }
 
 // Quality returns avg_sim(approx)/avg_sim(exact) with both averages

@@ -2,9 +2,14 @@ package c2knn_test
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"c2knn"
+	"c2knn/internal/bruteforce"
+	"c2knn/internal/hyrec"
+	"c2knn/internal/lsh"
+	"c2knn/internal/nndescent"
 )
 
 func smallDataset(t testing.TB) *c2knn.Dataset {
@@ -42,7 +47,7 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := c2knn.ExactJaccard(d)
-	exact := c2knn.BuildBruteForce(d, raw, 10)
+	exact := c2knn.BuildBruteForce(d, raw, c2knn.BuildOptions{K: 10})
 
 	type builder struct {
 		name string
@@ -56,9 +61,9 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 			}
 			return g
 		}},
-		{"Hyrec", func() *c2knn.Graph { return c2knn.BuildHyrec(d, gf, 10) }},
-		{"NNDescent", func() *c2knn.Graph { return c2knn.BuildNNDescent(d, gf, 10) }},
-		{"LSH", func() *c2knn.Graph { return c2knn.BuildLSH(d, gf, 10) }},
+		{"Hyrec", func() *c2knn.Graph { return c2knn.BuildHyrec(d, gf, c2knn.BuildOptions{K: 10}) }},
+		{"NNDescent", func() *c2knn.Graph { return c2knn.BuildNNDescent(d, gf, c2knn.BuildOptions{K: 10}) }},
+		{"LSH", func() *c2knn.Graph { return c2knn.BuildLSH(d, gf, c2knn.BuildOptions{K: 10}) }},
 	}
 	for _, b := range builders {
 		g := b.fn()
@@ -80,19 +85,19 @@ func TestBuildersNonPositiveK(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := c2knn.ExactJaccard(d)
-	builders := map[string]func(k int) *c2knn.Graph{
-		"C2": func(k int) *c2knn.Graph {
-			g, _ := c2knn.BuildC2(d, sim, c2knn.BuildOptions{K: k})
+	builders := map[string]func(*c2knn.Dataset, c2knn.Similarity, c2knn.BuildOptions) *c2knn.Graph{
+		"C2": func(d *c2knn.Dataset, sim c2knn.Similarity, o c2knn.BuildOptions) *c2knn.Graph {
+			g, _ := c2knn.BuildC2(d, sim, o)
 			return g
 		},
-		"BruteForce": func(k int) *c2knn.Graph { return c2knn.BuildBruteForce(d, sim, k) },
-		"Hyrec":      func(k int) *c2knn.Graph { return c2knn.BuildHyrec(d, sim, k) },
-		"NNDescent":  func(k int) *c2knn.Graph { return c2knn.BuildNNDescent(d, sim, k) },
-		"LSH":        func(k int) *c2knn.Graph { return c2knn.BuildLSH(d, sim, k) },
+		"BruteForce": c2knn.BuildBruteForce,
+		"Hyrec":      c2knn.BuildHyrec,
+		"NNDescent":  c2knn.BuildNNDescent,
+		"LSH":        c2knn.BuildLSH,
 	}
 	for name, build := range builders {
 		for _, k := range []int{0, -1} {
-			g := build(k)
+			g := build(d, sim, c2knn.BuildOptions{K: k})
 			if g.K != 30 || g.NumUsers() != d.NumUsers() {
 				t.Fatalf("%s(k=%d): graph K=%d over %d users, want K=30 over %d", name, k, g.K, g.NumUsers(), d.NumUsers())
 			}
@@ -101,6 +106,54 @@ func TestBuildersNonPositiveK(t *testing.T) {
 					t.Fatalf("%s(k=%d): user %d list K=%d, want 30", name, k, u, l.K)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildersHonourOptions: each baseline builder passes K, Workers
+// and Seed through to its algorithm — at one worker it freezes to
+// exactly the graph the internal builder produces with the same
+// values, and for the randomized baselines another seed gives another
+// graph.
+func TestBuildersHonourOptions(t *testing.T) {
+	d, err := c2knn.Generate("ml1M", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := c2knn.ExactJaccard(d)
+	n := d.NumUsers()
+	for _, tc := range []struct {
+		name     string
+		build    func(*c2knn.Dataset, c2knn.Similarity, c2knn.BuildOptions) *c2knn.Graph
+		internal func(seed int64) *c2knn.Graph
+		seeded   bool
+	}{
+		{"Hyrec", c2knn.BuildHyrec, func(seed int64) *c2knn.Graph {
+			g, _ := hyrec.Build(n, sim, hyrec.Options{K: 7, Workers: 1, Seed: seed})
+			return g
+		}, true},
+		{"NNDescent", c2knn.BuildNNDescent, func(seed int64) *c2knn.Graph {
+			g, _ := nndescent.Build(n, sim, nndescent.Options{K: 7, Workers: 1, Seed: seed})
+			return g
+		}, true},
+		{"LSH", c2knn.BuildLSH, func(seed int64) *c2knn.Graph {
+			g, _ := lsh.Build(d, sim, lsh.Options{K: 7, Workers: 1, Seed: seed})
+			return g
+		}, true},
+		{"BruteForce", c2knn.BuildBruteForce, func(int64) *c2knn.Graph {
+			return bruteforce.Build(n, 7, sim, 1)
+		}, false},
+	} {
+		got := tc.build(d, sim, c2knn.BuildOptions{K: 7, Workers: 1, Seed: 3}).Freeze()
+		if !reflect.DeepEqual(got, tc.internal(3).Freeze()) {
+			t.Errorf("%s: graph differs from the internal builder's with K 7, 1 worker, seed 3", tc.name)
+		}
+		if !tc.seeded {
+			continue
+		}
+		other := tc.build(d, sim, c2knn.BuildOptions{K: 7, Workers: 1, Seed: 4}).Freeze()
+		if reflect.DeepEqual(got, other) {
+			t.Errorf("%s: seeds 3 and 4 built the same graph", tc.name)
 		}
 	}
 }
@@ -146,8 +199,11 @@ func TestRecommendationFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := c2knn.BuildC2(f.Train, gf, c2knn.BuildOptions{K: 10})
-	recs := c2knn.Recommend(f.Train, g, 0, 10)
-	if len(recs) == 0 {
+	ix, err := c2knn.NewIndex(g, f.Train, gf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := ix.Recommend(0, 10); len(recs) == 0 {
 		t.Error("no recommendations for user 0")
 	}
 	if r := c2knn.EvalRecall(f, g, 20); r <= 0 {
@@ -158,7 +214,7 @@ func TestRecommendationFacade(t *testing.T) {
 func TestAvgSimFacade(t *testing.T) {
 	d := smallDataset(t)
 	raw := c2knn.ExactJaccard(d)
-	exact := c2knn.BuildBruteForce(d, raw, 5)
+	exact := c2knn.BuildBruteForce(d, raw, c2knn.BuildOptions{K: 5})
 	if c2knn.AvgSim(exact, raw) <= 0 {
 		t.Error("exact graph has zero average similarity")
 	}

@@ -10,12 +10,12 @@
 //	c2bench -exp all -scale 0.05 -workers 4
 //
 // Experiments: table1, table2, table3, table4, table5, fig6, fig7, fig8,
-// ablations, serve, serve-http, solve, shard, load, update, all.
+// ablations, serve-http, solve, shard, load, update, all.
 // Theorems 1 and 2 of §III are checked by internal/theory's tests, on
 // the production hash.
 //
-// The serve, serve-http, solve, shard, load and update
-// experiments carry floors (see their summaries' Floors methods in
+// The serve-http, solve, shard, load and update experiments carry
+// floors (see their summaries' Floors methods in
 // internal/experiments). After the run c2bench prints each one's
 // verdict and exits 1 if any floor failed.
 package main
@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, ablations, serve, serve-http, solve, shard, load, update, all")
+		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, ablations, serve-http, solve, shard, load, update, all")
 		scale    = flag.Float64("scale", 0.05, "dataset scale factor (1 = paper size)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", 42, "master random seed")
@@ -69,14 +69,13 @@ func main() {
 		"fig7":       func() (floored, error) { _, err := env.Fig7(); return nil, err },
 		"fig8":       func() (floored, error) { _, err := env.Fig8(); return nil, err },
 		"ablations":  func() (floored, error) { _, err := env.Ablations(); return nil, err },
-		"serve":      func() (floored, error) { return env.Serve() },
 		"serve-http": func() (floored, error) { return env.ServeHTTP() },
 		"solve":      func() (floored, error) { return env.Solve() },
 		"shard":      func() (floored, error) { return env.Shard() },
 		"load":       func() (floored, error) { return env.Load() },
 		"update":     func() (floored, error) { return env.Update() },
 	}
-	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "ablations", "serve", "serve-http", "solve", "shard", "load", "update"}
+	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "ablations", "serve-http", "solve", "shard", "load", "update"}
 
 	var toRun []string
 	if *exp == "all" {

@@ -27,15 +27,10 @@ import (
 	"time"
 
 	"c2knn"
-	"c2knn/internal/bruteforce"
-	"c2knn/internal/core"
 	"c2knn/internal/dataset"
 	"c2knn/internal/frh"
 	"c2knn/internal/goldfinger"
-	"c2knn/internal/hyrec"
 	"c2knn/internal/knng"
-	"c2knn/internal/lsh"
-	"c2knn/internal/nndescent"
 	"c2knn/internal/persist"
 	"c2knn/internal/similarity"
 )
@@ -55,7 +50,7 @@ func main() {
 		buckets = flag.Int("shard-buckets", frh.DefaultShardBuckets, "shard-key bucket count recorded in the manifest")
 	)
 	flag.Parse()
-	if err := checkFlags(*in, *snap, *k, *shards); err != nil {
+	if err := checkFlags(*in, *snap, *algo, *k, *workers, *shards, *buckets); err != nil {
 		fmt.Fprintln(os.Stderr, "c2build:", err)
 		os.Exit(2)
 	}
@@ -78,22 +73,13 @@ func main() {
 	}
 	counting := similarity.NewCounting(prov)
 
+	opts := c2knn.BuildOptions{K: *k, Workers: *workers, Seed: *seed}
 	start := time.Now()
 	var g *knng.Graph
-	switch *algo {
-	case "c2":
-		g, _ = core.Build(d, counting, core.Options{K: *k, Workers: *workers, Seed: *seed})
-	case "hyrec":
-		g, _ = hyrec.Build(d.NumUsers(), counting, hyrec.Options{K: *k, Workers: *workers, Seed: *seed})
-	case "nndescent":
-		g, _ = nndescent.Build(d.NumUsers(), counting, nndescent.Options{K: *k, Workers: *workers, Seed: *seed})
-	case "lsh":
-		g, _ = lsh.Build(d, counting, lsh.Options{K: *k, Workers: *workers, Seed: *seed})
-	case "bruteforce":
-		g = bruteforce.Build(d.NumUsers(), *k, counting, *workers)
-	default:
-		fmt.Fprintf(os.Stderr, "c2build: unknown algorithm %q\n", *algo)
-		os.Exit(2)
+	if *algo == "c2" {
+		g, _ = c2knn.BuildC2(d, counting, opts)
+	} else {
+		g = baselines[*algo](d, counting, opts)
 	}
 	fmt.Printf("%s: %v, %d similarity computations, avg stored sim %.4f\n",
 		*algo, time.Since(start).Round(time.Millisecond), counting.Count(), g.AvgStoredSim())
@@ -112,7 +98,7 @@ func main() {
 		fmt.Printf("wrote snapshot %s (%d users, %d edges) in %v\n",
 			*snap, frozen.NumUsers(), frozen.NumEdges(), time.Since(start).Round(time.Millisecond))
 
-		if *shards > 1 {
+		if *shards > 0 {
 			if err := writeShards(*snap, frozen, d, gf, *buckets, *shards); err != nil {
 				fatal(err)
 			}
@@ -141,16 +127,37 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 }
 
+// baselines are the -algo values other than c2, by name.
+var baselines = map[string]func(*c2knn.Dataset, c2knn.Similarity, c2knn.BuildOptions) *c2knn.Graph{
+	"hyrec":      c2knn.BuildHyrec,
+	"nndescent":  c2knn.BuildNNDescent,
+	"lsh":        c2knn.BuildLSH,
+	"bruteforce": c2knn.BuildBruteForce,
+}
+
 // checkFlags rejects flag combinations c2build cannot honour, before
 // any work starts.
-func checkFlags(in, snap string, k, shards int) error {
+func checkFlags(in, snap, algo string, k, workers, shards, buckets int) error {
+	_, baseline := baselines[algo]
 	switch {
 	case in == "":
 		return errors.New("-in is required")
+	case algo != "c2" && !baseline:
+		return fmt.Errorf("unknown algorithm %q (want c2, hyrec, nndescent, lsh or bruteforce)", algo)
 	case k < 1:
 		return fmt.Errorf("-k must be at least 1, got %d", k)
-	case shards != 0 && snap == "":
+	case workers < 1:
+		return fmt.Errorf("-workers must be at least 1, got %d", workers)
+	case buckets < 1:
+		return fmt.Errorf("-shard-buckets must be at least 1, got %d", buckets)
+	case shards == 0:
+		return nil
+	case snap == "":
 		return errors.New("-shards requires -snap")
+	case shards < 2:
+		return fmt.Errorf("-shards must be 0 or at least 2, got %d", shards)
+	case buckets < shards:
+		return fmt.Errorf("-shard-buckets must be at least -shards (%d), got %d", shards, buckets)
 	}
 	return nil
 }

@@ -73,7 +73,7 @@ func main() {
 			os.Exit(1)
 		}
 		start := time.Now()
-		exact := c2knn.BuildBruteForce(f.Train, raw, *k)
+		exact := c2knn.BuildBruteForce(f.Train, raw, c2knn.BuildOptions{K: *k, Workers: workers})
 		bfTime += time.Since(start)
 		start = time.Now()
 		g, _ := c2knn.BuildC2(f.Train, gf, c2knn.BuildOptions{K: *k, Workers: workers, Seed: *seed})

@@ -43,7 +43,7 @@ func main() {
 	}
 	runs := []run{
 		{"Hyrec (greedy baseline)", func() *c2knn.Graph {
-			return c2knn.BuildHyrec(fold.Train, sim, k)
+			return c2knn.BuildHyrec(fold.Train, sim, c2knn.BuildOptions{K: k})
 		}},
 		{"Cluster-and-Conquer", func() *c2knn.Graph {
 			g, _ := c2knn.BuildC2(fold.Train, sim, c2knn.BuildOptions{K: k})

@@ -42,7 +42,7 @@ func main() {
 
 	// How good is the approximation? Compare against the exact graph.
 	raw := c2knn.ExactJaccard(d)
-	exact := c2knn.BuildBruteForce(d, raw, 10)
+	exact := c2knn.BuildBruteForce(d, raw, c2knn.BuildOptions{K: 10})
 	fmt.Printf("\nKNN quality vs exact graph: %.3f (1.0 = indistinguishable)\n",
 		c2knn.Quality(g, exact, raw))
 }

@@ -24,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 	raw := c2knn.ExactJaccard(d)
-	exact := c2knn.BuildBruteForce(d, raw, k)
+	exact := c2knn.BuildBruteForce(d, raw, c2knn.BuildOptions{K: k})
 
 	fmt.Println("sweep,param,value,time_ms,quality")
 

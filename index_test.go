@@ -345,7 +345,7 @@ func TestEnableUpsertsNeedsClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := c2knn.NewIndex(c2knn.BuildHyrec(d, sim, 10), d, sim)
+	hy, err := c2knn.NewIndex(c2knn.BuildHyrec(d, sim, c2knn.BuildOptions{K: 10}), d, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestNewIndexValidates(t *testing.T) {
 	if _, err := c2knn.NewIndex(nil, d, nil); err == nil {
 		t.Error("NewIndex accepted a nil graph")
 	}
-	g := c2knn.BuildBruteForce(d, c2knn.ExactJaccard(d), 5)
+	g := c2knn.BuildBruteForce(d, c2knn.ExactJaccard(d), c2knn.BuildOptions{K: 5})
 	small, err := c2knn.Generate("ml1M", 0.02)
 	if err != nil {
 		t.Fatal(err)

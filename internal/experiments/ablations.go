@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"c2knn/internal/core"
+	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
 	"c2knn/internal/similarity"
 )
@@ -54,7 +55,7 @@ func (e *Env) Ablations() ([]AblationRow, error) {
 			name: fmt.Sprintf("goldfinger-%db", bits),
 			opts: func() core.Options { return base },
 			prov: func() (similarity.Provider, error) {
-				return newGoldFinger(p.Data, bits, uint32(e.Seed)+0x60fd)
+				return goldfinger.New(p.Data, bits, uint32(e.Seed)+0x60fd)
 			},
 		})
 	}

@@ -16,7 +16,7 @@ import (
 	"sync"
 	"time"
 
-	"c2knn/internal/bruteforce"
+	"c2knn"
 	"c2knn/internal/dataset"
 	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
@@ -82,6 +82,18 @@ func (e *Env) setDefaults() {
 	}
 }
 
+// buildOptions is the Env's K, Workers and Seed as c2knn build options.
+func (e *Env) buildOptions() c2knn.BuildOptions {
+	return c2knn.BuildOptions{K: e.K, Workers: e.Workers, Seed: e.Seed}
+}
+
+// c2Options is buildOptions with the named dataset's C2Params.
+func (e *Env) c2Options(name string) c2knn.BuildOptions {
+	o := e.buildOptions()
+	o.B, o.T, o.MaxClusterSize = e.C2Params(name)
+	return o
+}
+
 // printf writes a formatted line to the report writer.
 func (e *Env) printf(format string, args ...any) {
 	fmt.Fprintf(e.Out, format, args...)
@@ -142,7 +154,7 @@ func (e *Env) MustPrepare(name string) *Prepared {
 func (p *Prepared) Exact() *knng.Graph {
 	p.exactOnce.Do(func() {
 		start := time.Now()
-		p.exact = bruteforce.Build(p.Data.NumUsers(), p.env.K, p.Raw, p.env.Workers)
+		p.exact = c2knn.BuildBruteForce(p.Data, p.Raw, p.env.buildOptions())
 		p.exactTime = time.Since(start)
 	})
 	return p.exact

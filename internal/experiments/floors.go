@@ -29,18 +29,6 @@ func (f *floors) holds(field string, got bool) {
 	f.check(got, "%s = false, want true", field)
 }
 
-// Floors returns the violated bounds of a serve run: frozen neighbor
-// lookups allocate nothing and beat Graph.Neighbors at least 2× (in
-// practice 100–1000×), and frozen recommendation is not more than 20 %
-// slower than the map-scoring path (its win is dataset-dependent).
-func (s *ServeSummary) Floors() []string {
-	var f floors
-	f.zero("NeighborsAllocs", s.NeighborsAllocs)
-	f.atLeast("NeighborsSpeedup", s.NeighborsSpeedup, 2)
-	f.atLeast("RecommendSpeedup", s.RecommendSpeedup, 0.8)
-	return f
-}
-
 // Floors returns the violated bounds of a solve run. The blocked solver
 // allocates nothing in steady state. Its floor over the pair-at-a-time
 // reference is kernel-aware: 2.0× under a vector count kernel, the point

@@ -8,7 +8,6 @@ import (
 type floored interface{ Floors() []string }
 
 // Summaries that hold every floor, with values like a healthy run's.
-func serveOK() *ServeSummary { return &ServeSummary{NeighborsSpeedup: 900, RecommendSpeedup: 8} }
 func solveOK(kernel string) *SolveSummary {
 	return &SolveSummary{Kernel: kernel, SolveSpeedup: 2.8, KernelSpeedup: 2, HyrecSpeedup: 1.4}
 }
@@ -38,10 +37,6 @@ func TestLegacyFloors(t *testing.T) {
 		at, past          float64
 		set               func(v float64) floored
 	}{
-		{"serve", "NeighborsAllocs", "want 0", 0, 0.0001, func(v float64) floored { s := serveOK(); s.NeighborsAllocs = v; return s }},
-		{"serve", "NeighborsSpeedup", ">= 2", 2, 1.99, func(v float64) floored { s := serveOK(); s.NeighborsSpeedup = v; return s }},
-		{"serve", "RecommendSpeedup", ">= 0.8", 0.8, 0.79, func(v float64) floored { s := serveOK(); s.RecommendSpeedup = v; return s }},
-
 		{"solve avx2", "AllocsPerSolve", "want 0", 0, 1, func(v float64) floored { s := solveOK("avx2"); s.AllocsPerSolve = v; return s }},
 		{"solve avx2", "SolveSpeedup (avx2 kernel)", ">= 2", 2, 1.99, func(v float64) floored { s := solveOK("avx2"); s.SolveSpeedup = v; return s }},
 		{"solve avx2", "KernelSpeedup (avx2 kernel)", ">= 1.1", 1.1, 1.09, func(v float64) floored { s := solveOK("avx2"); s.KernelSpeedup = v; return s }},

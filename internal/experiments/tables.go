@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"c2knn"
 	"c2knn/internal/core"
 	"c2knn/internal/dataset"
-	"c2knn/internal/hyrec"
+	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
-	"c2knn/internal/lsh"
-	"c2knn/internal/nndescent"
 	"c2knn/internal/recommend"
 	"c2knn/internal/similarity"
 )
@@ -50,23 +49,13 @@ func (e *Env) runAlgo(p *Prepared, algo string, prov similarity.Provider) (*knng
 	var g *knng.Graph
 	switch algo {
 	case "Hyrec":
-		g, _ = hyrec.Build(p.Data.NumUsers(), counting, hyrec.Options{
-			K: e.K, Workers: e.Workers, Seed: e.Seed,
-		})
+		g = c2knn.BuildHyrec(p.Data, counting, e.buildOptions())
 	case "NNDescent":
-		g, _ = nndescent.Build(p.Data.NumUsers(), counting, nndescent.Options{
-			K: e.K, Workers: e.Workers, Seed: e.Seed,
-		})
+		g = c2knn.BuildNNDescent(p.Data, counting, e.buildOptions())
 	case "LSH":
-		g, _ = lsh.Build(p.Data, counting, lsh.Options{
-			K: e.K, Workers: e.Workers, Seed: e.Seed,
-		})
+		g = c2knn.BuildLSH(p.Data, counting, e.buildOptions())
 	case "C2":
-		b, t, n := e.C2Params(p.Cfg.Name)
-		g, _ = core.Build(p.Data, counting, core.Options{
-			K: e.K, B: b, T: t, MaxClusterSize: n,
-			Workers: e.Workers, Seed: e.Seed,
-		})
+		g, _ = c2knn.BuildC2(p.Data, counting, e.c2Options(p.Cfg.Name))
 	default:
 		panic("experiments: unknown algorithm " + algo)
 	}
@@ -150,16 +139,12 @@ func (e *Env) Table3(names []string) ([]RecRow, error) {
 		folds := recommend.Split(p.Data, e.Folds, e.Seed)
 		var bfSum, c2Sum float64
 		for _, f := range folds {
-			raw := similarity.NewJaccard(f.Train)
-			gf, err := trainGoldFinger(e, f.Train)
+			gf, err := goldfinger.New(f.Train, e.GFBits, uint32(e.Seed)+0x60fd)
 			if err != nil {
 				return nil, err
 			}
-			exact := bruteForceGraph(e, f.Train, raw)
-			b, t, n := e.C2Params(name)
-			g, _ := core.Build(f.Train, gf, core.Options{
-				K: e.K, B: b, T: t, MaxClusterSize: n, Workers: e.Workers, Seed: e.Seed,
-			})
+			exact := c2knn.BuildBruteForce(f.Train, similarity.NewJaccard(f.Train), e.buildOptions())
+			g, _ := c2knn.BuildC2(f.Train, gf, e.c2Options(name))
 			bfSum += recommend.EvalRecall(f, exact, nRec, e.Workers)
 			c2Sum += recommend.EvalRecall(f, g, nRec, e.Workers)
 		}
@@ -254,13 +239,4 @@ func (e *Env) variantTable(title string, variants []variant) ([]AlgoRow, error) 
 		}
 	}
 	return rows, nil
-}
-
-// trainGoldFinger builds fingerprints for a fold's training dataset.
-func trainGoldFinger(e *Env, d *dataset.Dataset) (similarity.Provider, error) {
-	gf, err := newGoldFinger(d, e.GFBits, uint32(e.Seed)+0x60fd)
-	if err != nil {
-		return nil, err
-	}
-	return gf, nil
 }

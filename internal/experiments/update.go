@@ -10,6 +10,7 @@ import (
 	"c2knn/internal/core"
 	"c2knn/internal/dataset"
 	"c2knn/internal/delta"
+	"c2knn/internal/goldfinger"
 	"c2knn/internal/recommend"
 )
 
@@ -90,7 +91,7 @@ func (e *Env) Update() (*UpdateSummary, error) {
 	sum := &UpdateSummary{Dataset: name, K: e.K, BaseUsers: n - heldOut, Upserts: heldOut}
 
 	// Quality reference: the graph a full rebuild produces.
-	gfFull, err := newGoldFinger(f.Train, e.GFBits, uint32(e.Seed)+0x60fd)
+	gfFull, err := goldfinger.New(f.Train, e.GFBits, uint32(e.Seed)+0x60fd)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +100,7 @@ func (e *Env) Update() (*UpdateSummary, error) {
 
 	// Measured path: build without the tail, then stream it back in.
 	base := dataset.New(f.Train.Name, f.Train.Profiles[:n-heldOut], f.Train.NumItems)
-	gfBase, err := newGoldFinger(base, e.GFBits, uint32(e.Seed)+0x60fd)
+	gfBase, err := goldfinger.New(base, e.GFBits, uint32(e.Seed)+0x60fd)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ type Options struct {
 	// SampleK caps how many reverse neighbors are considered per user and
 	// iteration (default K; the original paper's ρ·K with ρ=1).
 	SampleK int
-	// Workers sizes the worker pool (default 1).
+	// Workers sizes the worker pool (default 1; below 1 means 1).
 	Workers int
 	// Seed drives the random initial graph and reverse sampling.
 	Seed int64
@@ -48,7 +48,7 @@ func (o *Options) setDefaults() {
 	if o.SampleK == 0 {
 		o.SampleK = o.K
 	}
-	if o.Workers == 0 {
+	if o.Workers < 1 {
 		o.Workers = 1
 	}
 }

@@ -2,6 +2,7 @@ package nndescent
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"c2knn/internal/bruteforce"
@@ -43,6 +44,23 @@ func TestUpdatesDecline(t *testing.T) {
 	first, last := res.Updates[0], res.Updates[len(res.Updates)-1]
 	if last >= first {
 		t.Errorf("updates did not decline: first=%d last=%d", first, last)
+	}
+}
+
+// TestNegativeWorkersRefines: a worker count below 1 runs one worker,
+// as in the other builders. It used to start no refinement goroutine,
+// so the run stopped after one empty pass, reported Converged, and
+// returned the random initial graph.
+func TestNegativeWorkersRefines(t *testing.T) {
+	const n = 300
+	p := ringSim(n)
+	want, wantRes := Build(n, p, Options{K: 8, Seed: 1, Workers: 1})
+	got, gotRes := Build(n, p, Options{K: 8, Seed: 1, Workers: -1})
+	if !reflect.DeepEqual(got.Freeze(), want.Freeze()) {
+		t.Error("Workers: -1 built a different graph than Workers: 1")
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Errorf("Workers: -1 ran %+v, Workers: 1 ran %+v", gotRes, wantRes)
 	}
 }
 

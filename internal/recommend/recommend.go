@@ -86,51 +86,6 @@ func compareScored(a, b scored) int {
 	return cmp.Compare(a.item, b.item)
 }
 
-// rankScored fully sorts ranked by compareScored, truncates to n, and
-// appends the item ids to dst. It is the map-based reference path's
-// ranking and the oracle of the Scorer's bounded drain.
-func rankScored(ranked []scored, n int, dst []int32) []int32 {
-	slices.SortFunc(ranked, compareScored)
-	if len(ranked) > n {
-		ranked = ranked[:n]
-	}
-	for _, r := range ranked {
-		dst = append(dst, r.item)
-	}
-	return dst
-}
-
-// Recommend returns up to n items for user u: every item appearing in a
-// neighbor's training profile but not in u's own, scored by the sum of
-// the recommending neighbors' similarities (classic user-based CF).
-// This is the build-structure reference path — it walks the mutable
-// graph and allocates a scoring map per call. Serving paths should
-// freeze the graph and recommend through a Scorer (or c2knn.Index),
-// which touches no maps and reuses all scratch. n ≤ 0 yields nil.
-func Recommend(train *dataset.Dataset, g *knng.Graph, u int32, n int) []int32 {
-	if n <= 0 {
-		return nil
-	}
-	scores := make(map[int32]float64)
-	own := train.Profiles[u]
-	for _, nb := range g.Lists[u].H {
-		if nb.Sim <= 0 {
-			continue
-		}
-		for _, it := range train.Profiles[nb.ID] {
-			if sets.Contains(own, it) {
-				continue
-			}
-			scores[it] += nb.Sim
-		}
-	}
-	ranked := make([]scored, 0, len(scores))
-	for it, s := range scores {
-		ranked = append(ranked, scored{it, s})
-	}
-	return rankScored(ranked, n, make([]int32, 0, min(n, len(ranked))))
-}
-
 // Scorer is the reusable per-worker scratch of the frozen serving path:
 // a dense per-item score accumulator, the touched-item list, and an
 // n-slot selection heap. A query costs O(R) for the R row entries it
@@ -157,19 +112,20 @@ func NewScorer(numItems int32) *Scorer {
 	return &Scorer{scores: make([]float64, numItems)}
 }
 
-// Recommend is the frozen-graph scoring path: identical semantics to
-// the package-level Recommend (score = sum of recommending neighbors'
-// similarities, u's own items excluded, ties by ascending item id) but
-// reading the CSR adjacency and accumulating into the dense scratch —
-// no per-query map, no per-query allocation when dst is recycled. The
-// item ids are appended to dst; the extended slice is returned. n ≤ 0
-// appends nothing.
+// Recommend returns up to n items for user u by user-based
+// collaborative filtering (classic §V-B CF): every item in a
+// positive-similarity neighbor's training profile but not in u's own,
+// scored by the sum of the recommending neighbors' similarities, ties
+// by ascending item id. It reads the CSR adjacency and accumulates into
+// the dense scratch — no per-query map, no per-query allocation when
+// dst is recycled. The item ids are appended to dst; the extended slice
+// is returned. n ≤ 0 appends nothing.
 //
 // u's own items are excluded by marking them in the dense scratch for
 // the duration of the query, so each row item costs one load. Items are
-// visited — and scores summed — in the same order as the reference
-// path, and the top n are selected under the same total order, so the
-// result is bit-identical to it.
+// visited — and scores summed — in the same order as the package
+// tests' map-based oracle, and the top n are selected under the same
+// total order, so the result is bit-identical to it.
 func (s *Scorer) Recommend(train *dataset.Dataset, g *knng.Frozen, u int32, n int, dst []int32) []int32 {
 	return recommendFrom(s, frozenPair{train, g}, u, n, dst)
 }
@@ -260,7 +216,8 @@ func (s *Scorer) accumulateRow(row []int32, sim float64) {
 // compareScored in s.ranked: a heap whose root is the worst item kept,
 // so a candidate is one comparison against the root and, if it wins,
 // one sift. Only the kept items are then sorted and their ids appended
-// to dst. Same result as rankScored over all touched items.
+// to dst. Same result as a full sort of all touched items, truncated
+// to n.
 func (s *Scorer) drain(n int, dst []int32) []int32 {
 	h := s.ranked[:0]
 	for _, it := range s.touched {

@@ -16,6 +16,48 @@ import (
 	"c2knn/internal/synth"
 )
 
+// mapRecommend is the oracle of the Scorer: the same user-based CF
+// computed the plain way, over the mutable graph with a scoring map per
+// call and a full sort of every scored item (rankScored). n ≤ 0 yields
+// nil.
+func mapRecommend(train *dataset.Dataset, g *knng.Graph, u int32, n int) []int32 {
+	if n <= 0 {
+		return nil
+	}
+	scores := make(map[int32]float64)
+	own := train.Profiles[u]
+	for _, nb := range g.Lists[u].H {
+		if nb.Sim <= 0 {
+			continue
+		}
+		for _, it := range train.Profiles[nb.ID] {
+			if sets.Contains(own, it) {
+				continue
+			}
+			scores[it] += nb.Sim
+		}
+	}
+	ranked := make([]scored, 0, len(scores))
+	for it, s := range scores {
+		ranked = append(ranked, scored{it, s})
+	}
+	return rankScored(ranked, n, make([]int32, 0, min(n, len(ranked))))
+}
+
+// rankScored fully sorts ranked by compareScored, truncates to n, and
+// appends the item ids to dst: mapRecommend's ranking and the oracle of
+// the Scorer's bounded drain.
+func rankScored(ranked []scored, n int, dst []int32) []int32 {
+	slices.SortFunc(ranked, compareScored)
+	if len(ranked) > n {
+		ranked = ranked[:n]
+	}
+	for _, r := range ranked {
+		dst = append(dst, r.item)
+	}
+	return dst
+}
+
 func TestSplitPartitionsProfiles(t *testing.T) {
 	d := synth.Generate(synth.ML1M().Scale(0.03))
 	const folds = 5
@@ -85,7 +127,7 @@ func TestRecommendExcludesOwnItems(t *testing.T) {
 	g := knng.New(3, 2)
 	g.Insert(0, 1, 0.75)
 	g.Insert(0, 2, 0.01)
-	recs := Recommend(d, g, 0, 5)
+	recs := mapRecommend(d, g, 0, 5)
 	if len(recs) == 0 {
 		t.Fatal("no recommendations")
 	}
@@ -110,7 +152,7 @@ func TestRecommendScoresBySimilaritySum(t *testing.T) {
 	g.Insert(0, 1, 0.5)
 	g.Insert(0, 2, 0.3)
 	g.Insert(0, 3, 0.3)
-	recs := Recommend(d, g, 0, 2)
+	recs := mapRecommend(d, g, 0, 2)
 	// Item 2 scores 0.6 > item 1 at 0.5.
 	if len(recs) != 2 || recs[0] != 2 || recs[1] != 1 {
 		t.Errorf("recs = %v, want [2 1]", recs)
@@ -191,7 +233,7 @@ func checkAgainstMap(t *testing.T, d *dataset.Dataset, g *knng.Graph, src Source
 	var rec []int32
 	for _, n := range []int{1, 5, 10, 30} {
 		for u := int32(0); int(u) < d.NumUsers(); u++ {
-			want := Recommend(d, g, u, n)
+			want := mapRecommend(d, g, u, n)
 			rec = sc.RecommendSource(src, u, n, rec[:0])
 			if !slices.Equal(rec, want) {
 				t.Fatalf("n=%d user %d: RecommendSource %v, map path %v", n, u, rec, want)
@@ -286,7 +328,7 @@ func TestScorerScratchCleanBetweenQueries(t *testing.T) {
 		if !slices.Equal(got, q.want) {
 			t.Fatalf("user %d: %v, want %v", q.u, got, q.want)
 		}
-		if ref := Recommend(d, g, q.u, 10); !slices.Equal(got, ref) {
+		if ref := mapRecommend(d, g, q.u, 10); !slices.Equal(got, ref) {
 			t.Fatalf("user %d: %v, map path %v", q.u, got, ref)
 		}
 		assertScratchClean(t, sc)
@@ -354,8 +396,8 @@ func TestScorerNonPositiveN(t *testing.T) {
 		if got := sc.RecommendSource(frozenPair{d, f}, 3, n, dst); !slices.Equal(got, dst) {
 			t.Fatalf("RecommendSource n=%d appended: %v", n, got)
 		}
-		if got := Recommend(d, g, 3, n); got != nil {
-			t.Fatalf("map Recommend n=%d = %v, want nil", n, got)
+		if got := mapRecommend(d, g, 3, n); got != nil {
+			t.Fatalf("mapRecommend n=%d = %v, want nil", n, got)
 		}
 		assertScratchClean(t, sc)
 	}
@@ -446,7 +488,7 @@ func TestScorerRowMergeExclusion(t *testing.T) {
 	sc := NewScorer(d.NumItems)
 	var rec []int32
 	for u := int32(0); u < 4; u++ {
-		want := Recommend(d, g, u, 10)
+		want := mapRecommend(d, g, u, 10)
 		rec = sc.Recommend(d, f, u, 10, rec[:0])
 		if len(rec) != len(want) {
 			t.Fatalf("user %d: %d items vs %d (%v vs %v)", u, len(rec), len(want), rec, want)

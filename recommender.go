@@ -15,13 +15,6 @@ func SplitFolds(d *Dataset, folds int, seed int64) []Fold {
 	return recommend.Split(d, folds, seed)
 }
 
-// Recommend returns up to n items for user u by user-based collaborative
-// filtering over g: items in neighbors' profiles (but not u's own),
-// scored by the recommending neighbors' similarities.
-func Recommend(train *Dataset, g *Graph, u int32, n int) []int32 {
-	return recommend.Recommend(train, g, u, n)
-}
-
 // EvalRecall recommends n items to every user of the fold using g and
 // returns the mean recall over users with held-out items. g is frozen
 // once and evaluated on the CSR serving path; use EvalRecallFrozen to
