@@ -393,14 +393,9 @@ func (o *Overlay) Upsert(user int32, items []int32) (Result, error) {
 	o.heap = list.H[:0:cap(list.H)]
 
 	// Materialize u's row in canonical frozen order.
-	row := slices.Clone(list.H)
-	knng.SortCanonical(row)
-	rowIDs := make([]int32, len(row))
-	rowSims := make([]float32, len(row))
-	for i, nb := range row {
-		rowIDs[i] = nb.ID
-		rowSims[i] = float32(nb.Sim)
-	}
+	rowIDs := make([]int32, len(list.H))
+	rowSims := make([]float32, len(list.H))
+	knng.SortCanonical(list.H, rowIDs, rowSims)
 
 	// Copy-on-write: a fresh map, then fresh records. Readers holding
 	// the previous view never observe any of this, and records already
@@ -546,15 +541,9 @@ func patchRow(cur *View, v, u int32, sim float32, k int) ([]int32, []float32, bo
 		merged = append(merged, knng.Neighbor{ID: id, Sim: float64(sims[i])})
 	}
 	merged = append(merged, knng.Neighbor{ID: u, Sim: float64(sim)})
-	knng.SortCanonical(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
 	outIDs := make([]int32, len(merged))
 	outSims := make([]float32, len(merged))
-	for i, nb := range merged {
-		outIDs[i] = nb.ID
-		outSims[i] = float32(nb.Sim)
-	}
-	return outIDs, outSims, true
+	knng.SortCanonical(merged, outIDs, outSims)
+	n := min(len(merged), k)
+	return outIDs[:n:n], outSims[:n:n], true
 }

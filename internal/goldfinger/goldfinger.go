@@ -168,6 +168,11 @@ func (s *Set) Ones(u int32) int { return int(s.ones[u]) }
 // mutated; the persistence layer serializes it verbatim.
 func (s *Set) Signatures() []uint64 { return s.sigs }
 
+// Popcounts returns the per-user fingerprint popcounts, Ones(u) at index
+// u. Like Signatures it aliases internal storage and must not be
+// mutated; the persistence layer serializes it verbatim.
+func (s *Set) Popcounts() []int32 { return s.ones }
+
 // FromParts reconstructs a Set from a signature block and its matching
 // per-user popcounts, aliasing both slices (both may view read-only
 // mapped memory) — the snapshot loader's constructor, since the format

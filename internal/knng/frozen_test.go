@@ -1,12 +1,29 @@
 package knng
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 )
+
+// sortNeighborsNarrowed is the comparator form of the canonical order
+// (see canonicalKey): decreasing float32-narrowed similarity, ties by
+// ascending id. It is the oracle of Freeze and SortCanonical.
+func sortNeighborsNarrowed(s []Neighbor) {
+	slices.SortFunc(s, func(a, b Neighbor) int {
+		as, bs := float32(a.Sim), float32(b.Sim)
+		if as != bs {
+			if as > bs {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+}
 
 // randomGraph builds a graph over n users with up to k random neighbors
 // each, using a deterministic pseudo-similarity so tests are repeatable
@@ -207,5 +224,94 @@ func TestFreezeParallelMatchesSerial(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// adversarialRows are rows the canonical order must handle as the
+// comparator does: float64 sims that collide after float32 narrowing,
+// exact ties, +0 and −0 (also as the narrowing of tiny negatives),
+// negative sims, subnormals and infinities, negative ids, empty and
+// one-edge rows, and rows on both sides of insertionRow. Ids within a
+// row are distinct, as in every graph.
+func adversarialRows() [][]Neighbor {
+	pool := []float64{
+		0, math.Copysign(0, -1), -1e-50, 1e-50, 1e-40, -1e-40,
+		0.5, 0.5 + 1e-12, 0.5 - 1e-12, 1.0 / 3, 1.0/3 + 1e-17,
+		-0.25, -0.25 - 1e-12, -1, 1, 0.1, 0.1 + 1e-10,
+		math.MaxFloat32, 1e300, -1e300, math.SmallestNonzeroFloat32,
+	}
+	rows := [][]Neighbor{nil, {}, {{ID: 3, Sim: 0.5}}}
+	tie := make([]Neighbor, 12)
+	for i := range tie {
+		tie[i] = Neighbor{ID: int32(11 - i), Sim: 0.75}
+	}
+	rows = append(rows, tie)
+	zeros := make([]Neighbor, 10)
+	for i := range zeros {
+		zeros[i] = Neighbor{ID: int32((i * 7) % 10), Sim: pool[i%3]}
+	}
+	rows = append(rows, zeros)
+	rng := rand.New(rand.NewSource(17))
+	for range 300 {
+		row := make([]Neighbor, rng.Intn(2*insertionRow))
+		for i, id := range rng.Perm(len(row)) {
+			row[i] = Neighbor{ID: int32(id - 5), Sim: pool[rng.Intn(len(pool))]}
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// canonicalOracle returns row's ids and narrowed sims in the order
+// sortNeighborsNarrowed gives.
+func canonicalOracle(row []Neighbor) ([]int32, []float32) {
+	s := slices.Clone(row)
+	sortNeighborsNarrowed(s)
+	ids, sims := make([]int32, len(s)), make([]float32, len(s))
+	for i, nb := range s {
+		ids[i], sims[i] = nb.ID, float32(nb.Sim)
+	}
+	return ids, sims
+}
+
+// sameCanonicalRow fails unless ids and sims equal the oracle's: sims
+// bit for bit, except that an oracle −0 reads +0 (canonicalKey).
+func sameCanonicalRow(t *testing.T, r int, ids []int32, sims []float32, wantIDs []int32, wantSims []float32) {
+	t.Helper()
+	if !slices.Equal(ids, wantIDs) {
+		t.Fatalf("row %d: ids %v, comparator %v", r, ids, wantIDs)
+	}
+	for i, want := range wantSims {
+		if want == 0 {
+			want = 0
+		}
+		if math.Float32bits(sims[i]) != math.Float32bits(want) {
+			t.Fatalf("row %d edge %d: sim %v (%#x), comparator %v", r, i, sims[i], math.Float32bits(sims[i]), want)
+		}
+	}
+}
+
+// TestCanonicalOrderMatchesComparator: SortCanonical and Freeze order
+// adversarial rows exactly as the comparator does, and SortCanonical
+// leaves its input alone.
+func TestCanonicalOrderMatchesComparator(t *testing.T) {
+	rows := adversarialRows()
+	g := New(len(rows), 2*insertionRow)
+	for r, row := range rows {
+		wantIDs, wantSims := canonicalOracle(row)
+		in := slices.Clone(row)
+		ids, sims := make([]int32, len(row)), make([]float32, len(row))
+		SortCanonical(in, ids, sims)
+		if !slices.Equal(in, row) {
+			t.Fatalf("row %d: SortCanonical modified its input", r)
+		}
+		sameCanonicalRow(t, r, ids, sims, wantIDs, wantSims)
+		g.Lists[r].H = slices.Clone(row)
+	}
+	f := g.Freeze()
+	for r, row := range rows {
+		wantIDs, wantSims := canonicalOracle(row)
+		ids, sims := f.Neighbors(int32(r))
+		sameCanonicalRow(t, r, ids, sims, wantIDs, wantSims)
 	}
 }

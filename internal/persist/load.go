@@ -33,7 +33,8 @@ var ErrMapUnavailable = errors.New("persist: snapshot cannot be memory-mapped")
 // hostLittleEndian reports whether the host stores integers
 // little-endian — the byte order the format fixes. On a big-endian host
 // views would transpose every integer, so the mmap path declines and
-// the portable copy decoder runs instead.
+// the portable copy decoder runs instead, and Encode converts every slab
+// (leBytes) instead of writing it from memory as it lies.
 var hostLittleEndian = func() bool {
 	var buf [2]byte
 	binary.NativeEndian.PutUint16(buf[:], 0x0102)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -515,6 +516,47 @@ func TestWriteFileConcurrentWriters(t *testing.T) {
 		if strings.Contains(e.Name(), ".tmp") {
 			t.Fatalf("temp file %q left behind", e.Name())
 		}
+	}
+}
+
+// writeLog records the writes a blockWriter makes.
+type writeLog struct {
+	data  []byte
+	sizes []int
+}
+
+func (l *writeLog) Write(p []byte) (int, error) {
+	l.data = append(l.data, p...)
+	l.sizes = append(l.sizes, len(p))
+	return len(p), nil
+}
+
+// TestBlockWriterAligns: every write a blockWriter makes before Flush is
+// a whole number of blocks at a block-aligned offset, whatever the sizes
+// it is handed, and the bytes arrive in order.
+func TestBlockWriterAligns(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var want []byte
+	log := &writeLog{}
+	w := &blockWriter{w: log, buf: make([]byte, 0, writeBlock)}
+	for _, n := range []int{0, 12, 52, writeBlock - 64, 3*writeBlock + 5, 1, writeBlock, 7, 2*writeBlock - 7, 100} {
+		p := make([]byte, n)
+		rng.Read(p)
+		want = append(want, p...)
+		if m, err := w.Write(p); m != n || err != nil {
+			t.Fatalf("Write(%d bytes) = %d, %v", n, m, err)
+		}
+	}
+	for i, size := range log.sizes {
+		if size == 0 || size%writeBlock != 0 {
+			t.Fatalf("write %d is %d bytes, not a whole number of %d-byte blocks", i, size, writeBlock)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(log.data, want) {
+		t.Fatalf("wrote %d bytes differing from the %d handed in", len(log.data), len(want))
 	}
 }
 

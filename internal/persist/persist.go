@@ -72,8 +72,10 @@
 // compactions and shards alike, whatever Snapshot.Buckets holds — and
 // writes it right after the record whenever it writes the record and a
 // dataset, so a C² snapshot is a record-less file plus two sections
-// (and a section count two higher). It adds 1–2 ms to an ml1M write
-// and 11–19 ms to an ml10M one. Decode checks only its framing: the payload
+// (and a section count two higher). Computing it takes 0.9–1.7 ms on
+// ml1M and 8.5–12 ms on ml10M (interquartile range of 15 runs, 2-vCPU
+// x86-64 VM), concurrently with the graph's validation. Decode checks
+// only its framing: the payload
 // length, B and T against the record, numUsers against the dataset and
 // M ≤ numUsers; it refuses the section without a record or a dataset.
 // On the mmap path the table stays a view over the mapping, so a
@@ -144,9 +146,28 @@
 //
 // A file with faults in several sections may therefore report a
 // different first error on each path; the two paths accept exactly the
-// same files. Encode checksums through the same chunked pass, so writes
-// use every core and the checksum kernel too, and the bytes written do
-// not change.
+// same files.
+//
+// # Encoding
+//
+// Encode writes nothing until every check has passed. The graph's full
+// Validate runs concurrently with the dataset's, which the bucket table
+// computation follows (the table indexes hash rows by item id). Each
+// section is then a list of segments whose concatenation is its
+// payload: the 64-byte header block, zero pads, and the little-endian
+// bytes of each slab — the graph's offsets, ids and similarities, the
+// fingerprints' popcounts and signatures, the bucket table's offsets
+// and ids, and the dataset's profile lengths (computed) and items
+// (written profile by profile, so profiles need not be contiguous).
+// leBytes gives those bytes: a view of the slab's own memory on a
+// little-endian host, a converted copy on any other, so there is one
+// code path and big-endian hosts only convert. The slabs therefore go
+// to the writer without an intermediate payload, and Encode allocates
+// O(users + ratings) bytes, not O(edges). The verifier's chunked pass
+// checksums every segment on all cores with the checksum kernel, and
+// crc32Combine stitches each section's CRC from its chunks, before the
+// first byte is written. The bytes are those the element-by-element
+// encoder, kept in the tests as the oracle, writes.
 //
 // # Checksum kernel
 //
@@ -288,23 +309,41 @@ func (s *Snapshot) Close() {
 	}
 }
 
-// Encode writes s to w in the snapshot format (version 2).
+// Encode writes s to w in the snapshot format (version 2). It writes
+// nothing unless s passes every check, and then writes the slabs from
+// the memory they live in (see the package comment's Encoding section).
 func Encode(w io.Writer, s *Snapshot) error {
 	if s == nil || (s.Graph == nil && s.Train == nil && s.GoldFinger == nil) {
 		return errors.New("persist: refusing to encode an empty snapshot")
 	}
-	if s.Graph != nil {
-		if err := s.Graph.Validate(); err != nil {
-			return fmt.Errorf("persist: refusing to encode invalid graph: %w", err)
+	recorded := s.Graph != nil && s.Graph.Clustering != (knng.Clustering{})
+	var graphErr, trainErr error
+	var tab *frh.Table
+	parallel(2, func(i int) {
+		if i == 0 {
+			if s.Graph != nil {
+				graphErr = s.Graph.Validate()
+			}
+			return
 		}
+		if s.Train == nil {
+			return
+		}
+		// The table indexes per-item hash rows by item id, so it runs
+		// only on a dataset Validate has passed.
+		if trainErr = s.Train.Validate(); trainErr == nil && recorded && s.Graph.Clustering.Check() == nil {
+			c := s.Graph.Clustering
+			tab = frh.NewHasher(s.Train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(s.Train.Profiles)
+		}
+	})
+	if graphErr != nil {
+		return fmt.Errorf("persist: refusing to encode invalid graph: %w", graphErr)
 	}
-	if s.Train != nil {
-		if err := s.Train.Validate(); err != nil {
-			return fmt.Errorf("persist: refusing to encode invalid dataset: %w", err)
-		}
-		if len(s.Train.Name) > math.MaxUint16 {
-			return fmt.Errorf("persist: dataset name longer than %d bytes", math.MaxUint16)
-		}
+	if trainErr != nil {
+		return fmt.Errorf("persist: refusing to encode invalid dataset: %w", trainErr)
+	}
+	if s.Train != nil && len(s.Train.Name) > math.MaxUint16 {
+		return fmt.Errorf("persist: dataset name longer than %d bytes", math.MaxUint16)
 	}
 	if s.Graph != nil && s.Train != nil && s.Graph.NumUsers() != s.Train.NumUsers() {
 		return fmt.Errorf("persist: graph has %d users, dataset %d", s.Graph.NumUsers(), s.Train.NumUsers())
@@ -312,95 +351,111 @@ func Encode(w io.Writer, s *Snapshot) error {
 	if s.Graph != nil && s.GoldFinger != nil && s.Graph.NumUsers() != s.GoldFinger.NumUsers() {
 		return fmt.Errorf("persist: graph has %d users, fingerprints %d", s.Graph.NumUsers(), s.GoldFinger.NumUsers())
 	}
-	recorded := s.Graph != nil && s.Graph.Clustering != (knng.Clustering{})
+	if s.Train != nil && s.GoldFinger != nil && s.Train.NumUsers() != s.GoldFinger.NumUsers() {
+		return fmt.Errorf("persist: dataset has %d users, fingerprints %d", s.Train.NumUsers(), s.GoldFinger.NumUsers())
+	}
 	if recorded {
 		if err := s.Graph.Clustering.Check(); err != nil {
 			return fmt.Errorf("persist: refusing to encode %w", err)
 		}
 	}
-	buckets := recorded && s.Train != nil
-	var count uint32
-	for _, present := range []bool{s.Graph != nil, s.Train != nil, s.GoldFinger != nil, recorded, buckets} {
-		if present {
-			count++
-		}
-	}
-	cw := &countingWriter{w: w}
-	hdr := make([]byte, 0, 16)
-	hdr = append(hdr, magic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, Version)
-	hdr = binary.LittleEndian.AppendUint32(hdr, count)
-	if _, err := cw.Write(hdr); err != nil {
-		return err
-	}
+
+	var secs []section
 	if s.Graph != nil {
-		if err := writeSection(cw, secGraph, encodeGraph(s.Graph)); err != nil {
-			return err
-		}
+		secs = append(secs, graphSection(s.Graph))
 	}
 	if s.Train != nil {
-		if err := writeSection(cw, secDataset, encodeDataset(s.Train)); err != nil {
-			return err
-		}
+		secs = append(secs, datasetSection(s.Train))
 	}
 	if s.GoldFinger != nil {
-		if err := writeSection(cw, secGoldFinger, encodeGoldFinger(s.GoldFinger)); err != nil {
-			return err
-		}
+		secs = append(secs, goldFingerSection(s.GoldFinger))
 	}
 	if recorded {
 		var gfSeed uint32
 		if s.GoldFinger != nil {
 			gfSeed = s.GoldFinger.Seed()
 		}
-		if err := writeSection(cw, secClustering, encodeClustering(s.Graph.Clustering, gfSeed)); err != nil {
+		rec := section{typ: secClustering}
+		rec.add(encodeClustering(s.Graph.Clustering, gfSeed))
+		secs = append(secs, rec)
+	}
+	if tab != nil {
+		secs = append(secs, bucketSection(tab))
+	}
+	spans := make([]span, len(secs))
+	for i := range secs {
+		spans[i].segs = secs[i].segs
+	}
+	scan(spans)
+
+	// out holds the bytes between two payloads: the file header or the
+	// previous section's CRC, then the next section header and its pad.
+	out := append(make([]byte, 0, 16+12+64), magic[:]...)
+	out = binary.LittleEndian.AppendUint32(out, Version)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(secs)))
+	off := uint64(len(out))
+	for i, sec := range secs {
+		out = binary.LittleEndian.AppendUint32(out, sec.typ)
+		out = binary.LittleEndian.AppendUint64(out, uint64(sec.size))
+		pad := pad64(off + 12)
+		out = append(out, zeros[:pad]...)
+		off += 12 + uint64(pad) + uint64(sec.size) + 4
+		if _, err := w.Write(out); err != nil {
 			return err
 		}
-	}
-	if buckets {
-		c := s.Graph.Clustering
-		tab := frh.NewHasher(s.Train.NumItems, frh.Options{B: c.B, T: c.T, Seed: c.Seed}).Table(s.Train.Profiles)
-		if err := writeSection(cw, secBuckets, encodeBuckets(tab)); err != nil {
-			return err
+		for _, seg := range sec.segs {
+			if _, err := w.Write(seg); err != nil {
+				return err
+			}
 		}
+		out = binary.LittleEndian.AppendUint32(out[:0], spans[i].crc)
 	}
-	return nil
-}
-
-// countingWriter tracks the absolute file offset so writeSection can
-// emit the padding that 64-aligns each payload.
-type countingWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += uint64(n)
-	return n, err
+	_, err := w.Write(out)
+	return err
 }
 
 var zeros [64]byte
 
-func writeSection(w *countingWriter, typ uint32, payload []byte) error {
-	hdr := make([]byte, 0, 12)
-	hdr = binary.LittleEndian.AppendUint32(hdr, typ)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
+// section is one section's payload as segments whose concatenation is
+// the payload.
+type section struct {
+	typ  uint32
+	segs [][]byte
+	size int
+}
+
+// add appends b to the payload; an empty b adds no segment.
+func (sec *section) add(b []byte) {
+	if len(b) > 0 {
+		sec.segs = append(sec.segs, b)
+		sec.size += len(b)
 	}
-	if pad := pad64(w.n); pad > 0 {
-		if _, err := w.Write(zeros[:pad]); err != nil {
-			return err
+}
+
+// padTo appends zeros up to payload offset at, which lies less than 64
+// bytes ahead.
+func (sec *section) padTo(at int) { sec.add(zeros[:at-sec.size]) }
+
+// leBytes returns the little-endian bytes of xs, the byte order of every
+// slab on disk: on a little-endian host a view of xs's own memory, on
+// any other a converted copy.
+func leBytes[T int32 | uint32 | float32 | int64 | uint64](xs []T) []byte {
+	if len(xs) == 0 {
+		return nil
+	}
+	size := int(unsafe.Sizeof(xs[0]))
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*size)
+	}
+	b := make([]byte, len(xs)*size)
+	for i := range xs {
+		if p := unsafe.Pointer(&xs[i]); size == 4 {
+			binary.LittleEndian.PutUint32(b[4*i:], *(*uint32)(p))
+		} else {
+			binary.LittleEndian.PutUint64(b[8*i:], *(*uint64)(p))
 		}
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], checksum(payload))
-	_, err := w.Write(crc[:])
-	return err
+	return b
 }
 
 // graphLayout locates the graph payload's slabs relative to the payload
@@ -442,63 +497,62 @@ func bucketLayoutOf(b, t, m int) bucketLayout {
 	return bucketLayout{stride: stride, ids: ids, size: 64 + (t-1)*stride + ids + 4*m}
 }
 
-func encodeGraph(f *knng.Frozen) []byte {
+func graphSection(f *knng.Frozen) section {
 	n, m := f.NumUsers(), f.NumEdges()
 	lay := graphLayoutOf(n, m)
-	b := make([]byte, lay.size)
-	binary.LittleEndian.PutUint32(b[0:], uint32(f.K))
-	binary.LittleEndian.PutUint64(b[8:], uint64(n))
-	binary.LittleEndian.PutUint64(b[16:], uint64(m))
-	for i, o := range f.Offsets {
-		binary.LittleEndian.PutUint64(b[lay.offs+8*i:], uint64(o))
-	}
-	for i, id := range f.IDs {
-		binary.LittleEndian.PutUint32(b[lay.ids+4*i:], uint32(id))
-	}
-	for i, s := range f.Sims {
-		binary.LittleEndian.PutUint32(b[lay.sims+4*i:], math.Float32bits(s))
-	}
-	return b
+	hdr := make([]byte, 64)
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(f.K))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(m))
+	sec := section{typ: secGraph}
+	sec.add(hdr)
+	sec.add(leBytes(f.Offsets))
+	sec.padTo(lay.ids)
+	sec.add(leBytes(f.IDs))
+	sec.padTo(lay.sims)
+	sec.add(leBytes(f.Sims))
+	return sec
 }
 
-func encodeDataset(d *dataset.Dataset) []byte {
-	n, ratings := d.NumUsers(), d.NumRatings()
-	lay := dsLayoutOf(len(d.Name), n, ratings)
-	b := make([]byte, lay.size)
-	binary.LittleEndian.PutUint32(b[0:], uint32(len(d.Name)))
-	binary.LittleEndian.PutUint32(b[4:], uint32(d.NumItems))
-	binary.LittleEndian.PutUint64(b[8:], uint64(n))
-	binary.LittleEndian.PutUint64(b[16:], uint64(ratings))
-	copy(b[lay.name:], d.Name)
-	at := 0
+// datasetSection writes the items profile by profile, one segment each:
+// they need not be contiguous in memory.
+func datasetSection(d *dataset.Dataset) section {
+	lens := make([]uint32, d.NumUsers())
+	ratings := 0
 	for u, p := range d.Profiles {
-		binary.LittleEndian.PutUint32(b[lay.lens+4*u:], uint32(len(p)))
-		for _, it := range p {
-			binary.LittleEndian.PutUint32(b[lay.items+4*at:], uint32(it))
-			at++
-		}
+		lens[u] = uint32(len(p))
+		ratings += len(p)
 	}
-	return b
+	lay := dsLayoutOf(len(d.Name), len(lens), ratings)
+	hdr := make([]byte, 64)
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(d.Name)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(d.NumItems))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(lens)))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(ratings))
+	sec := section{typ: secDataset, segs: make([][]byte, 0, 5+len(lens))}
+	sec.add(hdr)
+	sec.add([]byte(d.Name))
+	sec.padTo(lay.lens)
+	sec.add(leBytes(lens))
+	sec.padTo(lay.items)
+	for _, p := range d.Profiles {
+		sec.add(leBytes(p))
+	}
+	return sec
 }
 
-func encodeGoldFinger(s *goldfinger.Set) []byte {
-	sigs := s.Signatures()
+func goldFingerSection(s *goldfinger.Set) section {
 	n := s.NumUsers()
-	words := 0
-	if n > 0 {
-		words = len(sigs) / n
-	}
-	lay := gfLayoutOf(n, words)
-	b := make([]byte, lay.size)
-	binary.LittleEndian.PutUint32(b[0:], uint32(s.Bits()))
-	binary.LittleEndian.PutUint64(b[8:], uint64(n))
-	for u := 0; u < n; u++ {
-		binary.LittleEndian.PutUint32(b[lay.ones+4*u:], uint32(s.Ones(int32(u))))
-	}
-	for i, w := range sigs {
-		binary.LittleEndian.PutUint64(b[lay.sigs+8*i:], w)
-	}
-	return b
+	lay := gfLayoutOf(n, s.Bits()/64)
+	hdr := make([]byte, 64)
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(s.Bits()))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
+	sec := section{typ: secGoldFinger}
+	sec.add(hdr)
+	sec.add(leBytes(s.Popcounts()))
+	sec.padTo(lay.sigs)
+	sec.add(leBytes(s.Signatures()))
+	return sec
 }
 
 func encodeClustering(c knng.Clustering, gfSeed uint32) []byte {
@@ -511,24 +565,24 @@ func encodeClustering(c knng.Clustering, gfSeed uint32) []byte {
 	return b
 }
 
-func encodeBuckets(tab *frh.Table) []byte {
+func bucketSection(tab *frh.Table) section {
 	m := len(tab.IDs[0])
 	lay := bucketLayoutOf(tab.B, tab.T, m)
-	b := make([]byte, lay.size)
-	binary.LittleEndian.PutUint32(b[0:], uint32(tab.B))
-	binary.LittleEndian.PutUint32(b[4:], uint32(tab.T))
-	binary.LittleEndian.PutUint64(b[8:], uint64(tab.N))
-	binary.LittleEndian.PutUint64(b[16:], uint64(m))
+	hdr := make([]byte, 64)
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(tab.B))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(tab.T))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(tab.N))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(m))
+	sec := section{typ: secBuckets}
+	sec.add(hdr)
 	for fn := range tab.T {
 		at := 64 + fn*lay.stride
-		for i, o := range tab.Offsets[fn] {
-			binary.LittleEndian.PutUint32(b[at+4*i:], o)
-		}
-		for i, u := range tab.IDs[fn] {
-			binary.LittleEndian.PutUint32(b[at+lay.ids+4*i:], uint32(u))
-		}
+		sec.padTo(at)
+		sec.add(leBytes(tab.Offsets[fn]))
+		sec.padTo(at + lay.ids)
+		sec.add(leBytes(tab.IDs[fn]))
 	}
-	return b
+	return sec
 }
 
 // decodeBuckets decodes a bucket table payload of the family c over n
@@ -673,6 +727,10 @@ func (a *assembler) finish() (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: graph has %d users, fingerprints %d",
 			ErrCorrupt, s.Graph.NumUsers(), s.GoldFinger.NumUsers())
 	}
+	if s.Train != nil && s.GoldFinger != nil && s.Train.NumUsers() != s.GoldFinger.NumUsers() {
+		return nil, fmt.Errorf("%w: dataset has %d users, fingerprints %d",
+			ErrCorrupt, s.Train.NumUsers(), s.GoldFinger.NumUsers())
+	}
 	if a.seen[secBuckets] {
 		if !a.seen[secClustering] || s.Train == nil {
 			return nil, fmt.Errorf("%w: bucket table without a clustering record and a dataset", ErrCorrupt)
@@ -813,7 +871,7 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 		off += length
 		types = append(types, typ)
 		wants = append(wants, binary.LittleEndian.Uint32(data[off:]))
-		spans = append(spans, span{b: payload, slab: boundsSlab(typ, payload)})
+		spans = append(spans, span{segs: [][]byte{payload}, slab: boundsSlab(typ, payload)})
 		off += 4
 	}
 	if off != size {
@@ -833,7 +891,7 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 	}
 	errs := make([]error, len(spans))
 	parallel(len(spans), func(i int) {
-		errs[i] = asm.decode(uint32(i), types[i], spans[i].b, spans[i].slab)
+		errs[i] = asm.decode(uint32(i), types[i], spans[i].segs[0], spans[i].slab)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -1103,7 +1161,7 @@ func writeFileAtomic(path string, write func(w io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
+	w := &blockWriter{w: f, buf: make([]byte, 0, writeBlock)}
 	if err := write(w); err != nil {
 		return fail(err)
 	}
@@ -1132,6 +1190,52 @@ func writeFileAtomic(path string, write func(w io.Writer) error) error {
 		d.Close()
 	}
 	return nil
+}
+
+// writeBlock is the granularity of blockWriter's writes.
+const writeBlock = 1 << 20
+
+// blockWriter writes to w only whole multiples of writeBlock at
+// writeBlock-aligned offsets, until Flush writes the tail. What does not
+// fill a block waits in buf; the rest of a long Write goes to w from the
+// caller's memory, so Encode's slabs reach the file without a copy. The
+// alignment matters to mapped readers: on a Linux 6.18 VM, the same
+// ml10M snapshot bytes written in 1 MiB writes offset by 100 KiB took
+// 1.9× the minor faults per LoadIndex of a file written in aligned
+// 1 MiB writes (about 465 against 250), and 64 KiB writes took 4×.
+type blockWriter struct {
+	w   io.Writer
+	buf []byte // cap(buf) == writeBlock
+}
+
+func (b *blockWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	if len(b.buf) > 0 {
+		k := copy(b.buf[len(b.buf):cap(b.buf)], p)
+		b.buf, p = b.buf[:len(b.buf)+k], p[k:]
+		if len(b.buf) < cap(b.buf) {
+			return n, nil
+		}
+		if _, err := b.w.Write(b.buf); err != nil {
+			return 0, err
+		}
+		b.buf = b.buf[:0]
+	}
+	if whole := len(p) &^ (writeBlock - 1); whole > 0 {
+		if _, err := b.w.Write(p[:whole]); err != nil {
+			return 0, err
+		}
+		p = p[whole:]
+	}
+	b.buf = append(b.buf, p...)
+	return n, nil
+}
+
+// Flush writes what is buffered.
+func (b *blockWriter) Flush() error {
+	_, err := b.w.Write(b.buf)
+	b.buf = b.buf[:0]
+	return err
 }
 
 // staleTempAge is how old an abandoned temp file must be before

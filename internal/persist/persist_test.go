@@ -3,8 +3,11 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"c2knn/internal/bruteforce"
@@ -259,6 +262,46 @@ func TestDecodeMismatchedUserCounts(t *testing.T) {
 	data = append(data, b[16:]...)      // dataset section
 	if snap, err := Decode(bytes.NewReader(data)); err == nil || snap != nil {
 		t.Fatalf("mismatched user counts undetected: snap=%v err=%v", snap, err)
+	}
+}
+
+// TestSectionUserCountsAgree: a dataset and fingerprints over different
+// user counts are refused without a graph as well as with one — Encode
+// will not write them, and both load paths reject a file that has them.
+func TestSectionUserCountsAgree(t *testing.T) {
+	ten := dataset.New("ten", make([][]int32, 10), 4)
+	five := goldfinger.MustNew(dataset.New("five", make([][]int32, 5), 4), 64, 1)
+	s := &Snapshot{Train: ten, GoldFinger: five}
+	if err := Encode(io.Discard, s); err == nil || !strings.Contains(err.Error(), "dataset has 10 users, fingerprints 5") {
+		t.Fatalf("Encode = %v, want a refusal naming both user counts", err)
+	}
+	data := referenceBytes(t, s)
+	if snap, err := decodeBothPaths(t, data); err == nil || snap != nil || !strings.Contains(err.Error(), "dataset has 10 users, fingerprints 5") {
+		t.Fatalf("decode = %v, want a refusal naming both user counts", err)
+	}
+	path := filepath.Join(t.TempDir(), "mismatch.c2")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := MapFile(path)
+	if errors.Is(err, ErrMapUnavailable) {
+		t.Skipf("mmap unavailable on this platform: %v", err)
+	}
+	if err == nil || snap != nil || !strings.Contains(err.Error(), "dataset has 10 users, fingerprints 5") {
+		t.Fatalf("MapFile = %v, want a refusal naming both user counts", err)
+	}
+}
+
+// BenchmarkEncodeML1M encodes the ml1M snapshot to io.Discard: the
+// validation, checksum and write cost of WriteFile without the file.
+func BenchmarkEncodeML1M(b *testing.B) {
+	s := ml1MSnapshot(b)
+	b.SetBytes(int64(len(encodeBytes(b, s))))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := Encode(io.Discard, s); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

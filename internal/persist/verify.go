@@ -9,8 +9,8 @@ package persist
 // while the CRC has just pulled it into cache. Each section's chunk
 // CRCs are then stitched together with crc32Combine, and each slab's
 // chunk maxima reduced to one value the decoder compares against its
-// limit. Encode's writeSection uses the
-// same pass, without slabs, to checksum on all cores.
+// limit. Encode runs the same pass, without slabs, over each section's
+// segments, to checksum on all cores.
 
 import (
 	"hash/crc32"
@@ -46,54 +46,65 @@ func (pre *slabMax) of(lo, hi int, xs []int32) uint32 {
 	return sets.MaxU32(xs)
 }
 
-// span is one payload for scan. scan sets crc to the payload's CRC-32C
-// and, when slab is non-nil, slab.max to its slab's unsigned maximum.
+// span is one payload for scan, as segments whose concatenation is the
+// payload. scan sets crc to the payload's CRC-32C and, when slab is
+// non-nil, slab.max to its slab's unsigned maximum.
 type span struct {
-	b    []byte
+	segs [][]byte
 	slab *slabMax
 	crc  uint32
 }
 
 // scan fills in every span's CRC-32C and slab maximum in one chunked
-// pass on up to GOMAXPROCS goroutines. A slab's byte range must lie in
-// its payload, start 4-byte aligned in memory and span a multiple of 4
-// bytes; chunk boundaries are multiples of 4 from the payload start, so
-// every chunk's overlap with the slab is whole int32s.
+// pass on up to GOMAXPROCS goroutines. Chunks cut the payload, not the
+// segments: a chunk may cover pieces of many short segments, which its
+// worker checksums in turn. A slab's byte range must lie in its payload,
+// and each segment's overlap with it start 4-byte aligned in memory and
+// span a multiple of 4 bytes; chunk boundaries are multiples of 4 from
+// the payload start, so every piece's overlap with the slab is whole
+// int32s.
 func scan(spans []span) {
 	type chunk struct {
-		span, lo, hi int
-		crc, max     uint32
+		span, seg, off int // the chunk's first byte is spans[span].segs[seg][off]
+		lo, n          int // its payload offset and length
+		crc, max       uint32
 	}
 	var chunks []chunk
 	for i := range spans {
-		for lo := 0; lo < len(spans[i].b); lo += chunkSize {
-			chunks = append(chunks, chunk{span: i, lo: lo, hi: min(lo+chunkSize, len(spans[i].b))})
+		at := 0
+		for j, seg := range spans[i].segs {
+			for lo := (at + chunkSize - 1) / chunkSize * chunkSize; lo < at+len(seg); lo += chunkSize {
+				chunks = append(chunks, chunk{span: i, seg: j, off: lo - at, lo: lo, n: chunkSize})
+			}
+			at += len(seg)
+		}
+		if k := len(chunks) - 1; k >= 0 && chunks[k].span == i {
+			chunks[k].n = at - chunks[k].lo
 		}
 	}
-	parallel(len(chunks), func(j int) {
-		c := &chunks[j]
+	parallel(len(chunks), func(k int) {
+		c := &chunks[k]
 		sp := &spans[c.span]
-		c.crc = crcUpdate(0, sp.b[c.lo:c.hi])
-		if sl := sp.slab; sl != nil {
-			if lo, hi := max(c.lo, sl.lo), min(c.hi, sl.hi); lo < hi {
-				c.max = maxU32(unsafe.Slice((*int32)(unsafe.Pointer(&sp.b[lo])), (hi-lo)/4))
+		lo, end := c.lo, c.lo+c.n
+		for seg, off := c.seg, c.off; lo < end; seg, off = seg+1, 0 {
+			b := sp.segs[seg][off:]
+			b = b[:min(len(b), end-lo)]
+			c.crc = crcUpdate(c.crc, b)
+			if sl := sp.slab; sl != nil {
+				if l, h := max(lo, sl.lo), min(lo+len(b), sl.hi); l < h {
+					c.max = max(c.max, maxU32(unsafe.Slice((*int32)(unsafe.Pointer(&b[l-lo])), (h-l)/4)))
+				}
 			}
+			lo += len(b)
 		}
 	})
 	for _, c := range chunks {
 		sp := &spans[c.span]
-		sp.crc = crc32Combine(sp.crc, c.crc, uint64(c.hi-c.lo))
+		sp.crc = crc32Combine(sp.crc, c.crc, uint64(c.n))
 		if sp.slab != nil {
 			sp.slab.max = max(sp.slab.max, c.max)
 		}
 	}
-}
-
-// checksum returns crc32.Checksum(b, crcTable), computed by scan.
-func checksum(b []byte) uint32 {
-	sp := []span{{b: b}}
-	scan(sp)
-	return sp[0].crc
 }
 
 // parallel calls f(0), …, f(n-1) on up to GOMAXPROCS goroutines, the

@@ -53,6 +53,13 @@ func chunkedSnapshot(tb testing.TB) *Snapshot {
 	return &Snapshot{Graph: g, Train: d, GoldFinger: goldfinger.MustNew(d, 64, 0x60fd)}
 }
 
+// checksum returns crc32.Checksum(b, crcTable), computed by scan.
+func checksum(b []byte) uint32 {
+	sp := []span{{segs: [][]byte{b}}}
+	scan(sp)
+	return sp[0].crc
+}
+
 // TestCRC32CCombine: stitching chunk CRCs with crc32Combine must equal
 // one crc32.Checksum over the whole buffer, at any split — empty and
 // 1-byte parts, and the verifier's chunk size ±1 — and so must scan's

@@ -9,8 +9,8 @@ import (
 
 // mergeNeighbors combines several shards' adjacency rows for one user
 // into the canonical single-snapshot ordering: similarity descending,
-// ties by ascending id — exactly the Frozen CSR sort (knng
-// sortNeighborsNarrowed), so a merged answer is bit-identical to what
+// ties by ascending id — exactly the Frozen CSR order (knng
+// SortCanonical), so a merged answer is bit-identical to what
 // one snapshot holding all the edges would serve. Duplicate ids (the
 // overlap window serves a user from both its old and new shard) are
 // deduplicated; rows disagree only during a migration, in which case
