@@ -70,11 +70,14 @@ type SynthConfig = synth.Config
 
 // Generate builds a synthetic dataset calibrated to one of the paper's
 // six evaluation datasets ("ml1M", "ml10M", "ml20M", "AM", "DBLP", "GW"),
-// scaled by scale (1 = paper size).
+// scaled by scale (1 = paper size, which must be finite and above 0).
 func Generate(preset string, scale float64) (*Dataset, error) {
 	cfg, ok := synth.ByName(preset)
 	if !ok {
 		return nil, fmt.Errorf("c2knn: unknown preset %q (want one of ml1M, ml10M, ml20M, AM, DBLP, GW)", preset)
+	}
+	if err := synth.CheckScale(scale); err != nil {
+		return nil, fmt.Errorf("c2knn: %w", err)
 	}
 	return synth.Generate(cfg.Scale(scale)), nil
 }

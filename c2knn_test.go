@@ -1,6 +1,7 @@
 package c2knn_test
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -24,6 +25,17 @@ func smallDataset(t testing.TB) *c2knn.Dataset {
 func TestGenerateRejectsUnknownPreset(t *testing.T) {
 	if _, err := c2knn.Generate("nonsense", 1); err == nil {
 		t.Error("unknown preset accepted")
+	}
+}
+
+// TestGenerateRejectsBadScale: a scale that is not a finite number
+// above 0 is an error, not the paper-size dataset (f <= 0, NaN) or the
+// 200-user minimum (+Inf).
+func TestGenerateRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if d, err := c2knn.Generate("ml1M", scale); err == nil {
+			t.Errorf("scale %v accepted (%d users)", scale, d.NumUsers())
+		}
 	}
 }
 

@@ -10,14 +10,13 @@
 //	c2bench -exp all -scale 0.05 -workers 4
 //
 // Experiments: table1, table2, table3, table4, table5, fig6, fig7, fig8,
-// ablations, serve-http, solve, shard, load, update, all.
+// ablations, solve, shard, load, all.
 // Theorems 1 and 2 of §III are checked by internal/theory's tests, on
 // the production hash.
 //
-// The serve-http, solve, shard, load and update experiments carry
-// floors (see their summaries' Floors methods in
-// internal/experiments). After the run c2bench prints each one's
-// verdict and exits 1 if any floor failed.
+// The solve, shard and load experiments carry floors (see their
+// summaries' Floors methods in internal/experiments). After the run
+// c2bench prints each one's verdict and exits 1 if any floor failed.
 package main
 
 import (
@@ -28,11 +27,12 @@ import (
 	"time"
 
 	"c2knn/internal/experiments"
+	"c2knn/internal/synth"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, ablations, serve-http, solve, shard, load, update, all")
+		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, ablations, solve, shard, load, all")
 		scale    = flag.Float64("scale", 0.05, "dataset scale factor (1 = paper size)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", 42, "master random seed")
@@ -42,6 +42,10 @@ func main() {
 		datasets = flag.String("datasets", "", "comma-separated dataset subset for table2/table3 (default: all six)")
 	)
 	flag.Parse()
+	if err := synth.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "c2bench: -scale:", err)
+		os.Exit(2)
+	}
 
 	env := &experiments.Env{
 		Scale:   *scale,
@@ -60,22 +64,20 @@ func main() {
 	// A runner returns the summary whose floors judge the run, or nil
 	// for the paper tables and figures, which have none.
 	runners := map[string]func() (floored, error){
-		"table1":     func() (floored, error) { _, err := env.Table1(); return nil, err },
-		"table2":     func() (floored, error) { _, err := env.Table2(names); return nil, err },
-		"table3":     func() (floored, error) { _, err := env.Table3(names); return nil, err },
-		"table4":     func() (floored, error) { _, err := env.Table4(); return nil, err },
-		"table5":     func() (floored, error) { _, err := env.Table5(); return nil, err },
-		"fig6":       func() (floored, error) { _, err := env.Fig6(); return nil, err },
-		"fig7":       func() (floored, error) { _, err := env.Fig7(); return nil, err },
-		"fig8":       func() (floored, error) { _, err := env.Fig8(); return nil, err },
-		"ablations":  func() (floored, error) { _, err := env.Ablations(); return nil, err },
-		"serve-http": func() (floored, error) { return env.ServeHTTP() },
-		"solve":      func() (floored, error) { return env.Solve() },
-		"shard":      func() (floored, error) { return env.Shard() },
-		"load":       func() (floored, error) { return env.Load() },
-		"update":     func() (floored, error) { return env.Update() },
+		"table1":    func() (floored, error) { _, err := env.Table1(); return nil, err },
+		"table2":    func() (floored, error) { _, err := env.Table2(names); return nil, err },
+		"table3":    func() (floored, error) { _, err := env.Table3(names); return nil, err },
+		"table4":    func() (floored, error) { _, err := env.Table4(); return nil, err },
+		"table5":    func() (floored, error) { _, err := env.Table5(); return nil, err },
+		"fig6":      func() (floored, error) { _, err := env.Fig6(); return nil, err },
+		"fig7":      func() (floored, error) { _, err := env.Fig7(); return nil, err },
+		"fig8":      func() (floored, error) { _, err := env.Fig8(); return nil, err },
+		"ablations": func() (floored, error) { _, err := env.Ablations(); return nil, err },
+		"solve":     func() (floored, error) { return env.Solve() },
+		"shard":     func() (floored, error) { return env.Shard() },
+		"load":      func() (floored, error) { return env.Load() },
 	}
-	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "ablations", "serve-http", "solve", "shard", "load", "update"}
+	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "ablations", "solve", "shard", "load"}
 
 	var toRun []string
 	if *exp == "all" {

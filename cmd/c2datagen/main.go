@@ -5,7 +5,7 @@
 // Usage:
 //
 //	c2datagen -preset ml1M -scale 0.1 -out ml1m.txt
-//	c2datagen -preset AM -stats            # statistics only, no file
+//	c2datagen -preset AM                   # statistics only, no file
 package main
 
 import (
@@ -19,17 +19,20 @@ import (
 
 func main() {
 	var (
-		preset    = flag.String("preset", "ml1M", "dataset preset: ml1M, ml10M, ml20M, AM, DBLP, GW")
-		scale     = flag.Float64("scale", 1.0, "scale factor (1 = paper size)")
-		out       = flag.String("out", "", "output path (empty: statistics only)")
-		seed      = flag.Int64("seed", 0, "override the preset's seed (0 keeps it)")
-		statsOnly = flag.Bool("stats", false, "print statistics without writing a file")
+		preset = flag.String("preset", "ml1M", "dataset preset: ml1M, ml10M, ml20M, AM, DBLP, GW")
+		scale  = flag.Float64("scale", 1.0, "scale factor (1 = paper size)")
+		out    = flag.String("out", "", "output path (empty: statistics only)")
+		seed   = flag.Int64("seed", 0, "override the preset's seed (0 keeps it)")
 	)
 	flag.Parse()
 
 	cfg, ok := synth.ByName(*preset)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "c2datagen: unknown preset %q\n", *preset)
+		os.Exit(2)
+	}
+	if err := synth.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "c2datagen: -scale:", err)
 		os.Exit(2)
 	}
 	cfg = cfg.Scale(*scale)
@@ -39,7 +42,7 @@ func main() {
 	d := synth.Generate(cfg)
 	fmt.Println(d.ComputeStats())
 
-	if *statsOnly || *out == "" {
+	if *out == "" {
 		return
 	}
 	if err := dataset.WriteFile(*out, d); err != nil {

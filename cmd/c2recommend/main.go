@@ -24,6 +24,7 @@ import (
 	"c2knn"
 	"c2knn/internal/goldfinger"
 	"c2knn/internal/recommend"
+	"c2knn/internal/synth"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 		seed   = flag.Int64("seed", 42, "random seed")
 	)
 	flag.Parse()
-	if err := checkFlags(*folds, *k, *nRec); err != nil {
+	if err := checkFlags(*scale, *folds, *k, *nRec); err != nil {
 		fmt.Fprintln(os.Stderr, "c2recommend:", err)
 		os.Exit(2)
 	}
@@ -134,7 +135,10 @@ func serveFromSnapshot(path string, nRec, folds int, seed int64, workers int) {
 
 // checkFlags rejects flag values c2recommend cannot honour, before any
 // work starts.
-func checkFlags(folds, k, n int) error {
+func checkFlags(scale float64, folds, k, n int) error {
+	if err := synth.CheckScale(scale); err != nil {
+		return fmt.Errorf("-scale: %w", err)
+	}
 	switch {
 	case folds < 2:
 		return fmt.Errorf("-folds must be at least 2, got %d", folds)

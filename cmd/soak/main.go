@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"c2knn/internal/experiments"
+	"c2knn/internal/synth"
 )
 
 func main() {
@@ -34,6 +35,10 @@ func main() {
 		clients  = flag.Int("clients", 8, "concurrent well-formed clients")
 	)
 	flag.Parse()
+	if err := synth.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "soak: -scale:", err)
+		os.Exit(2)
+	}
 
 	env := &experiments.Env{Scale: *scale, Workers: *workers, Seed: *seed, Out: os.Stdout}
 	sum, err := env.Soak(experiments.SoakOptions{Duration: *duration, Clients: *clients})

@@ -140,6 +140,10 @@ func fetchEpoch(client *http.Client, base string) (uint64, error) {
 	return h.Epoch, nil
 }
 
+// TestE2EServeDaemon is the serving load test: through 100 clients and
+// two mid-load hot swaps no request fails or diverges from
+// Index.Recommend, and the repeating load hits the response cache at
+// least a fifth of the time.
 func TestE2EServeDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary e2e is not -short")
@@ -348,8 +352,9 @@ func TestE2EServeDaemon(t *testing.T) {
 	if stats.Swaps < 2 {
 		t.Fatalf("statsz reports %d swaps, expected >= 2", stats.Swaps)
 	}
-	if stats.CacheHitRate <= 0 {
-		t.Fatalf("cache hit rate %v after a repeating load, expected > 0", stats.CacheHitRate)
+	t.Logf("cache hit rate %.2f over %d requests", stats.CacheHitRate, stats.Requests)
+	if !(stats.CacheHitRate >= 0.2) {
+		t.Fatalf("cache hit rate %v after a repeating load, expected >= 0.2", stats.CacheHitRate)
 	}
 	if stats.P99Micros <= 0 {
 		t.Fatalf("p99 %v after traffic, expected > 0", stats.P99Micros)

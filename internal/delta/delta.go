@@ -81,10 +81,10 @@
 // users that are *not* among the upserted user's top-K are left
 // untouched (reverse edges beyond the local patch appear only at the
 // next full rebuild), and a profile update does not re-score rows that
-// held the user before the update. The equivalence experiment
-// (experiments.Update, `c2bench -exp update`) measures the effect: recall
-// after absorbing a user stream stays within the golden band of a
-// from-scratch build.
+// held the user before the update. The root package's
+// TestRecallDeltaInBand measures the effect: recall after absorbing a
+// user stream and compacting stays within the golden band, and within
+// 0.005 of a from-scratch build on the same users.
 package delta
 
 import (

@@ -11,13 +11,9 @@ type floored interface{ Floors() []string }
 func solveOK(kernel string) *SolveSummary {
 	return &SolveSummary{Kernel: kernel, SolveSpeedup: 2.8, KernelSpeedup: 2, HyrecSpeedup: 1.4}
 }
-func httpOK() *HTTPSummary   { return &HTTPSummary{HotSwaps: 1, CacheHitRate: 0.8} }
 func shardOK() *ShardSummary { return &ShardSummary{Shards: 2, Cores: 2, Speedup: 1.95} }
 func loadOK() *LoadSummary {
 	return &LoadSummary{Mapped: true, Identical: true, LoadSpeedup: 20, MMapHeapBytes: 400, CopyHeapBytes: 1000}
-}
-func updateOK() *UpdateSummary {
-	return &UpdateSummary{Upserts: 64, UpsertP99MS: 1.3, RecallDelta: 0.0004}
 }
 func soakOK() *SoakSummary {
 	return &SoakSummary{
@@ -45,13 +41,6 @@ func TestLegacyFloors(t *testing.T) {
 		{"solve scalar", "AllocsPerSolve", "want 0", 0, 1, func(v float64) floored { s := solveOK("scalar"); s.AllocsPerSolve = v; return s }},
 		{"solve scalar", "SolveSpeedup (scalar kernel)", ">= 1.3", 1.3, 1.29, func(v float64) floored { s := solveOK("scalar"); s.SolveSpeedup = v; return s }},
 
-		{"http", "FailedReqs", "want 0", 0, 1, func(v float64) floored { s := httpOK(); s.FailedReqs = int(v); return s }},
-		{"http", "MismatchedResps", "want 0", 0, 1, func(v float64) floored { s := httpOK(); s.MismatchedResps = int(v); return s }},
-		{"http", "HotSwaps", ">= 1", 1, 0, func(v float64) floored { s := httpOK(); s.HotSwaps = int(v); return s }},
-		{"http", "CacheHitAllocsPerQuery", "want 0", 0, 0.0001, func(v float64) floored { s := httpOK(); s.CacheHitAllocsPerQuery = v; return s }},
-		{"http", "CacheHitAllocsPerQuery", "want 0", 0, -1, func(v float64) floored { s := httpOK(); s.CacheHitAllocsPerQuery = v; return s }},
-		{"http", "CacheHitRate", ">= 0.2", 0.2, 0.19, func(v float64) floored { s := httpOK(); s.CacheHitRate = v; return s }},
-
 		{"shard", "FailedReqs", "want 0", 0, 1, func(v float64) floored { s := shardOK(); s.FailedReqs = int(v); return s }},
 		{"shard", "MismatchedResps", "want 0", 0, 1, func(v float64) floored { s := shardOK(); s.MismatchedResps = int(v); return s }},
 		{"shard", "Partials", "want 0", 0, 1, func(v float64) floored { s := shardOK(); s.Partials = int(v); return s }},
@@ -68,11 +57,6 @@ func TestLegacyFloors(t *testing.T) {
 			s.Identical = v == 1
 			return s
 		}},
-
-		{"update", "Upserts", ">= 1", 1, 0, func(v float64) floored { s := updateOK(); s.Upserts = int(v); return s }},
-		{"update", "UpsertP99MS", "<= 1000", 1000, 1000.01, func(v float64) floored { s := updateOK(); s.UpsertP99MS = v; return s }},
-		{"update", "MergedReadAllocs", "want 0", 0, 0.0001, func(v float64) floored { s := updateOK(); s.MergedReadAllocs = v; return s }},
-		{"update", "RecallDelta", "<= 0.005", 0.005, 0.0051, func(v float64) floored { s := updateOK(); s.RecallDelta = v; return s }},
 
 		{"soak", "Requests", ">= 1", 1, 0, func(v float64) floored { s := soakOK(); s.Requests = int(v); return s }},
 		{"soak", "FailedReqs", "want 0", 0, 1, func(v float64) floored { s := soakOK(); s.FailedReqs = int(v); return s }},

@@ -6,5 +6,5 @@ package server
 // instrumentation allocates on paths that are allocation-free in
 // normal builds, so zero-alloc assertions consult this and skip
 // themselves under -race (the property is still enforced by the
-// non-race test run and the serve-http experiment's floors).
+// non-race test run).
 const RaceEnabled = true

@@ -658,31 +658,3 @@ func (s *Server) serveDelay(w http.ResponseWriter, r *http.Request) {
 		s.answerError(w, r, r.Context().Err())
 	}
 }
-
-// CacheHitAllocs measures the allocations per cache-hit query on the
-// recommend fast path: it primes the cache with one (user, n) query,
-// then replays it iters times and returns the mean allocation count per
-// replay, as runtime.MemStats sees it. Zero is the contract the
-// serve-http experiment's floors enforce. It pins the process to one P,
-// as testing.AllocsPerRun does, so other goroutines' allocations stay
-// off the counter; call it on an otherwise idle server.
-func (s *Server) CacheHitAllocs(u int32, n, iters int) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s.answer(context.Background(), EpRecommend, u, nil, n) // prime (marshal + insert)
-	runtime.GC()
-	// Re-warm the key-scratch pool: the GC above may have demoted its
-	// buffers, and a first Get would then count one allocation that no
-	// steady-state query pays.
-	if _, hit, _ := s.answer(context.Background(), EpRecommend, u, nil, n); !hit {
-		return -1
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < iters; i++ {
-		if _, hit, _ := s.answer(context.Background(), EpRecommend, u, nil, n); !hit {
-			return -1 // evicted mid-measurement; report as failure
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(iters)
-}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -321,7 +323,6 @@ func TestServerHealthzStatsz(t *testing.T) {
 
 // TestServerCacheHitZeroAlloc: the whole internal fast path — key
 // build, shard lookup, recency update — must not allocate on a hit.
-// This is the property the serve-http experiment's floors check in CI.
 func TestServerCacheHitZeroAlloc(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race instrumentation allocates; the non-race run enforces this")
@@ -331,9 +332,37 @@ func TestServerCacheHitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := s.CacheHitAllocs(3, 10, 2000); allocs != 0 {
+	if allocs := cacheHitAllocs(s, 3, 10, 2000); allocs != 0 {
 		t.Errorf("cache-hit path allocates %v per query, want 0", allocs)
 	}
+}
+
+// cacheHitAllocs measures the allocations per cache-hit query on the
+// recommend fast path: it primes the cache with one (user, n) query,
+// then replays it iters times and returns the mean allocation count per
+// replay, as runtime.MemStats sees it, or -1 if a replay missed. It
+// pins the process to one P, as testing.AllocsPerRun does, so other
+// goroutines' allocations stay off the counter; call it on an otherwise
+// idle server.
+func cacheHitAllocs(s *Server, u int32, n, iters int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s.answer(context.Background(), EpRecommend, u, nil, n) // prime (marshal + insert)
+	runtime.GC()
+	// Re-warm the key-scratch pool: the GC above may have demoted its
+	// buffers, and a first Get would then count one allocation that no
+	// steady-state query pays.
+	if _, hit, _ := s.answer(context.Background(), EpRecommend, u, nil, n); !hit {
+		return -1
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iters; i++ {
+		if _, hit, _ := s.answer(context.Background(), EpRecommend, u, nil, n); !hit {
+			return -1 // evicted mid-measurement; report as failure
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(iters)
 }
 
 // TestServerReloadAndErrorKinds exercises /admin/reload end to end:

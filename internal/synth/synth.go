@@ -70,6 +70,16 @@ type Config struct {
 	Seed int64
 }
 
+// CheckScale rejects a scale factor Scale cannot honour: zero, negative
+// and NaN factors would silently keep the paper-size config, and an
+// infinite one would shrink it to the minimums.
+func CheckScale(f float64) error {
+	if !(f > 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("scale must be a finite number above 0, got %v", f)
+	}
+	return nil
+}
+
 // Scale returns a copy of c with user, item and community counts (and
 // hence rating volume) scaled by f, preserving per-user statistics.
 // Communities scale linearly with the populations so that users-per-leaf
