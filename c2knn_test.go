@@ -221,6 +221,15 @@ func TestRecommendationFacade(t *testing.T) {
 	if r := c2knn.EvalRecall(f, g, 20); r <= 0 {
 		t.Errorf("recall = %v, want > 0", r)
 	}
+	// n ≤ 0 recommends nothing: recall 0, not a panic in a worker.
+	for _, n := range []int{0, -1} {
+		if r := c2knn.EvalRecall(f, g, n); r != 0 {
+			t.Errorf("EvalRecall(n = %d) = %v, want 0", n, r)
+		}
+		if r := c2knn.EvalRecallFrozen(f, g.Freeze(), n); r != 0 {
+			t.Errorf("EvalRecallFrozen(n = %d) = %v, want 0", n, r)
+		}
+	}
 }
 
 func TestAvgSimFacade(t *testing.T) {

@@ -18,9 +18,9 @@ package bruteforce
 
 import (
 	"math/bits"
-	"sync"
 
 	"c2knn/internal/knng"
+	"c2knn/internal/schedule"
 	"c2knn/internal/similarity"
 )
 
@@ -45,41 +45,26 @@ func Build(n, k int, p similarity.Provider, workers int) *knng.Graph {
 	}
 	shared := knng.NewShared(g)
 	rp, _ := p.(similarity.RowProvider)
-	// Rows are distributed in strided fashion: row u costs n-u-1
-	// similarity computations, so striding balances work across workers
-	// without a queue.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			var row []float64
-			for u := start; u < n; u += workers {
-				cnt := n - u - 1
-				if cnt == 0 {
-					continue
-				}
-				row = similarity.GrowRow(row, cnt)
-				if rp != nil {
-					rp.SimRow(int32(u), int32(u+1), int32(n), row)
-				} else {
-					for v := u + 1; v < n; v++ {
-						row[v-u-1] = p.Sim(int32(u), int32(v))
-					}
-				}
-				// Forward edges batched under one lock; reverse edges
-				// fan out to n-u-1 distinct users and keep per-pair
-				// locking. Per list, the insert sequence is the same as
-				// the historical interleaved loop, so single-worker
-				// results are identical.
-				shared.InsertRun(int32(u), int32(u+1), row)
-				for v := u + 1; v < n; v++ {
-					shared.Insert(int32(v), int32(u), row[v-u-1])
-				}
+	rows := make([][]float64, workers) // per-worker scored row
+	schedule.Run(workers, n-1, func(w, u int) {
+		row := similarity.GrowRow(rows[w], n-u-1)
+		rows[w] = row
+		if rp != nil {
+			rp.SimRow(int32(u), int32(u+1), int32(n), row)
+		} else {
+			for v := u + 1; v < n; v++ {
+				row[v-u-1] = p.Sim(int32(u), int32(v))
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		// Forward edges batched under one lock; reverse edges fan out
+		// to n-u-1 distinct users and keep per-pair locking. Per list,
+		// the insert sequence is the same as the historical interleaved
+		// loop, so single-worker results are identical.
+		shared.InsertRun(int32(u), int32(u+1), row)
+		for v := u + 1; v < n; v++ {
+			shared.Insert(int32(v), int32(u), row[v-u-1])
+		}
+	})
 	return g
 }
 

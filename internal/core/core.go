@@ -263,11 +263,12 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 	}()
 
 	// solveStart marks the first cluster a worker actually popped; the
-	// Once write is read by the main goroutine only after the pool's
-	// WaitGroup, so no further synchronization is needed.
+	// Once write is read by the main goroutine only after the pool has
+	// returned, so no further synchronization is needed. Every worker,
+	// the caller among them, drains the queue until it closes.
 	var solveOnce sync.Once
 	var solveStart time.Time
-	runPool(o.Workers, func(worker int) {
+	schedule.Run(o.Workers, o.Workers, func(worker, _ int) {
 		for {
 			job, ok := q.Pop()
 			if !ok {
@@ -378,20 +379,6 @@ func (ws *workerState) solve(p similarity.Provider, o Options, shared *knng.Shar
 	for i := range lists {
 		shared.MergeUser(job.users[i], lists[i].H)
 	}
-}
-
-// runPool runs consume(worker) on `workers` goroutines and returns when
-// all have drained the queue.
-func runPool(workers int, consume func(worker int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			consume(worker)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // useHyrec applies Algorithm 2's switch rule under the configured solver

@@ -145,7 +145,7 @@ func NewHasher(numItems int32, o Options) *Hasher {
 	}
 	n := int(numItems)
 	parts := max(min(runtime.GOMAXPROCS(0), n/minItemsPerPart), 1)
-	schedule.Run(parts, schedule.FIFO(parts), func(_, part int) {
+	schedule.Run(parts, parts, func(_, part int) {
 		lo, hi := part*n/parts, (part+1)*n/parts
 		for g, tab := range h.rows {
 			hashRows(h.seeds[g*lanes:min((g+1)*lanes, o.T)], uint32(o.B), lo, tab[lo:hi])
@@ -246,7 +246,7 @@ func (h *Hasher) hashAll(profiles [][]int32, parallelism int) [][lanes]uint16 {
 		parts = min(parts, parallelism)
 	}
 	parts = max(min(parts, n), 1)
-	schedule.Run(parts, schedule.FIFO(parts), func(_, part int) {
+	schedule.Run(parts, parts, func(_, part int) {
 		lo, hi := part*n/parts, (part+1)*n/parts
 		for g, tab := range h.rows {
 			out := all[g*n : (g+1)*n]
@@ -336,12 +336,13 @@ func streamWithHasher(d *dataset.Dataset, h *Hasher, o Options, emit func(Cluste
 	return MergeStats(fnStats)
 }
 
-// ForEachFn runs build for every configuration, one goroutine each, and
-// returns the per-configuration stats. It is the fan-out shared by the
-// FRH producers here and core's MinHash producer.
+// ForEachFn runs build for every configuration on t concurrent workers,
+// the caller among them, and returns the per-configuration stats. It is
+// the fan-out shared by the FRH producers here and core's MinHash
+// producer.
 func ForEachFn(t int, build func(fn int) Stats) []Stats {
 	fnStats := make([]Stats, t)
-	schedule.Run(t, schedule.FIFO(t), func(_, fn int) {
+	schedule.Run(t, t, func(_, fn int) {
 		fnStats[fn] = build(fn)
 	})
 	return fnStats

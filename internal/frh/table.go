@@ -156,7 +156,7 @@ func (h *Hasher) CopyTable(src *Table, profiles [][]int32) (*Table, error) {
 	workers := min(runtime.GOMAXPROCS(0), h.t+1)
 	scratch := make([][]uint8, workers) // per worker: listed, then m+1 bucket-start marks
 	// Job 0 hashes the sample; job fn+1 copies and checks configuration fn.
-	schedule.Run(workers, schedule.FIFO(h.t+1), func(w, job int) {
+	schedule.Run(workers, h.t+1, func(w, job int) {
 		if job == 0 {
 			hashes = h.hashAll(sampled, 1)
 			return

@@ -9,10 +9,10 @@ package hyrec
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"c2knn/internal/knng"
+	"c2knn/internal/schedule"
 	"c2knn/internal/similarity"
 )
 
@@ -148,8 +148,8 @@ func refine(g *knng.Graph, p similarity.Provider, o Options) Result {
 	allSnap := make([][]int32, n)
 	newSnap := make([][]int32, n)
 	// One dense candidate set per worker; the sets persist across
-	// iterations (worker w always strides from w), so the O(n) zeroing
-	// is paid once per run, not per iteration.
+	// iterations, so the O(n) zeroing is paid once per run, not per
+	// iteration.
 	sets := make([]denseSet, o.Workers)
 	for w := range sets {
 		sets[w].resize(n)
@@ -162,35 +162,28 @@ func refine(g *knng.Graph, p similarity.Provider, o Options) Result {
 			newSnap[u] = g.Lists[u].ResetNew(newSnap[u][:0])
 		}
 		var updates atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < o.Workers; w++ {
-			wg.Add(1)
-			go func(ds *denseSet, start int) {
-				defer wg.Done()
-				for u := start; u < n; u += o.Workers {
-					uid := int32(u)
-					// Pre-stamp self and u's snapshot so they never enter
-					// the candidate list; the snapshot is immutable during
-					// the iteration so this read is race-free (Insert
-					// re-checks under the stripe lock).
-					ds.begin()
-					ds.stamp(uid)
-					collectCandidates(ds, allSnap, newSnap, u)
-					for _, w2 := range ds.cand {
-						s := p.Sim(uid, w2)
-						ok1 := shared.Insert(uid, w2, s)
-						ok2 := shared.Insert(w2, uid, s)
-						if ok1 {
-							updates.Add(1)
-						}
-						if ok2 {
-							updates.Add(1)
-						}
-					}
+		schedule.Run(o.Workers, n, func(w, u int) {
+			ds := &sets[w]
+			uid := int32(u)
+			// Pre-stamp self and u's snapshot so they never enter the
+			// candidate list; the snapshot is immutable during the
+			// iteration so this read is race-free (Insert re-checks
+			// under the stripe lock).
+			ds.begin()
+			ds.stamp(uid)
+			collectCandidates(ds, allSnap, newSnap, u)
+			for _, w2 := range ds.cand {
+				s := p.Sim(uid, w2)
+				ok1 := shared.Insert(uid, w2, s)
+				ok2 := shared.Insert(w2, uid, s)
+				if ok1 {
+					updates.Add(1)
 				}
-			}(&sets[w], w)
-		}
-		wg.Wait()
+				if ok2 {
+					updates.Add(1)
+				}
+			}
+		})
 		res.Iterations++
 		u := int(updates.Load())
 		res.Updates = append(res.Updates, u)

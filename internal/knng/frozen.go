@@ -6,7 +6,8 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
+
+	"c2knn/internal/schedule"
 )
 
 // Frozen is the immutable serving representation of a KNN graph: the
@@ -154,19 +155,9 @@ func (g *Graph) Freeze() *Frozen {
 		Clustering: g.Clustering,
 	}
 	parts := min(runtime.GOMAXPROCS(0), (n+freezeChunk-1)/freezeChunk)
-	if parts <= 1 {
-		g.freezeRange(f, 0, n)
-		return f
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < parts; p++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			g.freezeRange(f, lo, hi)
-		}(p*n/parts, (p+1)*n/parts)
-	}
-	wg.Wait()
+	schedule.Run(parts, parts, func(_, p int) {
+		g.freezeRange(f, p*n/parts, (p+1)*n/parts)
+	})
 	return f
 }
 

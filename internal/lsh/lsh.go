@@ -108,8 +108,9 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 		bf  bruteforce.Scratch
 	}
 	scratches := make([]workerScratch, o.Workers)
-	schedule.Run(o.Workers, schedule.LargestFirst(sizes), func(worker, job int) {
-		ids := buckets[job]
+	order := schedule.LargestFirst(sizes)
+	schedule.Run(o.Workers, len(order), func(worker, i int) {
+		ids := buckets[order[i]]
 		ws := &scratches[worker]
 		similarity.GatherInto(p, ids, &ws.loc)
 		lists := bruteforce.LocalInto(&ws.loc, o.K, &ws.bf, nil)

@@ -9,10 +9,10 @@ package nndescent
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"c2knn/internal/knng"
+	"c2knn/internal/schedule"
 	"c2knn/internal/similarity"
 )
 
@@ -83,6 +83,8 @@ func refine(g *knng.Graph, p similarity.Provider, o Options) Result {
 	oldFwd := make([][]int32, n) // settled forward neighbors
 	newRev := make([][]int32, n) // fresh reverse neighbors (sampled)
 	oldRev := make([][]int32, n) // settled reverse neighbors (sampled)
+	// Per-worker scratch for a user's deduplicated candidate sets.
+	newSets, oldSets := make([][]int32, o.Workers), make([][]int32, o.Workers)
 
 	for iter := 0; iter < o.MaxIter; iter++ {
 		for u := 0; u < n; u++ {
@@ -109,34 +111,26 @@ func refine(g *knng.Graph, p similarity.Provider, o Options) Result {
 			}
 		}
 		var updates atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < o.Workers; w++ {
-			wg.Add(1)
-			go func(start int) {
-				defer wg.Done()
-				var newSet, oldSet []int32
-				for u := start; u < n; u += o.Workers {
-					newSet = dedupUnion(newSet[:0], newFwd[u], newRev[u])
-					oldSet = dedupUnion(oldSet[:0], oldFwd[u], oldRev[u])
-					// new × new pairs.
-					for i := 0; i < len(newSet); i++ {
-						for j := i + 1; j < len(newSet); j++ {
-							updates.Add(compare(shared, p, newFwd, oldFwd, newSet[i], newSet[j]))
-						}
-					}
-					// new × old pairs.
-					for _, a := range newSet {
-						for _, b := range oldSet {
-							if a == b {
-								continue
-							}
-							updates.Add(compare(shared, p, newFwd, oldFwd, a, b))
-						}
-					}
+		schedule.Run(o.Workers, n, func(w, u int) {
+			newSet := dedupUnion(newSets[w][:0], newFwd[u], newRev[u])
+			oldSet := dedupUnion(oldSets[w][:0], oldFwd[u], oldRev[u])
+			newSets[w], oldSets[w] = newSet, oldSet
+			// new × new pairs.
+			for i := 0; i < len(newSet); i++ {
+				for j := i + 1; j < len(newSet); j++ {
+					updates.Add(compare(shared, p, newFwd, oldFwd, newSet[i], newSet[j]))
 				}
-			}(w)
-		}
-		wg.Wait()
+			}
+			// new × old pairs.
+			for _, a := range newSet {
+				for _, b := range oldSet {
+					if a == b {
+						continue
+					}
+					updates.Add(compare(shared, p, newFwd, oldFwd, a, b))
+				}
+			}
+		})
 		res.Iterations++
 		u := int(updates.Load())
 		res.Updates = append(res.Updates, u)

@@ -213,6 +213,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 	"unsafe"
@@ -221,6 +222,7 @@ import (
 	"c2knn/internal/frh"
 	"c2knn/internal/goldfinger"
 	"c2knn/internal/knng"
+	"c2knn/internal/schedule"
 )
 
 // Version is the snapshot format version this build writes and the
@@ -319,7 +321,7 @@ func Encode(w io.Writer, s *Snapshot) error {
 	recorded := s.Graph != nil && s.Graph.Clustering != (knng.Clustering{})
 	var graphErr, trainErr error
 	var tab *frh.Table
-	parallel(2, func(i int) {
+	schedule.Run(runtime.GOMAXPROCS(0), 2, func(_, i int) {
 		if i == 0 {
 			if s.Graph != nil {
 				graphErr = s.Graph.Validate()
@@ -890,7 +892,7 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 		}
 	}
 	errs := make([]error, len(spans))
-	parallel(len(spans), func(i int) {
+	schedule.Run(runtime.GOMAXPROCS(0), len(spans), func(_, i int) {
 		errs[i] = asm.decode(uint32(i), types[i], spans[i].segs[0], spans[i].slab)
 	})
 	for _, err := range errs {

@@ -15,10 +15,9 @@ package persist
 import (
 	"hash/crc32"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
+	"c2knn/internal/schedule"
 	"c2knn/internal/sets"
 )
 
@@ -82,7 +81,7 @@ func scan(spans []span) {
 			chunks[k].n = at - chunks[k].lo
 		}
 	}
-	parallel(len(chunks), func(k int) {
+	schedule.Run(runtime.GOMAXPROCS(0), len(chunks), func(_, k int) {
 		c := &chunks[k]
 		sp := &spans[c.span]
 		lo, end := c.lo, c.lo+c.n
@@ -105,35 +104,6 @@ func scan(spans []span) {
 			sp.slab.max = max(sp.slab.max, c.max)
 		}
 	}
-}
-
-// parallel calls f(0), …, f(n-1) on up to GOMAXPROCS goroutines, the
-// caller's among them, and returns once every call has returned. With
-// one worker it is a plain loop.
-func parallel(n int, f func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			f(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // CRC-32C combine, after zlib's crc32_combine: the CRC of A‖B is the

@@ -9,10 +9,10 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"c2knn/internal/dataset"
 	"c2knn/internal/knng"
+	"c2knn/internal/schedule"
 	"c2knn/internal/sets"
 )
 
@@ -287,47 +287,41 @@ func Recall(rec, test []int32) float64 {
 }
 
 // EvalRecall recommends n items to every user of the fold and returns the
-// mean recall over users with a non-empty test set. The graph is frozen
-// once and evaluation runs on the CSR serving path; pass an existing
-// Frozen to EvalRecallFrozen to skip the flattening.
+// mean recall over users with a non-empty test set. n ≤ 0 recommends
+// nothing, so the recall is 0. The graph is frozen once and evaluation
+// runs on the CSR serving path; pass an existing Frozen to
+// EvalRecallFrozen to skip the flattening.
 func EvalRecall(f Fold, g *knng.Graph, n, workers int) float64 {
 	return EvalRecallFrozen(f, g.Freeze(), n, workers)
 }
 
-// EvalRecallFrozen is EvalRecall over a frozen graph: each worker owns a
-// Scorer and a recycled result slice, so the whole evaluation performs a
-// constant number of allocations regardless of user count.
+// EvalRecallFrozen is EvalRecall over a frozen graph, with the same
+// n ≤ 0 rule. Each worker owns a Scorer and a recycled result slice, so
+// the evaluation's allocations do not grow with the user count beyond
+// one recall per user. The recalls are summed in user order, so the
+// result does not depend on workers.
 func EvalRecallFrozen(f Fold, g *knng.Frozen, n, workers int) float64 {
-	if workers < 1 {
-		workers = 1
-	}
-	users := f.Train.NumUsers()
-	partial := make([]float64, workers)
-	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := NewScorer(f.Train.NumItems)
-			rec := make([]int32, 0, n)
-			for u := w; u < users; u += workers {
-				if len(f.Test[u]) == 0 {
-					continue
-				}
-				rec = sc.Recommend(f.Train, g, int32(u), n, rec[:0])
-				if r := Recall(rec, f.Test[u]); r >= 0 {
-					partial[w] += r
-					counts[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	workers = max(workers, 1)
+	recalls := make([]float64, f.Train.NumUsers())
+	scorers := make([]*Scorer, workers)
+	recs := make([][]int32, workers)
+	schedule.Run(workers, len(recalls), func(w, u int) {
+		if len(f.Test[u]) == 0 {
+			recalls[u] = -1
+			return
+		}
+		if scorers[w] == nil {
+			scorers[w] = NewScorer(f.Train.NumItems)
+		}
+		recs[w] = scorers[w].Recommend(f.Train, g, int32(u), n, recs[w][:0])
+		recalls[u] = Recall(recs[w], f.Test[u])
+	})
 	total, cnt := 0.0, 0
-	for w := range partial {
-		total += partial[w]
-		cnt += counts[w]
+	for _, r := range recalls {
+		if r >= 0 {
+			total += r
+			cnt++
+		}
 	}
 	if cnt == 0 {
 		return 0

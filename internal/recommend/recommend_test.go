@@ -452,12 +452,14 @@ func TestEvalRecallDeterministicAcrossWorkers(t *testing.T) {
 	f := Split(d, 4, 5)[0]
 	raw := similarity.NewJaccard(f.Train)
 	g := bruteforce.Build(f.Train.NumUsers(), 5, raw, 2)
-	r1 := EvalRecall(f, g, 10, 1)
-	r4 := EvalRecall(f, g, 10, 4)
-	// Per-worker partial sums reassociate float additions; allow ULP-level
-	// drift but nothing structural.
-	if diff := r1 - r4; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("recall depends on worker count: %v vs %v", r1, r4)
+	fz := g.Freeze()
+	// Recalls are summed in user order, so the value is exact across
+	// worker counts.
+	r1 := EvalRecallFrozen(f, fz, 10, 1)
+	for _, workers := range []int{2, 4} {
+		if r := EvalRecallFrozen(f, fz, 10, workers); r != r1 {
+			t.Errorf("recall with %d workers = %v, with 1 = %v", workers, r, r1)
+		}
 	}
 }
 

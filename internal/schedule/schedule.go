@@ -1,8 +1,9 @@
-// Package schedule implements the lightweight work scheduling of C²'s
-// step 2 (§II-F): clusters are stored in a synchronized queue ordered by
-// decreasing size and consumed by a pool of workers, so the largest
-// clusters start first and stragglers are minimized. A FIFO policy is
-// provided for the scheduling ablation benchmarks.
+// Package schedule implements the work scheduling of C²'s step 2
+// (§II-F) and the parallel loops around it. Queue is the step's
+// synchronized queue, handing the solver pool the largest available
+// cluster first; Run is the one fork-join over an index range that
+// every other parallel loop (builders, freezing, snapshot checks,
+// recall evaluation) runs on.
 package schedule
 
 import (
@@ -28,43 +29,35 @@ func LargestFirst(sizes []int) []int {
 	return order
 }
 
-// FIFO returns job indices 0..n-1 in submission order.
-func FIFO(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// Run processes every job in order on `workers` goroutines. The queue is a
-// shared atomic cursor over the order slice: each worker repeatedly claims
-// the next unprocessed job, which realizes the paper's "synchronized,
-// decreasing priority queue" without locking. fn receives the claiming
-// worker's index (0..workers-1) alongside the job, so callers can keep
-// per-worker scratch state without synchronization. Run returns once
-// every job has completed.
-func Run(workers int, order []int, fn func(worker, job int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if len(order) == 0 {
+// Run calls fn(worker, i) once for every i in [0, n) and returns when
+// every call has returned. workers is clamped to [1, n]. With one
+// worker Run is a plain loop on the caller, in index order; otherwise
+// the caller is worker 0 and workers−1 goroutines join it, each
+// claiming the next index from a shared atomic cursor, so every worker
+// sees increasing indices. worker lies in [0, workers), so callers can
+// keep per-worker scratch without synchronization.
+func Run(workers, n int, fn func(worker, i int)) {
+	workers = max(min(workers, n), 1)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
 		return
 	}
 	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(order) {
-					return
-				}
-				fn(worker, order[i])
-			}
-		}(w)
+	work := func(worker int) {
+		for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+			fn(worker, i)
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
 }

@@ -1,10 +1,11 @@
 package schedule
 
 import (
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestLargestFirstOrdering(t *testing.T) {
@@ -49,75 +50,88 @@ func TestLargestFirstIsPermutation(t *testing.T) {
 	}
 }
 
-func TestFIFO(t *testing.T) {
-	order := FIFO(4)
-	for i, v := range order {
-		if v != i {
-			t.Errorf("FIFO = %v", order)
-			break
+func TestRunExecutesEveryJobExactlyOnce(t *testing.T) {
+	const n = 500
+	for _, workers := range []int{0, 1, 2, 8, n + 5} {
+		counts := make([]atomic.Int32, n)
+		Run(workers, n, func(_, i int) { counts[i].Add(1) })
+		for i := range counts {
+			if got := counts[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+			}
 		}
-	}
-	if len(FIFO(0)) != 0 {
-		t.Error("FIFO(0) should be empty")
 	}
 }
 
-func TestRunExecutesEveryJobExactlyOnce(t *testing.T) {
-	const jobs = 500
-	counts := make([]atomic.Int32, jobs)
-	Run(8, FIFO(jobs), func(_, job int) {
-		counts[job].Add(1)
-	})
-	for i := range counts {
-		if got := counts[i].Load(); got != 1 {
-			t.Fatalf("job %d ran %d times", i, got)
+// TestRunClampsWorkers: worker ids stay below min(workers, n), and a
+// worker count below 1 runs as one worker. The first calls wait (up to
+// a second) until that many are in flight, so every worker Run starts
+// takes an index.
+func TestRunClampsWorkers(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{-3, 5}, {0, 5}, {1, 5}, {2, 500}, {8, 3}, {505, 500}} {
+		limit := max(min(c.workers, c.n), 1)
+		var started atomic.Int32
+		deadline := time.Now().Add(time.Second)
+		Run(c.workers, c.n, func(w, _ int) {
+			started.Add(1)
+			for int(started.Load()) < limit && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if w < 0 || w >= limit {
+				t.Errorf("workers=%d n=%d: worker id %d, want below %d", c.workers, c.n, w, limit)
+			}
+		})
+	}
+}
+
+func TestRunEachWorkerSeesIncreasingIndices(t *testing.T) {
+	const workers = 4
+	for trial := 0; trial < 20; trial++ {
+		var last [workers]int // per-worker state, like callers' scratch
+		for w := range last {
+			last[w] = -1
 		}
+		Run(workers, 1000, func(w, i int) {
+			if i <= last[w] {
+				t.Errorf("worker %d received %d after %d", w, i, last[w])
+			}
+			last[w] = i
+		})
 	}
 }
 
 func TestRunZeroJobs(t *testing.T) {
-	ran := false
-	Run(4, nil, func(int, int) { ran = true })
-	if ran {
-		t.Error("callback invoked with no jobs")
+	for _, workers := range []int{0, 1, 4} {
+		Run(workers, 0, func(int, int) { t.Errorf("workers=%d: fn called with n = 0", workers) })
 	}
 }
 
 func TestRunSingleWorkerPreservesOrder(t *testing.T) {
-	var mu sync.Mutex
-	var got []int
-	order := []int{4, 2, 0, 3, 1}
-	Run(1, order, func(_, job int) {
-		mu.Lock()
-		got = append(got, job)
-		mu.Unlock()
+	var got []int // no lock: one worker runs on the calling goroutine
+	Run(1, 6, func(w, i int) {
+		if w != 0 {
+			t.Errorf("worker id %d, want 0", w)
+		}
+		got = append(got, i)
 	})
-	for i := range order {
-		if got[i] != order[i] {
-			t.Fatalf("single worker order = %v, want %v", got, order)
+	for i := range 6 {
+		if i >= len(got) || got[i] != i {
+			t.Fatalf("single worker order = %v, want 0..5", got)
 		}
 	}
 }
 
-func TestRunClampsWorkers(t *testing.T) {
-	n := 0
-	Run(0, FIFO(3), func(int, int) { n++ }) // workers < 1 clamps to 1
-	if n != 3 {
-		t.Errorf("ran %d jobs, want 3", n)
-	}
-}
-
-// TestRunLargestFirstReducesMakespan is a coarse behavioural check: with
-// one straggler job and many small ones, starting the straggler first
-// cannot be slower than starting it last.
+// TestRunConcurrent drains a largest-first order the way lsh does,
+// indexing the order inside fn.
 func TestRunConcurrent(t *testing.T) {
 	sizes := make([]int, 64)
 	for i := range sizes {
 		sizes[i] = i
 	}
+	order := LargestFirst(sizes)
 	var total atomic.Int64
-	Run(4, LargestFirst(sizes), func(_, job int) {
-		total.Add(int64(sizes[job]))
+	Run(4, len(order), func(_, i int) {
+		total.Add(int64(sizes[order[i]]))
 	})
 	want := int64(63 * 64 / 2)
 	if total.Load() != want {

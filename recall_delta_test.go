@@ -32,9 +32,11 @@ import (
 //   - rebuild: ml1M at `c2bench -scale 0.05` (its 4,000-user floor),
 //     built with that dataset's §IV-C parameters. Recall must land
 //     within 0.005 of a from-scratch build over the same users — the
-//     tolerance the golden band grants float-ordering jitter — and the
-//     slowest upsert must take under a second (the freshness bound:
-//     only a rebuild on the write path trips it).
+//     tolerance the golden band grants float-ordering jitter — and so
+//     must the recall of the 64 upserted users alone, which the whole
+//     fold's average barely sees. The slowest upsert must take under a
+//     second (the freshness bound: only a rebuild on the write path
+//     trips it).
 //
 // Held-out users are the *last* ids so the overlay's contiguous id
 // assignment reproduces the original ids, letting the full fold's test
@@ -64,8 +66,8 @@ func TestRecallDeltaInBand(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := recommend.Split(p.Data, 5, 42)[0]
-		b, tt, n := e.C2Params("ml1M")
-		opts := core.Options{K: 30, B: b, T: tt, MaxClusterSize: n, Workers: 4, Seed: 42}
+		b, tt, maxSize := e.C2Params("ml1M")
+		opts := core.Options{K: 30, B: b, T: tt, MaxClusterSize: maxSize, Workers: 4, Seed: 42}
 		gfSeed := uint32(42) + 0x60fd
 
 		gf, err := goldfinger.New(f.Train, goldfinger.DefaultBits, gfSeed)
@@ -73,16 +75,30 @@ func TestRecallDeltaInBand(t *testing.T) {
 			t.Fatal(err)
 		}
 		full, _ := core.Build(f.Train, gf, opts)
-		rebuild := recommend.EvalRecall(f, full, 30, 4)
+		fullF := full.Freeze()
+		rebuild := recommend.EvalRecallFrozen(f, fullF, 30, 4)
 
 		g, lat := growByUpserts(t, f, heldOut, gfSeed, opts)
 		incremental := recommend.EvalRecallFrozen(f, g, 30, 4)
 		diff := math.Abs(incremental - rebuild)
+		// The tail: the upserted users alone, whose share of the whole
+		// fold is too small for the overall recall to see them go bad.
+		n := f.Train.NumUsers()
+		tail := f
+		tail.Test = make([][]int32, n)
+		copy(tail.Test[n-heldOut:], f.Test[n-heldOut:])
+		tailRebuild := recommend.EvalRecallFrozen(tail, fullF, 30, 4)
+		tailIncremental := recommend.EvalRecallFrozen(tail, g, 30, 4)
+		tailDiff := math.Abs(tailIncremental - tailRebuild)
 		slowest := slices.Max(lat)
-		t.Logf("%d base users + %d upserts: recall@30 rebuild %.4f, incremental %.4f (delta %.4f); slowest upsert %v",
-			f.Train.NumUsers()-heldOut, heldOut, rebuild, incremental, diff, slowest)
+		t.Logf("%d base users + %d upserts: recall@30 rebuild %.4f, incremental %.4f (delta %.4f); upserted users only: rebuild %.4f, incremental %.4f (delta %.4f); slowest upsert %v",
+			n-heldOut, heldOut, rebuild, incremental, diff, tailRebuild, tailIncremental, tailDiff, slowest)
 		if diff > 0.005 {
 			t.Errorf("incremental recall@30 = %.4f, rebuild %.4f: |delta| %.4f > 0.005", incremental, rebuild, diff)
+		}
+		if tailDiff > 0.005 {
+			t.Errorf("upserted users' incremental recall@30 = %.4f, rebuild %.4f: |delta| %.4f > 0.005",
+				tailIncremental, tailRebuild, tailDiff)
 		}
 		if slowest > time.Second {
 			t.Errorf("slowest of %d upserts took %v, want <= 1s", heldOut, slowest)
